@@ -14,13 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding_store import EmbeddingMatrix, Vocabulary, load_matrix, load_vocab, sniff_vocab_format
+from .embedding_store import (
+    EmbeddingMatrix,
+    Vocabulary,
+    _decode_utf8,
+    load_matrix,
+    load_vocab,
+    sniff_vocab_format,
+)
 from .errors import FormatError, ValidationError
+from .overlap import WORD_MARKERS
 
 AUX_MODEL = "aux-model"
 WORD_VECTORS = "word-vectors"
-
-_MARKERS = ("Ġ", "▁")
 
 
 @dataclass
@@ -37,6 +43,13 @@ class AuxEmbeddings:
     missing: set[int] = field(default_factory=set)
 
     def row(self, target_id: int) -> np.ndarray | None:
+        """The aligned vector for a target id, or None if it has none.
+
+        Raises IndexError for an id outside the target vocabulary, so an
+        out-of-range id is never mistaken for a missing vector.
+        """
+        if not 0 <= target_id < len(self.vocab_alignment) + len(self.missing):
+            raise IndexError(f"target id {target_id} out of range")
         aux_id = self.vocab_alignment.get(target_id)
         return None if aux_id is None else self.matrix.data[aux_id]
 
@@ -48,7 +61,7 @@ def _align(
     missing: set[int] = set()
     for tid, token in enumerate(target.tokens):
         row = lookup.get(token)
-        if row is None and marker_fallback and token[:1] in _MARKERS:
+        if row is None and marker_fallback and token[:1] in WORD_MARKERS:
             row = lookup.get(token[1:])
         if row is None:
             missing.add(tid)
@@ -91,12 +104,7 @@ def load_word_vectors(
     whose value count disagrees with the header dimension is an error.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: invalid UTF-8 at byte offset {e.start}") from e
-    lines = text.splitlines()
+        lines = _decode_utf8(f.read(), path).splitlines()
     if not lines:
         raise FormatError(f"{path}: empty word-vector file")
     header = lines[0].split(" ")
@@ -151,6 +159,4 @@ def load_word_vectors(
 
 def aux_row(a: AuxEmbeddings, target_id: int) -> np.ndarray | None:
     """The aligned auxiliary vector for a target id, or None if missing."""
-    if not 0 <= target_id < len(a.vocab_alignment) + len(a.missing):
-        raise IndexError(f"target id {target_id} out of range")
     return a.row(target_id)

@@ -18,6 +18,7 @@ from . import efficiency, initializers, tokenizers
 from .aux_vectors import load_aux_model, load_word_vectors
 from .embedding_store import (
     ModelBundle,
+    _decode_utf8,
     load_matrix,
     load_vocab,
     save_matrix,
@@ -41,7 +42,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, help="parallelism hint (>= 1)")
+    common.add_argument(
+        "--threads", type=int, default=1,
+        help="parallelism hint (>= 1); work runs serially and results never depend on it",
+    )
     common.add_argument("--verbose", action="store_true", help="chatty diagnostics on stderr")
 
     parser = _Parser(prog="vocabport", description=__doc__)
@@ -188,9 +192,7 @@ def _cmd_init(args) -> int:
         clp_raw_weights=args.clp_raw_weights,
         overlap_canon=args.canon,
     )
-    bundle, report = initializers.init_target_bundle(
-        source, target_vocab, cfg, aux=aux, threads=args.threads
-    )
+    bundle, report = initializers.init_target_bundle(source, target_vocab, cfg, aux=aux)
     save_matrix(bundle.input_emb, args.out_emb)
     if bundle.output_emb is not None:
         save_matrix(bundle.output_emb, args.out_out_emb)
@@ -252,11 +254,7 @@ def _cmd_tokenize(args) -> int:
         text = args.text
     else:
         with open(args.file, "rb") as f:
-            raw = f.read()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ValidationError(f"{args.file}: invalid UTF-8 at byte offset {e.start}") from e
+            text = _decode_utf8(f.read(), args.file)
     if args.count_only:
         print(tokenizers.count_tokens(spec, text))
     else:
@@ -306,8 +304,8 @@ def _cmd_analyze(args) -> int:
 def _read_numbers(path: str) -> list[float]:
     values = []
     with open(path, "rb") as f:
-        raw = f.read()
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+        text = _decode_utf8(f.read(), path)
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .embedding_store import _decode_utf8
 from .errors import FormatError, ValidationError
 from .tokenizers import TokenizerSpec, count_tokens
 
@@ -102,13 +103,18 @@ def kendall_tau(x, y) -> float:
 
     C and D count concordant and discordant pairs; Tx and Ty count pairs
     tied only in x or only in y (pairs tied in both count in neither).
-    Raises when either sequence is constant, where tau is undefined.
+    Raises when either sequence is constant, where tau is undefined, and
+    on NaN or infinite values, which have no rank.
     """
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
     n = len(xs)
     if n != len(ys):
         raise ValidationError(f"sequence lengths differ: {n} vs {len(ys)}")
+    for name, seq in (("x", xs), ("y", ys)):
+        for i, v in enumerate(seq):
+            if not math.isfinite(v):
+                raise ValidationError(f"{name}[{i}] is {v!r}; kendall tau needs finite values")
     if n < 2:
         raise ValidationError("need at least two observations")
     concordant = discordant = ties_x = ties_y = 0
@@ -139,11 +145,7 @@ def load_corpus(path: str, fmt: str = "txt") -> list[CorpusSample]:
     if fmt not in CORPUS_FORMATS:
         raise ValidationError(f"unknown corpus format {fmt!r}")
     with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: invalid UTF-8 at byte offset {e.start}") from e
+        text = _decode_utf8(f.read(), path)
     samples: list[CorpusSample] = []
     if fmt == "txt":
         for i, line in enumerate(text.splitlines()):

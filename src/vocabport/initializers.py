@@ -16,13 +16,13 @@ weights and decisions as the input matrix; recomputing similarities in
 output space would double the cost and let the two matrices drift apart.
 
 Determinism contract: every token draws from its own RNG stream derived
-from (seed, target id), and each worker thread owns a disjoint range of
-output rows, so results never depend on scheduling or thread count.
+from (seed, target id), so a row's value depends only on the inputs, the
+seed and its target id, never on the order rows are filled in. Rows are
+filled serially; there is no parallelism setting.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,8 +108,8 @@ class InitReport:
 
 
 def _token_rng(seed: int, target_id: int) -> np.random.Generator:
-    # Hash-derived per-token stream: sampling is independent of iteration
-    # order, which is what makes parallel execution deterministic.
+    # Hash-derived per-token stream: sampling is independent of the order
+    # rows are filled in.
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(target_id)]))
 
 
@@ -133,113 +133,122 @@ def _check_overlap(overlap: OverlapMap, n: int) -> None:
         raise ValidationError("overlap map does not partition the target ids")
 
 
-def _alloc(source: ModelBundle, n: int) -> tuple[np.ndarray, np.ndarray | None]:
-    cols = source.input_emb.cols
-    out_in = np.empty((n, cols), dtype=np.float32)
-    out_out = (
-        np.empty((n, cols), dtype=np.float32) if source.output_emb is not None else None
-    )
-    return out_in, out_out
+def _require_kind(aux: AuxEmbeddings | None, kind: str, method: str) -> None:
+    if aux is None:
+        raise ValidationError(f"method {method!r} requires {kind} auxiliary vectors")
+    if aux.source_kind != kind:
+        raise ValidationError(
+            f"method {method!r} requires {kind} auxiliary vectors, got {aux.source_kind!r}"
+        )
 
 
-def _copy_overlap(out_in, out_out, source: ModelBundle, overlap: OverlapMap) -> None:
-    if not overlap.pairs:
-        return
-    t_ids = np.fromiter(overlap.pairs.keys(), dtype=np.int64, count=len(overlap.pairs))
-    s_ids = np.fromiter(overlap.pairs.values(), dtype=np.int64, count=len(overlap.pairs))
-    out_in[t_ids] = source.input_emb.data[s_ids]
-    if out_out is not None:
-        out_out[t_ids] = source.output_emb.data[s_ids]
+class _TargetRows:
+    """The validated inputs and target matrices of one initialization call.
 
+    `sources` holds the source input matrix and, for untied models, the
+    output matrix; `outs` holds one target matrix for each, and `stats` the
+    element (mean, std) of each source matrix. Every per-token decision is
+    applied to all matrices alike.
+    """
 
-def _assemble(source: ModelBundle, target_vocab: Vocabulary, out_in, out_out) -> ModelBundle:
-    return ModelBundle(
-        vocab=target_vocab,
-        input_emb=EmbeddingMatrix(out_in),
-        output_emb=EmbeddingMatrix(out_out) if out_out is not None else None,
-        tied=source.tied,
-    )
+    def __init__(
+        self,
+        method: str,
+        source: ModelBundle,
+        target_vocab: Vocabulary,
+        cfg: InitConfig,
+        overlap: OverlapMap | None = None,
+    ):
+        _check_source(source)
+        n = len(target_vocab)
+        if overlap is not None:
+            _check_overlap(overlap, n)
+        self.source = source
+        self.target_vocab = target_vocab
+        self.seed = cfg.seed
+        self.sources = [m for m in (source.input_emb, source.output_emb) if m is not None]
+        # Element statistics first: their whole-matrix float64 temporaries
+        # set the call's peak memory, so nothing else should be resident yet.
+        self.stats = [_element_stats(m) for m in self.sources]
+        self.outs = [np.empty((n, m.cols), dtype=np.float32) for m in self.sources]
+        self.report = InitReport(method=method)
+        if overlap is not None:
+            self.report.copied = len(overlap.pairs)
+            self.report.warnings.extend(overlap.warnings)
+            t_ids = np.fromiter(overlap.pairs.keys(), dtype=np.int64, count=len(overlap.pairs))
+            s_ids = np.fromiter(overlap.pairs.values(), dtype=np.int64, count=len(overlap.pairs))
+            for out, m in zip(self.outs, self.sources):
+                out[t_ids] = m.data[s_ids]
 
+    def sample_random(self, t: int) -> None:
+        """Fill row t from the whole-matrix element statistics."""
+        rng = _token_rng(self.seed, t)
+        for out, (mu, sd) in zip(self.outs, self.stats):
+            out[t] = rng.normal(mu, sd, out.shape[1])
+        self.report.random_fallback += 1
 
-def _run_tokens(ids, worker, threads: int) -> list:
-    """Run worker over every id; workers write disjoint rows, results come
-    back in id order regardless of scheduling."""
-    if threads < 1:
-        raise ValidationError("thread count must be >= 1")
-    ids = list(ids)
-    results = [None] * len(ids)
-
-    def run_range(lo: int, hi: int) -> None:
-        for k in range(lo, hi):
-            results[k] = worker(ids[k])
-
-    if threads == 1 or len(ids) <= 1:
-        run_range(0, len(ids))
-    else:
-        workers = min(threads, len(ids))
-        step = -(-len(ids) // workers)
-        bounds = [(lo, min(lo + step, len(ids))) for lo in range(0, len(ids), step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_range, lo, hi) for lo, hi in bounds]
-            for f in futures:
-                f.result()
-    return results
-
-
-def _tally(report: InitReport, results) -> InitReport:
-    for label, warns in results:
-        if label == "similarity":
-            report.similarity_initialized += 1
-        elif label == "group":
-            report.group_sampled += 1
-        else:
-            report.random_fallback += 1
-        report.warnings.extend(warns)
-    return report
+    def result(self) -> tuple[ModelBundle, InitReport]:
+        input_emb, *output_emb = (EmbeddingMatrix(out) for out in self.outs)
+        bundle = ModelBundle(
+            vocab=self.target_vocab,
+            input_emb=input_emb,
+            output_emb=output_emb[0] if output_emb else None,
+            tied=self.source.tied,
+        )
+        return bundle, self.report
 
 
 def init_random(
-    source: ModelBundle, target_vocab: Vocabulary, cfg: InitConfig, threads: int = 1
+    source: ModelBundle, target_vocab: Vocabulary, cfg: InitConfig
 ) -> tuple[ModelBundle, InitReport]:
     """Sample every target row from the source matrix's element statistics."""
-    _check_source(source)
-    n = len(target_vocab)
-    cols = source.input_emb.cols
-    out_in, out_out = _alloc(source, n)
-    mu_in, sd_in = _element_stats(source.input_emb)
-    if out_out is not None:
-        mu_out, sd_out = _element_stats(source.output_emb)
+    rows = _TargetRows("random", source, target_vocab, cfg)
+    for t in range(len(target_vocab)):
+        rows.sample_random(t)
+    return rows.result()
 
-    def worker(t: int):
-        rng = _token_rng(cfg.seed, t)
-        out_in[t] = rng.normal(mu_in, sd_in, cols)
-        if out_out is not None:
-            out_out[t] = rng.normal(mu_out, sd_out, cols)
-        return ("fallback", ())
 
-    report = _tally(InitReport(method="random"), _run_tokens(range(n), worker, threads))
-    return _assemble(source, target_vocab, out_in, out_out), report
+def _clp_weights(sims: np.ndarray, cfg: InitConfig) -> tuple[np.ndarray, bool]:
+    if cfg.clp_raw_weights:
+        # Normalized raw cosines may be negative, so the result is not
+        # always a convex combination.
+        total = float(sims.sum())
+        if abs(total) >= 1e-12:
+            w = sims / total
+            return w, bool(np.all(w >= 0.0))
+    else:
+        clamped = np.maximum(sims, 0.0)
+        total = float(clamped.sum())
+        if total > 0.0:
+            return clamped / total, True
+    return np.full(sims.size, 1.0 / sims.size), True
+
+
+def _sparsemax_weights(sims: np.ndarray, cfg: InitConfig) -> tuple[np.ndarray, bool]:
+    return sparsemax(sims / cfg.sparsemax_temperature), True
+
+
+# Similarity methods: the auxiliary-vector kind each needs, and its rule
+# turning one row of support cosines into (weights, convex).
+_SIMILARITY_METHODS = {
+    "clp": (AUX_MODEL, _clp_weights),
+    "focus": (WORD_VECTORS, _sparsemax_weights),
+    "clp-plus": (AUX_MODEL, _sparsemax_weights),
+}
 
 
 def _similarity_init(
+    method: str,
     source: ModelBundle,
     target_vocab: Vocabulary,
     overlap: OverlapMap,
     aux: AuxEmbeddings,
     cfg: InitConfig,
-    threads: int,
-    method: str,
-    weight_mode: str,
 ) -> tuple[ModelBundle, InitReport]:
-    _check_source(source)
-    n = len(target_vocab)
-    _check_overlap(overlap, n)
-    cols = source.input_emb.cols
-    out_in, out_out = _alloc(source, n)
-    _copy_overlap(out_in, out_out, source, overlap)
-
-    report = InitReport(method=method, copied=len(overlap.pairs))
-    report.warnings.extend(overlap.warnings)
+    kind, weigh = _SIMILARITY_METHODS[method]
+    _require_kind(aux, kind, method)
+    rows = _TargetRows(method, source, target_vocab, cfg, overlap)
+    report = rows.report
 
     # Support = overlap tokens that actually have an auxiliary vector;
     # fabricating zero similarities for the rest would still let them
@@ -273,68 +282,33 @@ def _similarity_init(
             "similarity support"
         )
 
-    mu_in, sd_in = _element_stats(source.input_emb)
-    if out_out is not None:
-        mu_out, sd_out = _element_stats(source.output_emb)
-
-    uniform = np.full(n_supp, 1.0 / n_supp) if n_supp else None
-
-    def make_weights(sims: np.ndarray) -> tuple[np.ndarray, bool]:
-        if weight_mode == "sparsemax":
-            return sparsemax(sims / cfg.sparsemax_temperature), True
-        if weight_mode == "raw":
-            total = float(sims.sum())
-            if abs(total) < 1e-12:
-                return uniform, True
-            w = sims / total
-            return w, bool(np.all(w >= 0.0))
-        clamped = np.maximum(sims, 0.0)
-        total = float(clamped.sum())
-        if total > 0.0:
-            return clamped / total, True
-        return uniform, True
-
-    def worker(t: int):
+    for t in overlap.non_overlap:
         aux_id = aux.vocab_alignment.get(t)
         if aux_id is None:
             if cfg.missing_aux_policy == "error":
                 raise ValidationError(
                     f"token {target_vocab.tokens[t]!r} (id {t}) has no auxiliary vector"
                 )
-            rng = _token_rng(cfg.seed, t)
-            out_in[t] = rng.normal(mu_in, sd_in, cols)
-            if out_out is not None:
-                out_out[t] = rng.normal(mu_out, sd_out, cols)
-            return ("fallback", ())
-        warns = ()
+            rows.sample_random(t)
+            continue
         query = aux.matrix.data[aux_id].astype(np.float64)
         qnorm = np.linalg.norm(query)
         if qnorm == 0.0:
             sims = np.zeros(n_supp)
-            warns = (
+            report.warnings.append(
                 f"zero-norm auxiliary vector for target id {t}; weights fall "
-                "back toward uniform",
+                "back toward uniform"
             )
         else:
             sims = np.clip(supp_unit @ (query / qnorm), -1.0, 1.0)
-        weights, convex = make_weights(sims)
-        if convex:
-            out_in[t] = convex_combine(WeightVector(supp_src, weights), source.input_emb)
-            if out_out is not None:
-                out_out[t] = convex_combine(
-                    WeightVector(supp_src, weights), source.output_emb
-                )
-        else:
-            # clp_raw_weights escape hatch: normalized raw cosines may be
-            # negative, so this is not a convex combination.
-            out_in[t] = weights @ source.input_emb.data[supp_src].astype(np.float64)
-            if out_out is not None:
-                out_out[t] = weights @ source.output_emb.data[supp_src].astype(np.float64)
-        return ("similarity", warns)
-
-    results = _run_tokens(overlap.non_overlap, worker, threads)
-    report = _tally(report, results)
-    return _assemble(source, target_vocab, out_in, out_out), report
+        weights, convex = weigh(sims, cfg)
+        for out, m in zip(rows.outs, rows.sources):
+            if convex:
+                out[t] = convex_combine(WeightVector(supp_src, weights), m)
+            else:
+                out[t] = weights @ m.data[supp_src].astype(np.float64)
+        report.similarity_initialized += 1
+    return rows.result()
 
 
 def init_clp(
@@ -343,7 +317,6 @@ def init_clp(
     overlap: OverlapMap,
     aux: AuxEmbeddings,
     cfg: InitConfig,
-    threads: int = 1,
 ) -> tuple[ModelBundle, InitReport]:
     """Copy overlap rows; weight the rest by clamped, normalized cosines.
 
@@ -352,11 +325,7 @@ def init_clp(
     uniform. `cfg.clp_raw_weights` switches to normalizing the raw cosines
     by their sum instead.
     """
-    _require_kind(aux, AUX_MODEL, "clp")
-    mode = "raw" if cfg.clp_raw_weights else "clamp"
-    return _similarity_init(
-        source, target_vocab, overlap, aux, cfg, threads, method="clp", weight_mode=mode
-    )
+    return _similarity_init("clp", source, target_vocab, overlap, aux, cfg)
 
 
 def init_focus(
@@ -365,20 +334,9 @@ def init_focus(
     overlap: OverlapMap,
     vectors: AuxEmbeddings,
     cfg: InitConfig,
-    threads: int = 1,
 ) -> tuple[ModelBundle, InitReport]:
     """Copy overlap rows; weight the rest by sparsemax over word-vector cosines."""
-    _require_kind(vectors, WORD_VECTORS, "focus")
-    return _similarity_init(
-        source,
-        target_vocab,
-        overlap,
-        vectors,
-        cfg,
-        threads,
-        method="focus",
-        weight_mode="sparsemax",
-    )
+    return _similarity_init("focus", source, target_vocab, overlap, vectors, cfg)
 
 
 def init_clp_plus(
@@ -387,20 +345,9 @@ def init_clp_plus(
     overlap: OverlapMap,
     aux: AuxEmbeddings,
     cfg: InitConfig,
-    threads: int = 1,
 ) -> tuple[ModelBundle, InitReport]:
     """The focus pipeline with similarities taken from an auxiliary model."""
-    _require_kind(aux, AUX_MODEL, "clp-plus")
-    return _similarity_init(
-        source,
-        target_vocab,
-        overlap,
-        aux,
-        cfg,
-        threads,
-        method="clp-plus",
-        weight_mode="sparsemax",
-    )
+    return _similarity_init("clp-plus", source, target_vocab, overlap, aux, cfg)
 
 
 def init_heuristics(
@@ -408,7 +355,6 @@ def init_heuristics(
     target_vocab: Vocabulary,
     overlap: OverlapMap,
     cfg: InitConfig,
-    threads: int = 1,
 ) -> tuple[ModelBundle, InitReport]:
     """Copy overlap rows; sample the rest from per-group source statistics.
 
@@ -416,52 +362,21 @@ def init_heuristics(
     classified Unknown, fall back to whole-matrix statistics (counted as
     random-fallback).
     """
-    _check_source(source)
-    n = len(target_vocab)
-    _check_overlap(overlap, n)
-    cols = source.input_emb.cols
-    out_in, out_out = _alloc(source, n)
-    _copy_overlap(out_in, out_out, source, overlap)
-
+    rows = _TargetRows("heuristics", source, target_vocab, cfg, overlap)
     conv = cfg.conventions
-    stats_in = group_statistics(source.vocab, source.input_emb, conv)
-    stats_out = (
-        group_statistics(source.vocab, source.output_emb, conv)
-        if out_out is not None
-        else None
-    )
-    mu_in, sd_in = _element_stats(source.input_emb)
-    if out_out is not None:
-        mu_out, sd_out = _element_stats(source.output_emb)
-
-    def worker(t: int):
+    group_stats = [group_statistics(source.vocab, m, conv) for m in rows.sources]
+    for t in overlap.non_overlap:
         group = classify_token(target_vocab.tokens[t], conv)
-        st = stats_in.get(group)
+        st = group_stats[0].get(group)
+        if group.script == "Unknown" or st is None or st.count < cfg.min_group_size:
+            rows.sample_random(t)
+            continue
         rng = _token_rng(cfg.seed, t)
-        if group.script != "Unknown" and st is not None and st.count >= cfg.min_group_size:
-            out_in[t] = rng.normal(st.mean, st.std)
-            if out_out is not None:
-                so = stats_out[group]
-                out_out[t] = rng.normal(so.mean, so.std)
-            return ("group", ())
-        out_in[t] = rng.normal(mu_in, sd_in, cols)
-        if out_out is not None:
-            out_out[t] = rng.normal(mu_out, sd_out, cols)
-        return ("fallback", ())
-
-    report = InitReport(method="heuristics", copied=len(overlap.pairs))
-    report.warnings.extend(overlap.warnings)
-    report = _tally(report, _run_tokens(overlap.non_overlap, worker, threads))
-    return _assemble(source, target_vocab, out_in, out_out), report
-
-
-def _require_kind(aux: AuxEmbeddings | None, kind: str, method: str) -> None:
-    if aux is None:
-        raise ValidationError(f"method {method!r} requires {kind} auxiliary vectors")
-    if aux.source_kind != kind:
-        raise ValidationError(
-            f"method {method!r} requires {kind} auxiliary vectors, got {aux.source_kind!r}"
-        )
+        for out, stats in zip(rows.outs, group_stats):
+            g = stats[group]
+            out[t] = rng.normal(g.mean, g.std)
+        rows.report.group_sampled += 1
+    return rows.result()
 
 
 def init_target_bundle(
@@ -469,30 +384,26 @@ def init_target_bundle(
     target_vocab: Vocabulary,
     cfg: InitConfig,
     aux: AuxEmbeddings | None = None,
-    threads: int = 1,
 ) -> tuple[ModelBundle, InitReport]:
     """Dispatch to the configured method and build the full target bundle.
 
     Tied sources produce tied targets (no output matrix); untied sources
-    get an output matrix built with the same per-token decisions.
+    get an output matrix built with the same per-token decisions. The
+    method functions validate the source bundle and the auxiliary vectors.
     """
-    _check_source(source)
     method = cfg.method
     if method == "random":
-        bundle, report = init_random(source, target_vocab, cfg, threads)
+        bundle, report = init_random(source, target_vocab, cfg)
     else:
         overlap = compute_overlap(source.vocab, target_vocab, cfg.overlap_canon)
         if method == "heuristics":
-            bundle, report = init_heuristics(source, target_vocab, overlap, cfg, threads)
+            bundle, report = init_heuristics(source, target_vocab, overlap, cfg)
         elif method == "clp":
-            _require_kind(aux, AUX_MODEL, method)
-            bundle, report = init_clp(source, target_vocab, overlap, aux, cfg, threads)
+            bundle, report = init_clp(source, target_vocab, overlap, aux, cfg)
         elif method == "focus":
-            _require_kind(aux, WORD_VECTORS, method)
-            bundle, report = init_focus(source, target_vocab, overlap, aux, cfg, threads)
+            bundle, report = init_focus(source, target_vocab, overlap, aux, cfg)
         else:
-            _require_kind(aux, AUX_MODEL, method)
-            bundle, report = init_clp_plus(source, target_vocab, overlap, aux, cfg, threads)
+            bundle, report = init_clp_plus(source, target_vocab, overlap, aux, cfg)
     if report.counter_total() != len(target_vocab):
         raise VocabportError(
             f"internal error: report counters cover {report.counter_total()} of "

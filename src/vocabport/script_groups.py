@@ -17,6 +17,7 @@ import numpy as np
 
 from .embedding_store import EmbeddingMatrix, Vocabulary
 from .errors import ValidationError
+from .overlap import WORD_MARKERS
 from .tokenizers import UNICODE_TO_BYTE
 
 SCRIPT_LABELS = (
@@ -75,8 +76,6 @@ _RANGES: list[tuple[int, int, str]] = [
     (0x2A700, 0x2B73F, "Han"),
 ]
 _RANGE_STARTS = [lo for lo, _, _ in _RANGES]
-
-WORD_MARKERS = ("Ġ", "▁")  # "Ġ", "▁"
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding_store import Vocabulary
+from .embedding_store import Vocabulary, _decode_utf8
 from .errors import FormatError, MalformedSpecError, ValidationError
 
 
@@ -308,12 +308,7 @@ def load_bpe_spec(vocab_path: str, merges_path: str, byte_level: bool = True) ->
     vocab = load_vocab(vocab_path, "json-map")
     merges: list[tuple[str, str]] = []
     with open(merges_path, "rb") as f:
-        raw = f.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{merges_path}: invalid UTF-8 at byte offset {e.start}") from e
-    lines = text.splitlines()
+        lines = _decode_utf8(f.read(), merges_path).splitlines()
     start = 1 if lines and lines[0].startswith("#") else 0
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line:
@@ -339,11 +334,7 @@ def load_unigram_spec(
     lowest log-prob in the file minus 10, so unk is always a last resort.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: invalid UTF-8 at byte offset {e.start}") from e
+        text = _decode_utf8(f.read(), path)
     tokens: list[str] = []
     scores: list[float] = []
     seen: dict[str, int] = {}

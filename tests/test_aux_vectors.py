@@ -115,3 +115,6 @@ class TestAuxRow:
         vecs = load_word_vectors(str(p), Vocabulary(["a"]))
         with pytest.raises(IndexError):
             aux_row(vecs, 5)
+        for target_id in (99, -1):
+            with pytest.raises(IndexError):
+                vecs.row(target_id)

@@ -279,6 +279,22 @@ class TestStatsCommand:
         y.write_text("1\n2\n")
         assert run(["stats", "kendall", "--x", str(x), "--y", str(y)]) == 1
 
+    def test_nan_is_exit_1(self, tmp_path, capsys):
+        x = tmp_path / "x.txt"
+        x.write_text("1\nnan\n3\n")
+        y = tmp_path / "y.txt"
+        y.write_text("1\n2\n3\n")
+        assert run(["stats", "kendall", "--x", str(x), "--y", str(y)]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_invalid_utf8_names_the_file(self, tmp_path, capsys):
+        x = tmp_path / "bad.txt"
+        x.write_bytes(b"1\n\xff\n")
+        y = tmp_path / "y.txt"
+        y.write_text("1\n2\n")
+        assert run(["stats", "kendall", "--x", str(x), "--y", str(y)]) == 1
+        assert "bad.txt: invalid UTF-8 at byte offset 2" in capsys.readouterr().err
+
 
 class TestEmitReport:
     def test_init_report_totals(self, tmp_path):
@@ -321,6 +337,14 @@ class TestGlobalFlags:
              "--target-vocab", str(src)]
         )
         assert code == 1
+        code = run(
+            ["init", "--threads", "0", "--method", "random", "--source-vocab", str(src),
+             "--source-emb", str(src), "--target-vocab", str(src), "--seed", "1",
+             "--out-emb", str(tmp_path / "out.vemb")]
+        )
+        assert code == 1
+        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out.vemb").exists()
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

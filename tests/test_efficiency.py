@@ -185,6 +185,12 @@ class TestKendallTau:
         with pytest.raises(ValidationError):
             kendall_tau([1], [1])
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValidationError, match=r"x\[1\] is nan"):
+            kendall_tau([1, float("nan"), 3], [1, 2, 3])
+        with pytest.raises(ValidationError, match=r"y\[0\] is inf"):
+            kendall_tau([1, 2, 3], [float("inf"), 2, 3])
+
 
 class TestLoadCorpus:
     def test_txt(self, tmp_path):

@@ -372,24 +372,6 @@ class TestTargetBundle:
             )
             assert report.counter_total() == len(instance.target_vocab), method
 
-    def test_thread_count_does_not_change_results(self, instance, aux_model, word_vecs):
-        for method, aux in [
-            ("random", None),
-            ("heuristics", None),
-            ("clp", aux_model),
-            ("clp-plus", aux_model),
-            ("focus", word_vecs),
-        ]:
-            one, r1 = init_target_bundle(
-                instance.source, instance.target_vocab, _cfg(method), aux=aux, threads=1
-            )
-            many, r8 = init_target_bundle(
-                instance.source, instance.target_vocab, _cfg(method), aux=aux, threads=8
-            )
-            assert one.input_emb.data.tobytes() == many.input_emb.data.tobytes(), method
-            assert one.output_emb.data.tobytes() == many.output_emb.data.tobytes(), method
-            assert r1.to_dict() == r8.to_dict(), method
-
 
 @pytest.fixture
 def instance_tied(tmp_path):
