@@ -17,8 +17,13 @@ output space would double the cost and let the two matrices drift apart.
 
 Determinism contract: every token draws from its own RNG stream derived
 from (seed, target id), so a row's value depends only on the inputs, the
-seed and its target id, never on the order rows are filled in. Rows are
-filled serially; there is no parallelism setting.
+seed and its target id, never on the order rows are filled in. Similarity
+rows are filled in blocks of query rows: one cosine product per block
+(`kernels.SupportCosines`, exact slice products, so no BLAS rounding), the
+weight rule applied row-wise to the block, then one combination per row
+over its nonzero weights. The block size comes from a fixed byte budget,
+`_BLOCK_BYTES`, and no step mixes rows, so output bytes do not depend on
+the block size, on `--threads` or on the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from .aux_vectors import AUX_MODEL, WORD_VECTORS, AuxEmbeddings
 from .embedding_store import EmbeddingMatrix, ModelBundle, Vocabulary, validate_bundle
 from .errors import ValidationError, VocabportError
-from .kernels import WeightVector, convex_combine, sparsemax
+from .kernels import SupportCosines, WeightVector, convex_combine, sparsemax
 from .overlap import CANON_MODES, OverlapMap, compute_overlap
 from .script_groups import (
     DEFAULT_CONVENTIONS,
@@ -41,6 +46,14 @@ from .script_groups import (
 
 METHODS = ("random", "clp", "heuristics", "focus", "clp-plus")
 MISSING_AUX_POLICIES = ("random-fallback", "error")
+
+# Byte budget of one (query rows x support) float64 block of cosines or
+# weights: a block holds _BLOCK_BYTES // (8 * support size) query rows, at
+# least one. The weight rule and the cosine product each hold a few such
+# blocks at once.
+_BLOCK_BYTES = 16 << 20
+# Zero-norm query ids quoted in the report's warning.
+_ZERO_NORM_SAMPLE = 5
 
 
 @dataclass(frozen=True)
@@ -79,13 +92,22 @@ class InitConfig:
 
 @dataclass
 class InitReport:
-    """Where each target row came from; counters sum to |target vocab|."""
+    """Where each target row came from; counters sum to |target vocab|.
+
+    `zero_norm_queries` and `uniform_fallbacks` are diagnostics inside
+    `similarity_initialized`, not part of the sum: similarity rows whose
+    auxiliary vector is all zero, and clp rows with a nonzero vector whose
+    cosines left nothing to normalize (all clamped to 0, or raw cosines
+    summing to 0). Both kinds take uniform weights over the support.
+    """
 
     method: str
     copied: int = 0
     similarity_initialized: int = 0
     group_sampled: int = 0
     random_fallback: int = 0
+    zero_norm_queries: int = 0
+    uniform_fallbacks: int = 0
     warnings: list[str] = field(default_factory=list)
 
     def counter_total(self) -> int:
@@ -103,6 +125,8 @@ class InitReport:
             "similarity_initialized": self.similarity_initialized,
             "group_sampled": self.group_sampled,
             "random_fallback": self.random_fallback,
+            "zero_norm_queries": self.zero_norm_queries,
+            "uniform_fallbacks": self.uniform_fallbacks,
             "warnings": list(self.warnings),
         }
 
@@ -208,28 +232,34 @@ def init_random(
     return rows.result()
 
 
-def _clp_weights(sims: np.ndarray, cfg: InitConfig) -> tuple[np.ndarray, bool]:
+def _clp_weights(sims: np.ndarray, cfg: InitConfig) -> tuple[np.ndarray, ...]:
     if cfg.clp_raw_weights:
         # Normalized raw cosines may be negative, so the result is not
         # always a convex combination.
-        total = float(sims.sum())
-        if abs(total) >= 1e-12:
-            w = sims / total
-            return w, bool(np.all(w >= 0.0))
+        totals = sims.sum(axis=1)
+        uniform = np.abs(totals) < 1e-12
+        weights = sims / np.where(uniform, 1.0, totals)[:, None]
+        convex = uniform | np.all(weights >= 0.0, axis=1)
     else:
-        clamped = np.maximum(sims, 0.0)
-        total = float(clamped.sum())
-        if total > 0.0:
-            return clamped / total, True
-    return np.full(sims.size, 1.0 / sims.size), True
+        weights = np.maximum(sims, 0.0)
+        totals = weights.sum(axis=1)
+        uniform = ~(totals > 0.0)
+        weights /= np.where(uniform, 1.0, totals)[:, None]
+        convex = np.ones(len(sims), dtype=bool)
+    weights[uniform] = 1.0 / sims.shape[1]
+    return weights, convex, uniform
 
 
-def _sparsemax_weights(sims: np.ndarray, cfg: InitConfig) -> tuple[np.ndarray, bool]:
-    return sparsemax(sims / cfg.sparsemax_temperature), True
+def _sparsemax_weights(sims: np.ndarray, cfg: InitConfig) -> tuple[np.ndarray, ...]:
+    n = len(sims)
+    weights = sparsemax(sims / cfg.sparsemax_temperature)
+    return weights, np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
 
 
 # Similarity methods: the auxiliary-vector kind each needs, and its rule
-# turning one row of support cosines into (weights, convex).
+# turning a (rows, support) block of cosines into (weights, convex,
+# uniform): the weights, and per row whether they are convex and whether
+# they fell back to uniform.
 _SIMILARITY_METHODS = {
     "clp": (AUX_MODEL, _clp_weights),
     "focus": (WORD_VECTORS, _sparsemax_weights),
@@ -264,16 +294,13 @@ def _similarity_init(
     supp_src = np.array([s for _, s in support], dtype=np.int64)
     if n_supp:
         aux_ids = np.array([aux.vocab_alignment[t] for t, _ in support], dtype=np.int64)
-        supp_aux = aux.matrix.data[aux_ids].astype(np.float64)
-        norms = np.linalg.norm(supp_aux, axis=1)
-        zero_support = int(np.count_nonzero(norms == 0.0))
+        cosines = SupportCosines(aux.matrix.data[aux_ids])
+        zero_support = int(np.count_nonzero(cosines.zero_rows))
         if zero_support:
             report.warnings.append(
                 f"{zero_support} support vectors have zero norm and contribute "
                 "zero similarity"
             )
-        safe = np.where(norms == 0.0, 1.0, norms)
-        supp_unit = supp_aux / safe[:, None]
 
     needs_support = any(t in aux.vocab_alignment for t in overlap.non_overlap)
     if needs_support and n_supp == 0:
@@ -282,6 +309,10 @@ def _similarity_init(
             "similarity support"
         )
 
+    # Tokens without an auxiliary vector are settled here; the rest are
+    # queries, weighted in blocks below.
+    query_t: list[int] = []
+    query_aux: list[int] = []
     for t in overlap.non_overlap:
         aux_id = aux.vocab_alignment.get(t)
         if aux_id is None:
@@ -290,24 +321,47 @@ def _similarity_init(
                     f"token {target_vocab.tokens[t]!r} (id {t}) has no auxiliary vector"
                 )
             rows.sample_random(t)
-            continue
-        query = aux.matrix.data[aux_id].astype(np.float64)
-        qnorm = np.linalg.norm(query)
-        if qnorm == 0.0:
-            sims = np.zeros(n_supp)
-            report.warnings.append(
-                f"zero-norm auxiliary vector for target id {t}; weights fall "
-                "back toward uniform"
-            )
         else:
-            sims = np.clip(supp_unit @ (query / qnorm), -1.0, 1.0)
-        weights, convex = weigh(sims, cfg)
-        for out, m in zip(rows.outs, rows.sources):
-            if convex:
-                out[t] = convex_combine(WeightVector(supp_src, weights), m)
+            query_t.append(t)
+            query_aux.append(aux_id)
+
+    zero_ids: list[int] = []
+    uniform_rows = None  # the uniform-weight combination, made at most once
+    block_rows = max(1, _BLOCK_BYTES // (8 * max(n_supp, 1)))
+    for start in range(0, len(query_t), block_rows):
+        block = query_t[start : start + block_rows]
+        sims, zero = cosines(aux.matrix.data[query_aux[start : start + block_rows]])
+        weights, convex, uniform = weigh(sims, cfg)
+        del sims
+        uniform |= zero
+        for t, w, is_convex, is_uniform, is_zero in zip(block, weights, convex, uniform, zero):
+            if is_zero:
+                report.zero_norm_queries += 1
+                if len(zero_ids) < _ZERO_NORM_SAMPLE:
+                    zero_ids.append(t)
+            elif is_uniform:
+                report.uniform_fallbacks += 1
+            if is_uniform:
+                if uniform_rows is None:
+                    flat = WeightVector(supp_src, np.full(n_supp, 1.0 / n_supp))
+                    uniform_rows = [convex_combine(flat, m) for m in rows.sources]
+                mixed = uniform_rows
+            elif is_convex:
+                nz = np.flatnonzero(w)
+                sparse = WeightVector(supp_src[nz], w[nz])
+                mixed = [convex_combine(sparse, m) for m in rows.sources]
             else:
-                out[t] = weights @ m.data[supp_src].astype(np.float64)
-        report.similarity_initialized += 1
+                mixed = [w @ m.data[supp_src].astype(np.float64) for m in rows.sources]
+            for out, row in zip(rows.outs, mixed):
+                out[t] = row
+        report.similarity_initialized += len(block)
+    if zero_ids:
+        more = ", ..." if report.zero_norm_queries > len(zero_ids) else ""
+        report.warnings.append(
+            f"{report.zero_norm_queries} queries have zero-norm auxiliary vectors "
+            f"(target ids {', '.join(map(str, zero_ids))}{more}); their weights "
+            "fall back to uniform"
+        )
     return rows.result()
 
 

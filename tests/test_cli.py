@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +178,49 @@ class TestInitCommand:
         )
         assert code == 2
         assert "i/o error" in capsys.readouterr().err
+
+
+_COSINE_DIGEST = """
+import hashlib, sys
+from vocabport.embedding_store import load_matrix
+from vocabport.kernels import SupportCosines
+rows = load_matrix(sys.argv[1]).data
+cos, _ = SupportCosines(rows[:300])(rows[300:])
+print(hashlib.sha256(cos.tobytes()).hexdigest())
+"""
+
+
+def test_init_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 400 queries x 300 support rows: enough for OpenBLAS to split the
+    # similarity products over two threads. The cosine digest is checked
+    # too, because float32 output rows hide most last-bit differences.
+    inst = build_instance(tmp_path, n_source=600, n_target=700, n_overlap=300, dim=16)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        paths = [tmp_path / f"{name}_{threads}" for name in ("in.vemb", "out.vemb", "r.json")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "vocabport", "init", "--method", "clp-plus",
+             "--source-vocab", inst.source_files["vocab"],
+             "--source-emb", inst.source_files["emb"],
+             "--source-out-emb", inst.source_files["out_emb"],
+             "--target-vocab", inst.target_vocab_file,
+             "--aux-vocab", inst.aux_model_files[0],
+             "--aux-emb", inst.aux_model_files[1],
+             "--seed", "42",
+             "--out-emb", str(paths[0]), "--out-out-emb", str(paths[1]),
+             "--report", str(paths[2])],
+            env=env, check=True, capture_output=True, timeout=60,
+        )
+        digest = subprocess.run(
+            [sys.executable, "-c", _COSINE_DIGEST, inst.aux_model_files[1]],
+            env=env, check=True, capture_output=True, text=True, timeout=60,
+        ).stdout
+        outputs.append([p.read_bytes() for p in paths] + [digest])
+    assert json.loads(outputs[0][2])["similarity_initialized"] == 400
+    assert outputs[0] == outputs[1]
 
 
 class TestOverlapCommand:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from conftest import build_instance, sparsemax_oracle
 
+from vocabport import initializers
 from vocabport.aux_vectors import AUX_MODEL, WORD_VECTORS, AuxEmbeddings
 from vocabport.embedding_store import EmbeddingMatrix, ModelBundle, Vocabulary
 from vocabport.errors import ValidationError
 from vocabport.initializers import (
     InitConfig,
+    InitReport,
     init_clp,
     init_clp_plus,
     init_focus,
@@ -14,6 +16,7 @@ from vocabport.initializers import (
     init_random,
     init_target_bundle,
 )
+from vocabport.kernels import sparsemax
 from vocabport.overlap import compute_overlap
 
 
@@ -371,6 +374,192 @@ class TestTargetBundle:
                 instance.source, instance.target_vocab, _cfg(method), aux=aux
             )
             assert report.counter_total() == len(instance.target_vocab), method
+
+
+_N_OVERLAP = 300
+
+
+def _block_instance():
+    """300 overlap tokens and 30 new ones (q0..q29) in one untied source.
+
+    Support aux vectors are nonnegative, so under clp raw weights a
+    nonnegative query is convex and a mixed-sign one is not. With 3-row
+    blocks the first block holds q0, q2 (zero-norm) and q3 (mixed signs),
+    and q1, which has no aux vector, sits between q0 and q2. q4 points
+    away from every support vector (a clp uniform fallback); q7 repeats
+    a support vector and q8 is its negation.
+    """
+    rng = np.random.default_rng(99)
+    n_ov, n_new, dim, aux_dim = _N_OVERLAP, 30, 5, 16
+    overlap_tokens = [f"o{i}" for i in range(n_ov)]
+    source = _bundle(
+        overlap_tokens,
+        rng.normal(0.0, 1.0, (n_ov, dim)),
+        rng.normal(0.5, 2.0, (n_ov, dim)),
+    )
+    target = Vocabulary(overlap_tokens + [f"q{i}" for i in range(n_new)])
+    support_vecs = np.abs(rng.normal(size=(n_ov, aux_dim)))
+    support_vecs[11] = 0.0  # zero-norm support row
+    support_vecs[12] = support_vecs[13]  # tied similarities
+    queries = rng.normal(size=(n_new, aux_dim))
+    queries[0] = np.abs(queries[0])
+    queries[2] = 0.0
+    queries[3] = np.tile([1.0, -1.0], aux_dim // 2)
+    queries[4] = -np.abs(queries[4]) - 0.1
+    queries[7] = support_vecs[5]
+    queries[8] = -support_vecs[5]
+    alignment, matrix = {}, []
+    for t in range(n_ov + n_new):
+        if t == 3:  # an overlap token left out of the support
+            continue
+        if t == n_ov + 1:  # q1 has no aux vector
+            continue
+        alignment[t] = len(matrix)
+        matrix.append(support_vecs[t] if t < n_ov else queries[t - n_ov])
+    overlap = compute_overlap(source.vocab, target)
+    n_supp = n_ov - 1
+    return source, target, overlap, alignment, np.array(matrix), n_supp
+
+
+def _oracle_rows(source, overlap, aux, t, mode, temperature=1.0):
+    """Per-row float64 recomputation of one similarity row (input, output)."""
+    support = [(ti, si) for ti, si in sorted(overlap.pairs.items()) if ti in aux.vocab_alignment]
+    vecs = aux.matrix.data.astype(np.float64)
+    q = vecs[aux.vocab_alignment[t]]
+    sims = np.zeros(len(support))
+    for k, (ti, _) in enumerate(support):
+        r = vecs[aux.vocab_alignment[ti]]
+        if np.linalg.norm(q) > 0 and np.linalg.norm(r) > 0:
+            sims[k] = np.clip(q @ r / (np.linalg.norm(q) * np.linalg.norm(r)), -1.0, 1.0)
+    uniform = np.full(len(support), 1.0 / len(support))
+    if mode == "clamp":
+        w = np.maximum(sims, 0.0)
+        w = w / w.sum() if w.sum() > 0 else uniform
+    elif mode == "raw":
+        w = sims / sims.sum() if abs(sims.sum()) >= 1e-12 else uniform
+    else:
+        w = sparsemax(sims / temperature)
+    src_ids = [si for _, si in support]
+    return tuple(
+        w @ m.data[src_ids].astype(np.float64) for m in (source.input_emb, source.output_emb)
+    )
+
+
+_BLOCK_CASES = [
+    ("clp", AUX_MODEL, {}, "clamp"),
+    ("clp", AUX_MODEL, {"clp_raw_weights": True}, "raw"),
+    ("focus", WORD_VECTORS, {}, "sparsemax"),
+    ("clp-plus", AUX_MODEL, {"sparsemax_temperature": 0.2}, "sparsemax"),
+]
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("method,kind,extra,mode", _BLOCK_CASES)
+    def test_three_row_blocks_match_one_block(self, monkeypatch, method, kind, extra, mode):
+        source, target, overlap, alignment, matrix, n_supp = _block_instance()
+        aux = _aux(kind, alignment, matrix, len(target))
+        cfg = _cfg(method, **extra)
+        # Record the cosine blocks the weight rule sees: output rows are
+        # float32 and would hide a last-bit difference in the cosines.
+        seen = []
+        rule_kind, rule = initializers._SIMILARITY_METHODS[method]
+
+        def recording_rule(sims, cfg):
+            seen.append(sims.copy())
+            return rule(sims, cfg)
+
+        monkeypatch.setitem(initializers._SIMILARITY_METHODS, method, (rule_kind, recording_rule))
+        one, one_report = init_target_bundle(source, target, cfg, aux=aux)
+        monkeypatch.setattr(initializers, "_BLOCK_BYTES", 3 * 8 * n_supp)
+        blocks = len(seen)
+        split, split_report = init_target_bundle(source, target, cfg, aux=aux)
+        # 29 queries: nine blocks of 3 rows and one of 2
+        assert blocks == 1
+        assert [b.shape for b in seen[1:]] == [(3, n_supp)] * 9 + [(2, n_supp)]
+        np.testing.assert_array_equal(np.concatenate(seen[1:]), seen[0])
+        assert split.input_emb.data.tobytes() == one.input_emb.data.tobytes()
+        assert split.output_emb.data.tobytes() == one.output_emb.data.tobytes()
+        assert split_report.to_dict() == one_report.to_dict()
+
+        assert one_report.similarity_initialized == 29
+        assert one_report.random_fallback == 1
+        assert one_report.zero_norm_queries == 1
+        for t in overlap.non_overlap:
+            if t not in aux.vocab_alignment:
+                continue
+            expected = _oracle_rows(source, overlap, aux, t, mode, cfg.sparsemax_temperature)
+            np.testing.assert_allclose(one.input_emb.data[t], expected[0], atol=1e-6)
+            np.testing.assert_allclose(one.output_emb.data[t], expected[1], atol=1e-6)
+
+    def test_raw_weights_block_mixes_convex_and_non_convex_rows(self):
+        source, target, overlap, alignment, matrix, _ = _block_instance()
+        aux = _aux(AUX_MODEL, alignment, matrix, len(target))
+        bundle, _ = init_clp(
+            source, target, overlap, aux, _cfg("clp", clp_raw_weights=True)
+        )
+        support_rows = source.input_emb.data[[s for t, s in sorted(overlap.pairs.items())
+                                              if t in alignment]].astype(np.float64)
+        lo, hi = support_rows.min(axis=0), support_rows.max(axis=0)
+
+        def inside(t):
+            row = bundle.input_emb.data[t].astype(np.float64)
+            return bool(((row >= lo - 1e-6) & (row <= hi + 1e-6)).all())
+
+        q = {i: _N_OVERLAP + i for i in range(10)}
+        assert inside(q[0]) and inside(q[2])  # convex: nonnegative, zero-norm
+        assert not inside(q[3])  # mixed-sign raw weights leave the hull
+
+    def test_missing_aux_error_still_names_the_token(self):
+        source, target, overlap, alignment, matrix, _ = _block_instance()
+        aux = _aux(AUX_MODEL, alignment, matrix, len(target))
+        with pytest.raises(ValidationError, match="'q1'"):
+            init_clp(source, target, overlap, aux, _cfg("clp", missing_aux_policy="error"))
+
+
+class TestReportDiagnostics:
+    def test_zero_norm_queries_counted_with_capped_sample(self):
+        n = 8
+        source = _bundle(["o1", "o2"], [[2.0, 0.0], [0.0, 4.0]])
+        target = Vocabulary(["o1", "o2"] + [f"q{i}" for i in range(n)])
+        overlap = compute_overlap(source.vocab, target)
+        rows = [[1.0, 0.0], [0.0, 1.0]] + [[0.0, 0.0]] * (n - 1) + [[1.0, 1.0]]
+        aux = _aux(AUX_MODEL, {i: i for i in range(n + 2)}, rows, n + 2)
+        bundle, report = init_clp_plus(source, target, overlap, aux, _cfg("clp-plus"))
+        assert report.zero_norm_queries == n - 1
+        assert report.uniform_fallbacks == 0
+        zero_warnings = [w for w in report.warnings if "zero-norm" in w]
+        assert zero_warnings == [
+            "7 queries have zero-norm auxiliary vectors (target ids 2, 3, 4, 5, 6, ...); "
+            "their weights fall back to uniform"
+        ]
+        np.testing.assert_allclose(bundle.input_emb.data[2:9], [[1.0, 2.0]] * 7, atol=1e-6)
+        assert report.counter_total() == n + 2
+
+    def test_uniform_fallbacks_counts_clp_rows_clamped_away(self):
+        source = _bundle(["t0", "t1"], [[3.0, 0.0], [0.0, 3.0]])
+        target = Vocabulary(["t0", "t1", "neg", "pos", "zero"])
+        overlap = compute_overlap(source.vocab, target)
+        aux = _aux(
+            AUX_MODEL,
+            {i: i for i in range(5)},
+            [[1, 0], [0, 1], [-1, -2], [1, 2], [0, 0]],
+            5,
+        )
+        bundle, report = init_clp(source, target, overlap, aux, _cfg("clp"))
+        assert report.uniform_fallbacks == 1  # "neg"; "zero" counts as zero-norm
+        assert report.zero_norm_queries == 1
+        np.testing.assert_allclose(bundle.input_emb.data[2], [1.5, 1.5], atol=1e-6)
+        _, plus = init_clp_plus(source, target, overlap, aux, _cfg("clp-plus"))
+        assert plus.uniform_fallbacks == 0
+
+    def test_diagnostics_in_dict_but_not_in_total(self):
+        report = InitReport(
+            method="clp", similarity_initialized=3, zero_norm_queries=2, uniform_fallbacks=1
+        )
+        assert report.counter_total() == 3
+        payload = report.to_dict()
+        assert payload["zero_norm_queries"] == 2
+        assert payload["uniform_fallbacks"] == 1
 
 
 @pytest.fixture

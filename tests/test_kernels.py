@@ -7,7 +7,13 @@ from conftest import sparsemax_oracle
 
 from vocabport.embedding_store import EmbeddingMatrix
 from vocabport.errors import ValidationError
-from vocabport.kernels import WeightVector, convex_combine, cosine_similarity, sparsemax
+from vocabport.kernels import (
+    SupportCosines,
+    WeightVector,
+    convex_combine,
+    cosine_similarity,
+    sparsemax,
+)
 
 
 class TestCosine:
@@ -92,6 +98,99 @@ class TestSparsemax:
         )
 
 
+class TestSparsemaxBatch:
+    @staticmethod
+    def _assert_rowwise(batch):
+        batch = np.asarray(batch, dtype=np.float64)
+        expected = np.stack([sparsemax(row) for row in batch])
+        np.testing.assert_array_equal(sparsemax(batch), expected)
+
+    def test_seeded_batches_match_rows_bitwise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+            self._assert_rowwise(rng.normal(0.0, 2.0, (rows, cols)))
+
+    def test_ties_and_constant_rows(self):
+        rng = np.random.default_rng(12)
+        batch = rng.integers(-2, 3, (9, 17)).astype(np.float64) / 4.0
+        batch[2] = 0.0  # the cosines of a zero-norm query
+        batch[5] = 0.7
+        self._assert_rowwise(batch)
+        np.testing.assert_array_equal(sparsemax(batch)[2], np.full(17, 1.0 / 17))
+
+    def test_one_column_batch(self):
+        batch = np.array([[3.0], [-1.0], [0.0]])
+        self._assert_rowwise(batch)
+        np.testing.assert_array_equal(sparsemax(batch), np.ones((3, 1)))
+
+    def test_temperature_scaled_batch(self):
+        rng = np.random.default_rng(13)
+        cosines = np.clip(rng.normal(0.0, 0.5, (6, 300)), -1.0, 1.0)
+        for temperature in (0.05, 0.3, 2.5):
+            self._assert_rowwise(cosines / temperature)
+
+    def test_batch_matches_oracle(self):
+        rng = np.random.default_rng(14)
+        batch = rng.normal(0.0, 2.0, (25, 6))
+        for p, z in zip(sparsemax(batch), batch):
+            np.testing.assert_allclose(p, sparsemax_oracle(z), atol=1e-9)
+
+    def test_rejected_batches(self):
+        with pytest.raises(ValueError):
+            sparsemax(np.empty((3, 0)))
+        with pytest.raises(ValueError):
+            sparsemax([[1.0, 2.0], [np.inf, 0.0]])
+        with pytest.raises(ValueError):
+            sparsemax(np.zeros((2, 2, 2)))
+
+
+class TestSupportCosines:
+    def _reference(self, queries, support):
+        q = np.asarray(queries, dtype=np.float64)
+        s = np.asarray(support, dtype=np.float64)
+        qn = np.linalg.norm(q, axis=1)[:, None]
+        sn = np.linalg.norm(s, axis=1)[None, :]
+        cos = (q @ s.T) / np.where(qn == 0, 1.0, qn) / np.where(sn == 0, 1.0, sn)
+        return np.clip(cos, -1.0, 1.0)
+
+    def test_matches_float64_cosines(self):
+        rng = np.random.default_rng(21)
+        for dim in (1, 3, 12, 300, 768):
+            support = rng.normal(size=(50, dim)).astype(np.float32)
+            queries = rng.normal(size=(7, dim)).astype(np.float32) * 1e-3
+            cos, zero = SupportCosines(support)(queries)
+            np.testing.assert_allclose(cos, self._reference(queries, support), atol=1e-12)
+            assert not zero.any()
+
+    def test_rows_do_not_depend_on_their_block(self):
+        rng = np.random.default_rng(22)
+        support = rng.normal(size=(300, 12)).astype(np.float32)
+        queries = rng.normal(size=(40, 12)).astype(np.float32)
+        cosines = SupportCosines(support)
+        whole, _ = cosines(queries)
+        for size in (1, 3, 7):
+            parts = [cosines(queries[i : i + size])[0] for i in range(0, 40, size)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    def test_zero_rows(self):
+        support = np.array([[1.0, 0.0], [0.0, 0.0], [-2.0, 2.0]], dtype=np.float32)
+        cosines = SupportCosines(support)
+        np.testing.assert_array_equal(cosines.zero_rows, [False, True, False])
+        cos, zero = cosines(np.array([[0.0, 0.0], [3.0, 0.0]], dtype=np.float32))
+        np.testing.assert_array_equal(zero, [True, False])
+        np.testing.assert_array_equal(cos[0], 0.0)
+        np.testing.assert_allclose(cos[1], [1.0, 0.0, -np.sqrt(0.5)], atol=1e-15)
+
+    def test_extreme_magnitudes(self):
+        big = np.finfo(np.float32).max
+        tiny = np.finfo(np.float32).smallest_subnormal
+        support = np.array([[big, big / 2], [tiny, 0.0], [1.0, -1.0]], dtype=np.float32)
+        queries = np.array([[tiny, tiny], [big, -big]], dtype=np.float32)
+        cos, _ = SupportCosines(support)(queries)
+        np.testing.assert_allclose(cos, self._reference(queries, support), atol=1e-12)
+
+
 class TestConvexCombine:
     def _rows(self, values):
         return EmbeddingMatrix(np.array(values, dtype=np.float32))
@@ -138,3 +237,16 @@ class TestConvexCombine:
         lo = rows.astype(np.float64).min(axis=0) - 1e-9
         hi = rows.astype(np.float64).max(axis=0) + 1e-9
         assert (out >= lo).all() and (out <= hi).all()
+
+    def test_long_weight_vector_combines_in_parts(self):
+        # More rows than one gather step holds: parts must add up to the
+        # full float64 sum.
+        rng = np.random.default_rng(31)
+        n = 2500
+        rows = rng.normal(size=(n, 3)).astype(np.float32)
+        raw = rng.random(n)
+        w = WeightVector(np.arange(n)[::-1], raw / raw.sum())
+        expected = w.weights @ rows[w.ids].astype(np.float64)
+        np.testing.assert_allclose(
+            convex_combine(w, EmbeddingMatrix(rows)), expected, rtol=0, atol=1e-12
+        )
