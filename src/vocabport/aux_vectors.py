@@ -17,7 +17,8 @@ import numpy as np
 from .embedding_store import (
     EmbeddingMatrix,
     Vocabulary,
-    _decode_utf8,
+    _check_dims,
+    _read_utf8,
     load_matrix,
     load_vocab,
     sniff_vocab_format,
@@ -70,15 +71,10 @@ def _align(
     return alignment, missing
 
 
-def load_aux_model(
-    vocab_path: str,
-    matrix_path: str,
-    target: Vocabulary,
-    vocab_format: str | None = None,
-) -> AuxEmbeddings:
-    """Load an auxiliary model's vocabulary and VEMB matrix, aligned by token string."""
-    fmt = vocab_format or sniff_vocab_format(vocab_path)
-    aux_vocab = load_vocab(vocab_path, fmt)
+def load_aux_model(vocab_path: str, matrix_path: str, target: Vocabulary) -> AuxEmbeddings:
+    """Load an auxiliary model's vocabulary (format sniffed) and VEMB matrix,
+    aligned by token string."""
+    aux_vocab = load_vocab(vocab_path, sniff_vocab_format(vocab_path))
     matrix = load_matrix(matrix_path)
     if matrix.rows != len(aux_vocab):
         raise ValidationError(
@@ -101,10 +97,11 @@ def load_word_vectors(
     Lookup uses the raw token string; with `marker_fallback` a token that
     misses is retried with its leading word-boundary marker stripped.
     Duplicate tokens keep the first occurrence (with a warning); a line
-    whose value count disagrees with the header dimension is an error.
+    whose value count disagrees with the header dimension is an error. One
+    trailing space per line is allowed, since fastText writes one after
+    every value.
     """
-    with open(path, "rb") as f:
-        lines = _decode_utf8(f.read(), path).splitlines()
+    lines = _read_utf8(path).splitlines()
     if not lines:
         raise FormatError(f"{path}: empty word-vector file")
     header = lines[0].split(" ")
@@ -116,6 +113,7 @@ def load_word_vectors(
         raise FormatError(f"{path}:1: header fields must be integers") from None
     if dim <= 0:
         raise FormatError(f"{path}:1: dimension must be positive")
+    _check_dims(f"{path}:1", dim)
 
     lookup: dict[str, int] = {}
     vectors: list[np.ndarray] = []
@@ -123,6 +121,8 @@ def load_word_vectors(
         if not line:
             continue
         fields = line.split(" ")
+        if fields[-1] == "":
+            fields.pop()
         if len(fields) != dim + 1:
             raise FormatError(
                 f"{path}:{lineno}: {len(fields) - 1} values, header declares dim {dim}"

@@ -18,7 +18,7 @@ from . import efficiency, initializers, tokenizers
 from .aux_vectors import load_aux_model, load_word_vectors
 from .embedding_store import (
     ModelBundle,
-    _decode_utf8,
+    _read_utf8,
     load_matrix,
     load_vocab,
     save_matrix,
@@ -111,9 +111,7 @@ def _build_parser() -> _Parser:
 
 def emit_report(report, path: str) -> None:
     """Write a report as stable-key-ordered JSON (byte-identical reruns)."""
-    payload = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(payload)
+    _print_json(report.to_dict(), path)
 
 
 def _print_json(obj, path: str | None) -> None:
@@ -253,8 +251,7 @@ def _cmd_tokenize(args) -> int:
     if args.text is not None:
         text = args.text
     else:
-        with open(args.file, "rb") as f:
-            text = _decode_utf8(f.read(), args.file)
+        text = _read_utf8(args.file)
     if args.count_only:
         print(tokenizers.count_tokens(spec, text))
     else:
@@ -303,9 +300,7 @@ def _cmd_analyze(args) -> int:
 
 def _read_numbers(path: str) -> list[float]:
     values = []
-    with open(path, "rb") as f:
-        text = _decode_utf8(f.read(), path)
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_utf8(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .embedding_store import _decode_utf8
+from .embedding_store import _read_utf8
 from .errors import FormatError, ValidationError
 from .tokenizers import TokenizerSpec, count_tokens
 
@@ -144,8 +144,7 @@ def load_corpus(path: str, fmt: str = "txt") -> list[CorpusSample]:
     "text" field (and an optional "id")."""
     if fmt not in CORPUS_FORMATS:
         raise ValidationError(f"unknown corpus format {fmt!r}")
-    with open(path, "rb") as f:
-        text = _decode_utf8(f.read(), path)
+    text = _read_utf8(path)
     samples: list[CorpusSample] = []
     if fmt == "txt":
         for i, line in enumerate(text.splitlines()):
@@ -156,8 +155,9 @@ def load_corpus(path: str, fmt: str = "txt") -> list[CorpusSample]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+        except (ValueError, RecursionError) as e:
+            # ValueError: a JSONDecodeError, or an integer beyond int()'s digit limit.
+            raise FormatError(f"{path}:{lineno}: invalid JSON ({getattr(e, 'msg', e)})") from e
         if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
             raise FormatError(f"{path}:{lineno}: expected an object with a string 'text'")
         samples.append(CorpusSample(id=str(obj.get("id", lineno - 1)), text=obj["text"]))

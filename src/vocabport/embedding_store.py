@@ -15,8 +15,9 @@ Vocabularies come in three text formats:
     json-map        JSON object mapping token -> id (ids must be dense,
                     0-based; sparse id spaces are rejected, not compacted)
     line-per-token  UTF-8 text, one token per line, ids by line order
-    tsv-scored      "token<TAB>score" per line; the score column is parsed
-                    for validation but ignored here (Unigram specs use it)
+    tsv-scored      "token<TAB>score" per line; load_vocab checks the scores
+                    and drops them, Unigram specs read the same format
+                    through load_scored_tsv and keep them
 
 Values are stored as 32-bit floats; arithmetic elsewhere in the package
 accumulates in 64-bit.
@@ -25,6 +26,7 @@ accumulates in 64-bit.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,6 +41,8 @@ VEMB_DTYPE_F32 = 0
 _VEMB_HEADER = struct.Struct("<4sIQQI")
 
 VOCAB_FORMATS = ("json-map", "line-per-token", "tsv-scored")
+# Largest dimension numpy can give a float32 array, even an empty one.
+_MAX_DIM = np.iinfo(np.intp).max // 4
 
 
 class Vocabulary:
@@ -130,11 +134,20 @@ def _first_nonfinite(arr: np.ndarray) -> tuple[int, int] | None:
     return flat // arr.shape[1], flat % arr.shape[1]
 
 
-def _decode_utf8(raw: bytes, path: str) -> str:
+def _read_utf8(path: str) -> str:
+    with open(path, "rb") as f:
+        raw = f.read()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: invalid UTF-8 at byte offset {e.start}") from e
+
+
+def _check_dims(where: str, *dims: int) -> None:
+    """Reject a declared shape that numpy cannot give a float32 array."""
+    for d in dims:
+        if d > _MAX_DIM:
+            raise FormatError(f"{where}: dimension {d} is too large")
 
 
 def load_vocab(path: str, fmt: str) -> Vocabulary:
@@ -145,30 +158,32 @@ def load_vocab(path: str, fmt: str) -> Vocabulary:
     """
     if fmt not in VOCAB_FORMATS:
         raise ValidationError(f"unknown vocabulary format {fmt!r}")
-    with open(path, "rb") as f:
-        raw = f.read()
-    text = _decode_utf8(raw, path)
-
+    if fmt == "tsv-scored":
+        return load_scored_tsv(path)[0]
+    text = _read_utf8(path)
     if fmt == "json-map":
         return _vocab_from_json_map(text, path)
-    if fmt == "tsv-scored":
-        tokens = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 'token<TAB>score', got {len(fields)} fields"
-                )
-            try:
-                float(fields[1])
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: score {fields[1]!r} is not a number"
-                ) from None
-            tokens.append(fields[0])
-        return _vocab_from_lines(tokens, path)
-    # line-per-token
     return _vocab_from_lines(text.splitlines(), path)
+
+
+def load_scored_tsv(path: str) -> tuple[Vocabulary, list[float]]:
+    """Read a "token<TAB>score" file: its tokens in line order, and their scores."""
+    tokens: list[str] = []
+    scores: list[float] = []
+    for lineno, line in enumerate(_read_utf8(path).splitlines(), start=1):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise FormatError(
+                f"{path}:{lineno}: expected 'token<TAB>score', got {len(fields)} fields"
+            )
+        try:
+            scores.append(float(fields[1]))
+        except ValueError:
+            raise FormatError(
+                f"{path}:{lineno}: score {fields[1]!r} is not a number"
+            ) from None
+        tokens.append(fields[0])
+    return _vocab_from_lines(tokens, path), scores
 
 
 def _vocab_from_lines(tokens: list[str], path: str) -> Vocabulary:
@@ -191,19 +206,23 @@ def _vocab_from_json_map(text: str, path: str) -> Vocabulary:
             if k in keys:
                 dup.append(k)
             keys.add(k)
-        return pairs
+        return dict(pairs)
 
     try:
-        pairs = json.loads(text, object_pairs_hook=pairs_hook)
+        obj = json.loads(text, object_pairs_hook=pairs_hook)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON at line {e.lineno}, col {e.colno}") from e
+    except (ValueError, RecursionError) as e:
+        # Integers beyond int()'s digit limit, or nesting beyond the
+        # recursion limit.
+        raise FormatError(f"{path}: unreadable JSON ({e})") from e
     if dup:
         raise FormatError(f"{path}: duplicate token {dup[0]!r}")
-    if not isinstance(pairs, list):
+    if not isinstance(obj, dict):
         raise FormatError(f"{path}: expected a JSON object mapping token -> id")
 
     by_id: dict[int, str] = {}
-    for tok, tid in pairs:
+    for tok, tid in obj.items():
         if isinstance(tid, bool) or not isinstance(tid, int):
             raise FormatError(f"{path}: id for token {tok!r} is not an integer")
         if tid in by_id:
@@ -243,33 +262,40 @@ def sniff_vocab_format(path: str) -> str:
 
 
 def load_matrix(path: str) -> EmbeddingMatrix:
-    """Read a VEMB file; rejects bad magic, truncation, and non-finite values."""
+    """Read a VEMB file; rejects bad magic, truncation, and non-finite values.
+
+    The header and the file size are checked before anything is allocated;
+    the payload is then read once, into the matrix's own array.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _VEMB_HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, rows, cols, dtype = _VEMB_HEADER.unpack_from(raw)
-    if magic != VEMB_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != VEMB_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if dtype != VEMB_DTYPE_F32:
-        raise FormatError(f"{path}: unsupported dtype code {dtype}")
-    expected = rows * cols * 4
-    payload = len(raw) - _VEMB_HEADER.size
-    if payload < expected:
-        raise FormatError(
-            f"{path}: truncated payload ({payload} bytes, expected {expected})"
-        )
-    if payload > expected:
-        raise FormatError(
-            f"{path}: {payload - expected} trailing bytes after payload"
-        )
-    arr = np.frombuffer(raw, dtype="<f4", offset=_VEMB_HEADER.size).reshape(rows, cols)
-    bad = _first_nonfinite(arr) if rows and cols else None
-    if bad is not None:
-        raise FormatError(f"{path}: non-finite value at row {bad[0]}, col {bad[1]}")
-    return EmbeddingMatrix(arr.copy())
+        head = f.read(_VEMB_HEADER.size)
+        if len(head) < _VEMB_HEADER.size:
+            raise FormatError(f"{path}: truncated header ({len(head)} bytes)")
+        magic, version, rows, cols, dtype = _VEMB_HEADER.unpack(head)
+        if magic != VEMB_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != VEMB_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if dtype != VEMB_DTYPE_F32:
+            raise FormatError(f"{path}: unsupported dtype code {dtype}")
+        _check_dims(path, rows, cols)
+        expected = rows * cols * 4
+        payload = os.fstat(f.fileno()).st_size - _VEMB_HEADER.size
+        if payload < expected:
+            raise FormatError(
+                f"{path}: truncated payload ({payload} bytes, expected {expected})"
+            )
+        if payload > expected:
+            raise FormatError(
+                f"{path}: {payload - expected} trailing bytes after payload"
+            )
+        arr = np.fromfile(f, dtype="<f4", count=rows * cols)
+    if arr.size != rows * cols:
+        raise FormatError(f"{path}: truncated payload (file shrank while reading)")
+    try:
+        return EmbeddingMatrix(arr.reshape(rows, cols))
+    except ValidationError as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 def save_matrix(m: EmbeddingMatrix, path: str) -> None:

@@ -35,14 +35,9 @@ import numpy as np
 from .aux_vectors import AUX_MODEL, WORD_VECTORS, AuxEmbeddings
 from .embedding_store import EmbeddingMatrix, ModelBundle, Vocabulary, validate_bundle
 from .errors import ValidationError, VocabportError
-from .kernels import SupportCosines, WeightVector, convex_combine, sparsemax
+from .kernels import SupportCosines, WeightVector, convex_combine, sparsemax, weighted_sum
 from .overlap import CANON_MODES, OverlapMap, compute_overlap
-from .script_groups import (
-    DEFAULT_CONVENTIONS,
-    TokenConventions,
-    classify_token,
-    group_statistics,
-)
+from .script_groups import classify_token, group_members, member_statistics
 
 METHODS = ("random", "clp", "heuristics", "focus", "clp-plus")
 MISSING_AUX_POLICIES = ("random-fallback", "error")
@@ -71,7 +66,6 @@ class InitConfig:
     missing_aux_policy: str = "random-fallback"
     clp_raw_weights: bool = False
     overlap_canon: str = "exact"
-    conventions: TokenConventions = DEFAULT_CONVENTIONS
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -346,12 +340,11 @@ def _similarity_init(
                     flat = WeightVector(supp_src, np.full(n_supp, 1.0 / n_supp))
                     uniform_rows = [convex_combine(flat, m) for m in rows.sources]
                 mixed = uniform_rows
-            elif is_convex:
-                nz = np.flatnonzero(w)
-                sparse = WeightVector(supp_src[nz], w[nz])
-                mixed = [convex_combine(sparse, m) for m in rows.sources]
             else:
-                mixed = [w @ m.data[supp_src].astype(np.float64) for m in rows.sources]
+                nz = np.flatnonzero(w)
+                sparse = WeightVector(supp_src[nz], w[nz], convex=bool(is_convex))
+                combine = convex_combine if is_convex else weighted_sum
+                mixed = [combine(sparse, m) for m in rows.sources]
             for out, row in zip(rows.outs, mixed):
                 out[t] = row
         report.similarity_initialized += len(block)
@@ -417,10 +410,11 @@ def init_heuristics(
     random-fallback).
     """
     rows = _TargetRows("heuristics", source, target_vocab, cfg, overlap)
-    conv = cfg.conventions
-    group_stats = [group_statistics(source.vocab, m, conv) for m in rows.sources]
+    # Both source matrices share the vocabulary, so it is classified once.
+    members = group_members(source.vocab)
+    group_stats = [member_statistics(m, members) for m in rows.sources]
     for t in overlap.non_overlap:
-        group = classify_token(target_vocab.tokens[t], conv)
+        group = classify_token(target_vocab.tokens[t])
         st = group_stats[0].get(group)
         if group.script == "Unknown" or st is None or st.count < cfg.min_group_size:
             rows.sample_random(t)

@@ -167,22 +167,29 @@ class WeightVector:
             raise ValidationError(f"convex weights sum to {total}, not 1")
 
 
-def convex_combine(w: WeightVector, rows: EmbeddingMatrix) -> np.ndarray:
-    """Weighted sum of matrix rows: sum_i w_i * rows[id_i], in float64.
+def weighted_sum(w: WeightVector, rows: EmbeddingMatrix) -> np.ndarray:
+    """sum_i w_i * rows[id_i] in float64, for any weights and in-range ids.
 
-    The weight vector must be convex, so the result lies coordinatewise
-    inside the hull of the participating rows. Rows are gathered and
-    upcast _COMBINE_ROWS at a time, so a long weight vector needs no
-    float64 copy of all its rows.
+    Rows are gathered and upcast _COMBINE_ROWS at a time, so a long weight
+    vector needs no float64 copy of all its rows.
     """
-    w.validate_convex()
-    if w.ids.size and (w.ids.min() < 0 or w.ids.max() >= rows.rows):
-        raise ValidationError(
-            f"weight id out of range 0..{rows.rows - 1}"
-        )
     total = None
     for start in range(0, w.ids.size, _COMBINE_ROWS):
         part = slice(start, start + _COMBINE_ROWS)
         mixed = w.weights[part] @ rows.data[w.ids[part]].astype(np.float64)
         total = mixed if total is None else total + mixed
     return total
+
+
+def convex_combine(w: WeightVector, rows: EmbeddingMatrix) -> np.ndarray:
+    """Weighted sum of matrix rows: sum_i w_i * rows[id_i], in float64.
+
+    The weight vector must be convex, so the result lies coordinatewise
+    inside the hull of the participating rows.
+    """
+    w.validate_convex()
+    if w.ids.size and (w.ids.min() < 0 or w.ids.max() >= rows.rows):
+        raise ValidationError(
+            f"weight id out of range 0..{rows.rows - 1}"
+        )
+    return weighted_sum(w, rows)

@@ -160,6 +160,27 @@ def classify_token(
     return ScriptGroup(ranked[0][0], position)
 
 
+def group_members(
+    vocab: Vocabulary, conventions: TokenConventions = DEFAULT_CONVENTIONS
+) -> dict[ScriptGroup, np.ndarray]:
+    """The token ids of each group, ascending; groups in order of first member."""
+    members: dict[ScriptGroup, list[int]] = {}
+    for tid, token in enumerate(vocab.tokens):
+        members.setdefault(classify_token(token, conventions), []).append(tid)
+    return {group: np.array(ids, dtype=np.int64) for group, ids in members.items()}
+
+
+def member_statistics(
+    emb: EmbeddingMatrix, members: dict[ScriptGroup, np.ndarray]
+) -> dict[ScriptGroup, GroupStats]:
+    """Population mean/std per group over the matrix rows of its member ids."""
+    stats: dict[ScriptGroup, GroupStats] = {}
+    for group, ids in members.items():
+        rows = emb.data[ids].astype(np.float64)
+        stats[group] = GroupStats(group, len(ids), rows.mean(axis=0), rows.std(axis=0))
+    return stats
+
+
 def group_statistics(
     vocab: Vocabulary,
     emb: EmbeddingMatrix,
@@ -170,16 +191,4 @@ def group_statistics(
         raise ValidationError(
             f"matrix has {emb.rows} rows for {len(vocab)} tokens"
         )
-    members: dict[ScriptGroup, list[int]] = {}
-    for tid, token in enumerate(vocab.tokens):
-        members.setdefault(classify_token(token, conventions), []).append(tid)
-    stats: dict[ScriptGroup, GroupStats] = {}
-    for group, ids in members.items():
-        rows = emb.data[np.array(ids, dtype=np.int64)].astype(np.float64)
-        stats[group] = GroupStats(
-            group=group,
-            count=len(ids),
-            mean=rows.mean(axis=0),
-            std=rows.std(axis=0),
-        )
-    return stats
+    return member_statistics(emb, group_members(vocab, conventions))

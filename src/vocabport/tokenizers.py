@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding_store import Vocabulary, _decode_utf8
+from .embedding_store import Vocabulary, _read_utf8, load_scored_tsv, load_vocab
 from .errors import FormatError, MalformedSpecError, ValidationError
 
 
@@ -297,18 +297,15 @@ def count_tokens(spec: TokenizerSpec, text: str) -> int:
     raise ValidationError(f"unknown tokenizer spec type {type(spec).__name__}")
 
 
-def load_bpe_spec(vocab_path: str, merges_path: str, byte_level: bool = True) -> BpeSpec:
-    """Load a BPE spec from a JSON vocab map and a merges text file.
+def load_bpe_spec(vocab_path: str, merges_path: str) -> BpeSpec:
+    """Load a byte-level BPE spec from a JSON vocab map and a merges text file.
 
     Merges format: one "left right" pair per line, space-separated; a
     first line starting with "#" is a header and is skipped.
     """
-    from .embedding_store import load_vocab
-
     vocab = load_vocab(vocab_path, "json-map")
     merges: list[tuple[str, str]] = []
-    with open(merges_path, "rb") as f:
-        lines = _decode_utf8(f.read(), merges_path).splitlines()
+    lines = _read_utf8(merges_path).splitlines()
     start = 1 if lines and lines[0].startswith("#") else 0
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line:
@@ -319,49 +316,20 @@ def load_bpe_spec(vocab_path: str, merges_path: str, byte_level: bool = True) ->
                 f"{merges_path}:{lineno}: expected 'left right', got {len(parts)} fields"
             )
         merges.append((parts[0], parts[1]))
-    return BpeSpec(vocab=vocab, merges=merges, byte_level=byte_level)
+    return BpeSpec(vocab=vocab, merges=merges)
 
 
-def load_unigram_spec(
-    path: str,
-    unk_token: str = "<unk>",
-    unk_penalty: float | None = None,
-    space_marker: str | None = "▁",
-) -> UnigramSpec:
-    """Load a Unigram spec from a "token<TAB>logprob" TSV.
+def load_unigram_spec(path: str) -> UnigramSpec:
+    """Load a Unigram spec from a "token<TAB>logprob" TSV (see load_scored_tsv).
 
-    Ids follow line order. When `unk_penalty` is None it defaults to the
-    lowest log-prob in the file minus 10, so unk is always a last resort.
+    Ids follow line order and the unk token is "<unk>". Unknown characters
+    cost the lowest log-prob in the file minus 10, so unk is always a last
+    resort.
     """
-    with open(path, "rb") as f:
-        text = _decode_utf8(f.read(), path)
-    tokens: list[str] = []
-    scores: list[float] = []
-    seen: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise FormatError(
-                f"{path}:{lineno}: expected 'token<TAB>logprob', got {len(fields)} fields"
-            )
-        tok, score_s = fields
-        if tok in seen:
-            raise FormatError(
-                f"{path}:{lineno}: duplicate token {tok!r} (first at line {seen[tok]})"
-            )
-        seen[tok] = lineno
-        try:
-            score = float(score_s)
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: log-prob {score_s!r} is not a number") from None
-        tokens.append(tok)
-        scores.append(score)
-    if unk_penalty is None:
-        unk_penalty = (min(scores) if scores else 0.0) - 10.0
+    vocab, scores = load_scored_tsv(path)
     return UnigramSpec(
-        vocab=Vocabulary(tokens),
+        vocab=vocab,
         log_probs=np.array(scores, dtype=np.float64),
-        unk_token=unk_token,
-        unk_penalty=unk_penalty,
-        space_marker=space_marker,
+        unk_token="<unk>",
+        unk_penalty=(min(scores) if scores else 0.0) - 10.0,
     )

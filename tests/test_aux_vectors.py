@@ -82,6 +82,30 @@ class TestWordVectors:
         retried = load_word_vectors(str(p), target, marker_fallback=True)
         assert retried.missing == set()
 
+    def test_fasttext_trailing_space(self, tmp_path):
+        # fastText writes a space after every value, the last one included.
+        p = tmp_path / "t.vec"
+        p.write_text("2 3\nfoo 0.1 0.2 0.3 \nbar 1 2 3\n")
+        vecs = load_word_vectors(str(p), Vocabulary(["foo", "bar"]))
+        np.testing.assert_array_equal(vecs.row(0), np.float32([0.1, 0.2, 0.3]))
+        np.testing.assert_array_equal(vecs.row(1), [1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "line,values",
+        [("foo 0.1 0.2 0.3  ", 4), ("foo 0.1 0.2 ", 2), ("foo 0.1 0.2 0.3 0.4 ", 4), ("foo ", 0)],
+    )
+    def test_other_value_counts_still_fail(self, tmp_path, line, values):
+        p = tmp_path / "t.vec"
+        p.write_text(f"1 3\n{line}\n")
+        with pytest.raises(FormatError, match=rf"t\.vec:2: {values} values, header declares dim 3"):
+            load_word_vectors(str(p), Vocabulary(["foo"]))
+
+    def test_unshapeable_dimension(self, tmp_path):
+        p = tmp_path / "w.vec"
+        p.write_text("1 99999999999999999999\n")
+        with pytest.raises(FormatError, match=r"w\.vec:1: dimension \d+ is too large"):
+            load_word_vectors(str(p), Vocabulary(["a"]))
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "w.vec"
         p.write_text("hello\n")

@@ -218,3 +218,12 @@ class TestLoadCorpus:
         p.write_text("x\n")
         with pytest.raises(ValidationError):
             load_corpus(str(p), "csv")
+
+    @pytest.mark.parametrize(
+        "line", ['{"text": "x", "id": ' + "1" * 5000 + "}", "[" * 100_000]
+    )
+    def test_jsonl_beyond_parser_limits(self, tmp_path, line):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"text": "ok"}\n' + line + "\n")
+        with pytest.raises(FormatError, match=r"c\.jsonl:2: invalid JSON \((Exceeds|maximum recursion)"):
+            load_corpus(str(p), "jsonl")

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vocabport import embedding_store
 from vocabport.embedding_store import (
     EmbeddingMatrix,
     ModelBundle,
     Vocabulary,
     load_matrix,
+    load_scored_tsv,
     load_vocab,
     save_matrix,
     sniff_vocab_format,
@@ -78,6 +80,29 @@ class TestVocabularyLoading:
         p.write_text("foo\tok\n")
         with pytest.raises(FormatError, match=r":1"):
             load_vocab(str(p), "tsv-scored")
+
+    def test_scored_tsv_keeps_scores_in_line_order(self, tmp_path):
+        p = tmp_path / "v.tsv"
+        p.write_text("foo\t-1.5\nbar\t2\n")
+        vocab, scores = load_scored_tsv(str(p))
+        assert vocab.tokens == ("foo", "bar")
+        assert scores == [-1.5, 2.0]
+
+    @pytest.mark.parametrize(
+        "text", ["[1]", '["a"]', '[["a", 0], ["b", 1]]', '"a"', "0", "null"]
+    )
+    def test_json_map_rejects_non_objects(self, tmp_path, text):
+        p = tmp_path / "v.json"
+        p.write_text(text)
+        with pytest.raises(FormatError, match="expected a JSON object mapping token -> id"):
+            load_vocab(str(p), "json-map")
+
+    @pytest.mark.parametrize("text", ['{"a": ' + "1" * 5000 + "}", "[" * 100_000])
+    def test_json_map_beyond_parser_limits(self, tmp_path, text):
+        p = tmp_path / "v.json"
+        p.write_text(text)
+        with pytest.raises(FormatError, match="v.json: unreadable JSON"):
+            load_vocab(str(p), "json-map")
 
     def test_load_is_deterministic(self, tmp_path):
         p = tmp_path / "v.txt"
@@ -163,6 +188,42 @@ class TestVembValidation:
         p.write_bytes(self._header(2, 3) + data.tobytes())
         with pytest.raises(FormatError, match=r"row 1, col 2"):
             load_matrix(str(p))
+
+    @pytest.mark.parametrize("rows,cols", [(2**63, 0), (0, 2**63), (2**64 - 1, 0), (2**61, 0)])
+    def test_unshapeable_header(self, tmp_path, rows, cols):
+        # Zero payload bytes pass the size check; the shape itself is refused.
+        p = tmp_path / "m.vemb"
+        p.write_bytes(self._header(rows, cols))
+        with pytest.raises(FormatError, match=r"m\.vemb: dimension \d+ is too large"):
+            load_matrix(str(p))
+
+    def test_large_empty_shape_loads(self, tmp_path):
+        p = tmp_path / "m.vemb"
+        p.write_bytes(self._header(2**61 - 1, 0))
+        assert load_matrix(str(p)).data.shape == (2**61 - 1, 0)
+
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "m.vemb"
+        p.write_bytes(self._header(1, 1)[:27])
+        with pytest.raises(FormatError, match=r"truncated header \(27 bytes\)"):
+            load_matrix(str(p))
+
+    def test_payload_scanned_once(self, tmp_path, monkeypatch):
+        scans = []
+        scan = embedding_store._first_nonfinite
+
+        def counting(arr):
+            scans.append(arr.shape)
+            return scan(arr)
+
+        monkeypatch.setattr(embedding_store, "_first_nonfinite", counting)
+        data = np.arange(12, dtype="<f4").reshape(4, 3)
+        p = tmp_path / "m.vemb"
+        p.write_bytes(self._header(4, 3) + data.tobytes())
+        m = load_matrix(str(p))
+        assert scans == [(4, 3)]
+        np.testing.assert_array_equal(m.data, data)
+        assert m.data.flags.c_contiguous and m.data.dtype == np.float32
 
     def test_good_payload(self, tmp_path):
         data = np.arange(6, dtype="<f4").reshape(2, 3)

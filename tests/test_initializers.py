@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import build_instance, sparsemax_oracle
 
-from vocabport import initializers
+from vocabport import initializers, kernels, script_groups
 from vocabport.aux_vectors import AUX_MODEL, WORD_VECTORS, AuxEmbeddings
 from vocabport.embedding_store import EmbeddingMatrix, ModelBundle, Vocabulary
 from vocabport.errors import ValidationError
@@ -16,7 +16,7 @@ from vocabport.initializers import (
     init_random,
     init_target_bundle,
 )
-from vocabport.kernels import sparsemax
+from vocabport.kernels import sparsemax, weighted_sum
 from vocabport.overlap import compute_overlap
 
 
@@ -211,6 +211,31 @@ class TestHeuristics:
         assert report.random_fallback == 2
         # global stats of a constant matrix: mean 2, std 0
         np.testing.assert_array_equal(bundle.input_emb.data, np.full((2, 2), 2.0))
+
+    def test_source_vocabulary_classified_once(self, monkeypatch):
+        # Both matrices of an untied source share one membership pass.
+        calls = []
+        classify = script_groups.classify_token
+
+        def counting(token, *args):
+            calls.append(token)
+            return classify(token, *args)
+
+        monkeypatch.setattr(script_groups, "classify_token", counting)
+        monkeypatch.setattr(initializers, "classify_token", counting)
+        tokens = ["Ġaa", "Ġbb", "cc", "12"]
+        source = _bundle(tokens, np.eye(4), np.eye(4) * 2)
+        target = Vocabulary(["Ġaa", "Ġzz", "yy"])
+        overlap = compute_overlap(source.vocab, target)
+        bundle, report = init_heuristics(
+            source, target, overlap, _cfg("heuristics", min_group_size=1)
+        )
+        assert sorted(calls) == sorted(tokens + ["Ġzz", "yy"])
+        assert report.group_sampled == 2
+        # Ġzz samples the Latin/word-initial group {Ġaa, Ġbb}, whose rows are
+        # zero past column 2 in both matrices, so its rows are too.
+        for m in (bundle.input_emb, bundle.output_emb):
+            assert m.data[1][2:].tolist() == [0.0, 0.0]
 
     def test_small_group_falls_back(self):
         source = _bundle(["Ġaa", "Ġbb"], [[1.0], [3.0]])
@@ -508,6 +533,31 @@ class TestBlockEngine:
         q = {i: _N_OVERLAP + i for i in range(10)}
         assert inside(q[0]) and inside(q[2])  # convex: nonnegative, zero-norm
         assert not inside(q[3])  # mixed-sign raw weights leave the hull
+
+    def test_raw_weights_sum_in_chunks_over_nonzero_weights(self, monkeypatch):
+        # Non-convex raw-weight rows go through the chunked row sum; with a
+        # 7-row chunk the 299-row support takes 43 steps per row.
+        source, target, overlap, alignment, matrix, n_supp = _block_instance()
+        aux = _aux(AUX_MODEL, alignment, matrix, len(target))
+        cfg = _cfg("clp", clp_raw_weights=True)
+        whole, _ = init_clp(source, target, overlap, aux, cfg)
+        sums = []
+
+        def recording_sum(w, rows):
+            sums.append((w.convex, w.ids.size))
+            return weighted_sum(w, rows)
+
+        monkeypatch.setattr(initializers, "weighted_sum", recording_sum)
+        monkeypatch.setattr(kernels, "_COMBINE_ROWS", 7)
+        chunked, _ = init_clp(source, target, overlap, aux, cfg)
+        assert sums and all(not convex and size > 7 for convex, size in sums)
+        for t in overlap.non_overlap:
+            if t not in aux.vocab_alignment:
+                continue
+            expected = _oracle_rows(source, overlap, aux, t, "raw")
+            np.testing.assert_allclose(chunked.input_emb.data[t], expected[0], atol=1e-6)
+            np.testing.assert_allclose(chunked.output_emb.data[t], expected[1], atol=1e-6)
+        np.testing.assert_allclose(chunked.input_emb.data, whole.input_emb.data, atol=1e-6)
 
     def test_missing_aux_error_still_names_the_token(self):
         source, target, overlap, alignment, matrix, _ = _block_instance()

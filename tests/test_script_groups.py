@@ -9,7 +9,9 @@ from vocabport.script_groups import (
     ScriptGroup,
     TokenConventions,
     classify_token,
+    group_members,
     group_statistics,
+    member_statistics,
 )
 from vocabport.tokenizers import map_bytes
 
@@ -114,3 +116,19 @@ class TestGroupStatistics:
                 manual += emb.data[i].astype(np.float64)
             manual /= len(members)
             np.testing.assert_allclose(st_.mean, manual, atol=1e-6)
+
+    def test_members_then_stats_equal_group_statistics(self):
+        rng = np.random.default_rng(12)
+        tokens = ["Ġthe", "the", "Ġкот", "кот", "日本", "123", "Ġx", "y", "Ġαβ", "Ġz"]
+        emb = EmbeddingMatrix(rng.normal(size=(len(tokens), 5)).astype(np.float32))
+        vocab = Vocabulary(tokens)
+        members = group_members(vocab)
+        assert list(members[ScriptGroup("Latin", "word-initial")]) == [0, 6, 9]
+        assert sorted(i for ids in members.values() for i in ids) == list(range(len(tokens)))
+        split = member_statistics(emb, members)
+        whole = group_statistics(vocab, emb)
+        assert list(split) == list(whole)
+        for group, st_ in whole.items():
+            assert split[group].count == st_.count
+            assert split[group].mean.tobytes() == st_.mean.tobytes()
+            assert split[group].std.tobytes() == st_.std.tobytes()

@@ -25,7 +25,7 @@ from vocabport.tokenizers import (
     split_pretokens,
     unigram_encode,
 )
-from vocabport.embedding_store import Vocabulary
+from vocabport.embedding_store import Vocabulary, load_vocab
 
 
 class TestPretokenize:
@@ -193,6 +193,22 @@ class TestSpecLoading:
         assert spec.unk_token == "<unk>"
         assert spec.unk_penalty == -19.0  # lowest score (-9) minus 10
         assert count_tokens(spec, "ab") == 2
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("a\t-1\n<unk>\t-2\na\t-3\n", r"u\.tsv:3: duplicate token 'a' \(first at line 1\)"),
+            ("a\t-1\nb\tlow\n", r"u\.tsv:2: score 'low' is not a number"),
+            ("a\t-1\nb\n", r"u\.tsv:2: expected 'token<TAB>score', got 1 fields"),
+        ],
+    )
+    def test_unigram_tsv_errors_match_scored_vocab(self, tmp_path, text, message):
+        # One parser serves Unigram specs and tsv-scored vocabularies.
+        (tmp_path / "u.tsv").write_text(text)
+        with pytest.raises(FormatError, match=message):
+            load_unigram_spec(str(tmp_path / "u.tsv"))
+        with pytest.raises(FormatError, match=message):
+            load_vocab(str(tmp_path / "u.tsv"), "tsv-scored")
 
     def test_unigram_missing_unk(self, tmp_path):
         (tmp_path / "u.tsv").write_text("a\t-1.0\n")
