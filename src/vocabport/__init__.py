@@ -52,6 +52,7 @@ from .tokenizers import (
     bpe_encode,
     byte_level_pretokenize,
     count_tokens,
+    encode,
     load_bpe_spec,
     load_unigram_spec,
     split_pretokens,

@@ -19,6 +19,7 @@ from .embedding_store import (
     Vocabulary,
     _check_dims,
     _read_utf8,
+    _split_lines,
     load_matrix,
     load_vocab,
     sniff_vocab_format,
@@ -101,7 +102,7 @@ def load_word_vectors(
     trailing space per line is allowed, since fastText writes one after
     every value.
     """
-    lines = _read_utf8(path).splitlines()
+    lines = _split_lines(_read_utf8(path))
     if not lines:
         raise FormatError(f"{path}: empty word-vector file")
     header = lines[0].split(" ")

@@ -19,6 +19,7 @@ from .aux_vectors import load_aux_model, load_word_vectors
 from .embedding_store import (
     ModelBundle,
     _read_utf8,
+    _split_lines,
     load_matrix,
     load_vocab,
     save_matrix,
@@ -252,14 +253,8 @@ def _cmd_tokenize(args) -> int:
         text = args.text
     else:
         text = _read_utf8(args.file)
-    if args.count_only:
-        print(tokenizers.count_tokens(spec, text))
-    else:
-        if isinstance(spec, tokenizers.BpeSpec):
-            ids = tokenizers.bpe_encode(spec, text)
-        else:
-            ids = tokenizers.unigram_encode(spec, text)
-        print(json.dumps(ids))
+    ids = tokenizers.encode(spec, text)
+    print(len(ids) if args.count_only else json.dumps(ids))
     return 0
 
 
@@ -300,7 +295,7 @@ def _cmd_analyze(args) -> int:
 
 def _read_numbers(path: str) -> list[float]:
     values = []
-    for lineno, line in enumerate(_read_utf8(path).splitlines(), start=1):
+    for lineno, line in enumerate(_split_lines(_read_utf8(path)), start=1):
         line = line.strip()
         if not line:
             continue

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .embedding_store import _read_utf8
+from .embedding_store import _read_utf8, _split_lines
 from .errors import FormatError, ValidationError
 from .tokenizers import TokenizerSpec, count_tokens
 
@@ -144,13 +144,13 @@ def load_corpus(path: str, fmt: str = "txt") -> list[CorpusSample]:
     "text" field (and an optional "id")."""
     if fmt not in CORPUS_FORMATS:
         raise ValidationError(f"unknown corpus format {fmt!r}")
-    text = _read_utf8(path)
+    lines = _split_lines(_read_utf8(path))
     samples: list[CorpusSample] = []
     if fmt == "txt":
-        for i, line in enumerate(text.splitlines()):
+        for i, line in enumerate(lines):
             samples.append(CorpusSample(id=str(i), text=line))
         return samples
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:

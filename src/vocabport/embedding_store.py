@@ -143,6 +143,21 @@ def _read_utf8(path: str) -> str:
         raise FormatError(f"{path}: invalid UTF-8 at byte offset {e.start}") from e
 
 
+def _split_lines(text: str) -> list[str]:
+    """Split text at "\n" only, dropping one "\r" before each break.
+
+    Unlike str.splitlines(), U+0085, U+2028, U+2029 and the other Unicode
+    separators stay inside their line, since tokens may contain them. A
+    final newline ends the last line rather than starting an empty one.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return lines
+
+
 def _check_dims(where: str, *dims: int) -> None:
     """Reject a declared shape that numpy cannot give a float32 array."""
     for d in dims:
@@ -163,14 +178,14 @@ def load_vocab(path: str, fmt: str) -> Vocabulary:
     text = _read_utf8(path)
     if fmt == "json-map":
         return _vocab_from_json_map(text, path)
-    return _vocab_from_lines(text.splitlines(), path)
+    return _vocab_from_lines(_split_lines(text), path)
 
 
 def load_scored_tsv(path: str) -> tuple[Vocabulary, list[float]]:
     """Read a "token<TAB>score" file: its tokens in line order, and their scores."""
     tokens: list[str] = []
     scores: list[float] = []
-    for lineno, line in enumerate(_read_utf8(path).splitlines(), start=1):
+    for lineno, line in enumerate(_split_lines(_read_utf8(path)), start=1):
         fields = line.split("\t")
         if len(fields) != 2:
             raise FormatError(

@@ -17,15 +17,29 @@ configurable regex:
 Byte-level specs then map each UTF-8 byte through the fixed 256-entry
 byte-to-unicode table (space becomes "Ġ"), so any byte sequence round-trips
 losslessly through encode/decode.
+
+BPE applies, within each pretoken, the lowest-rank merge at its leftmost
+occurrence until none applies; a heap of candidate pairs over a linked list
+of symbols makes that O(n log n) for n symbols. Unigram runs a Viterbi pass
+whose window at each position is the longest vocabulary token starting with
+that character, O(n * L) for window length L; a character that starts no
+token costs one unk step.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding_store import Vocabulary, _read_utf8, load_scored_tsv, load_vocab
+from .embedding_store import (
+    Vocabulary,
+    _read_utf8,
+    _split_lines,
+    load_scored_tsv,
+    load_vocab,
+)
 from .errors import FormatError, MalformedSpecError, ValidationError
 
 
@@ -163,7 +177,7 @@ class UnigramSpec:
     unk_penalty: float
     space_marker: str | None = "▁"
     unk_id: int = field(init=False, repr=False)
-    _max_len: int = field(init=False, repr=False)
+    _longest: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.log_probs = np.asarray(self.log_probs, dtype=np.float64)
@@ -178,7 +192,12 @@ class UnigramSpec:
         if self.unk_token not in self.vocab:
             raise MalformedSpecError(f"unk token {self.unk_token!r} is not in the vocabulary")
         self.unk_id = self.vocab.index[self.unk_token]
-        self._max_len = max((len(t) for t in self.vocab.tokens), default=0)
+        # First character -> length of the longest token starting with it.
+        longest: dict[str, int] = {}
+        for t in self.vocab.tokens:
+            if t and len(t) > longest.get(t[0], 0):
+                longest[t[0]] = len(t)
+        self._longest = longest
 
 
 TokenizerSpec = BpeSpec | UnigramSpec
@@ -186,19 +205,40 @@ TokenizerSpec = BpeSpec | UnigramSpec
 
 def _merge_symbols(symbols: list[str], ranks: dict[tuple[str, str], int]) -> list[str]:
     # One step = the lowest-rank applicable merge at its leftmost
-    # occurrence; repeat until nothing applies.
-    while len(symbols) > 1:
-        best_rank = None
-        best_pos = -1
-        for pos in range(len(symbols) - 1):
-            rank = ranks.get((symbols[pos], symbols[pos + 1]))
-            if rank is not None and (best_rank is None or rank < best_rank):
-                best_rank = rank
-                best_pos = pos
-        if best_rank is None:
-            break
-        symbols[best_pos : best_pos + 2] = [symbols[best_pos] + symbols[best_pos + 1]]
-    return symbols
+    # occurrence; repeat until nothing applies. The symbols form a linked
+    # list over their original indices, which keep list order, and a heap
+    # holds (rank, left index, left, right) for every pair that formed. An
+    # entry is stale when the left symbol is gone ("") or changed, or its
+    # right neighbour is no longer `right`; symbols only grow, so comparing
+    # strings detects both.
+    n = len(symbols)
+    nxt = list(range(1, n + 1))
+    prv = list(range(-1, n - 1))
+    heap = []
+    for i in range(n - 1):
+        rank = ranks.get((symbols[i], symbols[i + 1]))
+        if rank is not None:
+            heap.append((rank, i, symbols[i], symbols[i + 1]))
+    heapq.heapify(heap)
+    while heap:
+        _, i, left, right = heapq.heappop(heap)
+        j = nxt[i]
+        if symbols[i] != left or j == n or symbols[j] != right:
+            continue
+        merged = symbols[i] = left + right
+        symbols[j] = ""
+        k = nxt[i] = nxt[j]
+        if k < n:
+            prv[k] = i
+            rank = ranks.get((merged, symbols[k]))
+            if rank is not None:
+                heapq.heappush(heap, (rank, i, merged, symbols[k]))
+        p = prv[i]
+        if p >= 0:
+            rank = ranks.get((symbols[p], merged))
+            if rank is not None:
+                heapq.heappush(heap, (rank, p, symbols[p], merged))
+    return [sym for sym in symbols if sym]
 
 
 def bpe_encode(spec: BpeSpec, text: str) -> list[int]:
@@ -249,11 +289,12 @@ def _viterbi(spec: UnigramSpec, s: str) -> list[int]:
     step: list[tuple[int, int]] = [(0, 0)] * (n + 1)  # (next position, token id)
     index = spec.vocab.index
     log_probs = spec.log_probs
+    longest = spec._longest
     for i in range(n - 1, -1, -1):
         # Unknown characters are consumed one at a time at unk_penalty.
         best = (spec.unk_penalty + best_score[i + 1], -(1 + best_count[i + 1]), i + 1, 0)
         choice = (i + 1, spec.unk_id)
-        limit = min(n, i + spec._max_len)
+        limit = min(n, i + longest.get(s[i], 0))
         for j in range(i + 1, limit + 1):
             tid = index.get(s[i:j])
             if tid is None:
@@ -288,13 +329,18 @@ def unigram_encode(spec: UnigramSpec, text: str) -> list[int]:
     return ids
 
 
+def encode(spec: TokenizerSpec, text: str) -> list[int]:
+    """Token ids for the text under a BPE or a Unigram spec."""
+    if isinstance(spec, BpeSpec):
+        return bpe_encode(spec, text)
+    if isinstance(spec, UnigramSpec):
+        return unigram_encode(spec, text)
+    raise ValidationError(f"unknown tokenizer spec type {type(spec).__name__}")
+
+
 def count_tokens(spec: TokenizerSpec, text: str) -> int:
     """Number of tokens the spec produces for the text."""
-    if isinstance(spec, BpeSpec):
-        return len(bpe_encode(spec, text))
-    if isinstance(spec, UnigramSpec):
-        return len(unigram_encode(spec, text))
-    raise ValidationError(f"unknown tokenizer spec type {type(spec).__name__}")
+    return len(encode(spec, text))
 
 
 def load_bpe_spec(vocab_path: str, merges_path: str) -> BpeSpec:
@@ -305,7 +351,7 @@ def load_bpe_spec(vocab_path: str, merges_path: str) -> BpeSpec:
     """
     vocab = load_vocab(vocab_path, "json-map")
     merges: list[tuple[str, str]] = []
-    lines = _read_utf8(merges_path).splitlines()
+    lines = _split_lines(_read_utf8(merges_path))
     start = 1 if lines and lines[0].startswith("#") else 0
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line:

@@ -101,6 +101,36 @@ def unigram_oracle(spec, s):
     return best[1], best[0][0]
 
 
+def viterbi_full_window_oracle(spec, s):
+    """The Viterbi pass with one window for every position: the length of
+    the longest vocabulary token, whatever character starts it."""
+    max_len = max((len(t) for t in spec.vocab.tokens), default=0)
+    n = len(s)
+    best_score = [0.0] * (n + 1)
+    best_count = [0] * (n + 1)
+    step = [(0, 0)] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        best = (spec.unk_penalty + best_score[i + 1], -(1 + best_count[i + 1]), i + 1, 0)
+        choice = (i + 1, spec.unk_id)
+        for j in range(i + 1, min(n, i + max_len) + 1):
+            tid = spec.vocab.index.get(s[i:j])
+            if tid is None:
+                continue
+            cand = (spec.log_probs[tid] + best_score[j], -(1 + best_count[j]), j, 1)
+            if cand > best:
+                best = cand
+                choice = (j, tid)
+        best_score[i] = best[0]
+        best_count[i] = -best[1]
+        step[i] = choice
+    ids = []
+    i = 0
+    while i < n:
+        i, tid = step[i]
+        ids.append(tid)
+    return ids
+
+
 def unigram_score(spec, ids):
     # Recompute a segmentation's score, charging unk emissions the penalty.
     return sum(

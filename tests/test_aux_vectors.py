@@ -90,6 +90,16 @@ class TestWordVectors:
         np.testing.assert_array_equal(vecs.row(0), np.float32([0.1, 0.2, 0.3]))
         np.testing.assert_array_equal(vecs.row(1), [1, 2, 3])
 
+    def test_token_with_unicode_line_separator(self, tmp_path):
+        # fastText splits tokens on ASCII whitespace only, so U+2028 and
+        # U+0085 can sit inside a token.
+        p = tmp_path / "t.vec"
+        p.write_bytes("2 2\nx\u2028y 0.5 1\nz\x85 2 3\n".encode("utf-8"))
+        vecs = load_word_vectors(str(p), Vocabulary(["x\u2028y", "z\x85"]))
+        assert not vecs.missing
+        np.testing.assert_array_equal(vecs.row(0), [0.5, 1])
+        np.testing.assert_array_equal(vecs.row(1), [2, 3])
+
     @pytest.mark.parametrize(
         "line,values",
         [("foo 0.1 0.2 0.3  ", 4), ("foo 0.1 0.2 ", 2), ("foo 0.1 0.2 0.3 0.4 ", 4), ("foo ", 0)],

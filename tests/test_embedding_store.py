@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -7,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vocabport import embedding_store
+from vocabport.aux_vectors import load_word_vectors
+from vocabport.cli import _read_numbers
+from vocabport.efficiency import load_corpus
 from vocabport.embedding_store import (
     EmbeddingMatrix,
     ModelBundle,
@@ -19,6 +23,7 @@ from vocabport.embedding_store import (
     validate_bundle,
 )
 from vocabport.errors import FormatError, ValidationError
+from vocabport.tokenizers import load_bpe_spec
 
 
 class TestVocabularyLoading:
@@ -119,6 +124,72 @@ class TestVocabularyLoading:
         assert sniff_vocab_format(str(j)) == "json-map"
         assert sniff_vocab_format(str(t)) == "line-per-token"
         assert sniff_vocab_format(str(s)) == "tsv-scored"
+
+
+# Separators str.splitlines() breaks at besides "\n" and "\r".
+UNICODE_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _bpe_merges(path):
+    vocab = os.path.join(os.path.dirname(path), "bpe_vocab.json")
+    with open(vocab, "w", encoding="utf-8") as f:
+        json.dump({"a": 0, "b": 1, "ab": 2, "c": 3, "abc": 4}, f)
+    return load_bpe_spec(vocab, path).merges
+
+
+# (file text with "\n" line ends, loader -> comparable result)
+LINE_LOADERS = {
+    "line-per-token": ("a\nb\n", lambda p: load_vocab(p, "line-per-token").tokens),
+    "tsv-scored": ("a\t-1.5\nb\t-2\n", load_scored_tsv),
+    "merges": ("#version: 0.2\na b\nab c\n", _bpe_merges),
+    "word-vectors": (
+        "2 2\na 0.5 1\nb 2 3 \n",
+        lambda p: load_word_vectors(p, Vocabulary(["a", "b"])).matrix.data.tolist(),
+    ),
+    "corpus-txt": ("one\n\nthree\n", lambda p: load_corpus(p, "txt")),
+    "corpus-jsonl": ('{"text": "x"}\n\n{"text": "y", "id": 7}\n', lambda p: load_corpus(p, "jsonl")),
+    "numbers": ("1\n2.5\n\n-3\n", _read_numbers),
+}
+
+
+class TestLineSplitting:
+    @pytest.mark.parametrize("sep", UNICODE_SEPARATORS)
+    def test_unicode_separator_stays_in_token(self, tmp_path, sep):
+        p = tmp_path / "v.txt"
+        p.write_bytes(f"x{sep}y\nz\n".encode("utf-8"))
+        assert load_vocab(str(p), "line-per-token").tokens == (f"x{sep}y", "z")
+
+    @pytest.mark.parametrize("sep", UNICODE_SEPARATORS)
+    def test_unicode_separator_stays_in_corpus_sample(self, tmp_path, sep):
+        p = tmp_path / "c.txt"
+        p.write_bytes(f"a{sep}b\nc\n".encode("utf-8"))
+        assert [s.text for s in load_corpus(str(p), "txt")] == [f"a{sep}b", "c"]
+
+    @pytest.mark.parametrize("name", list(LINE_LOADERS))
+    def test_crlf_file_loads_like_lf(self, tmp_path, name):
+        text, load = LINE_LOADERS[name]
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(text.encode("utf-8"))
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        assert load(str(crlf)) == load(str(lf))
+
+    @pytest.mark.parametrize(
+        "text,lines",
+        [
+            ("", []),
+            ("\n", [""]),
+            ("a", ["a"]),
+            ("a\n", ["a"]),
+            ("a\n\n", ["a", ""]),
+            ("a\r\nb", ["a", "b"]),
+            ("a\r\r\n", ["a\r"]),
+            ("a\rb\n", ["a\rb"]),
+        ],
+    )
+    def test_split_rule(self, text, lines):
+        # Only "\n" breaks a line; one "\r" before it is dropped; a final
+        # newline ends the last line.
+        assert embedding_store._split_lines(text) == lines
 
 
 class TestVembRoundTrip:

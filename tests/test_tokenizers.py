@@ -1,24 +1,31 @@
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import (
+    bpe_merge_oracle,
     bpe_oracle_encode,
     make_bpe_spec,
     make_unigram_spec,
     unigram_oracle,
     unigram_score,
+    viterbi_full_window_oracle,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vocabport.errors import FormatError, MalformedSpecError
+from vocabport.errors import FormatError, MalformedSpecError, ValidationError
 from vocabport.tokenizers import (
     BpeSpec,
+    _merge_symbols,
+    _viterbi,
     bpe_decode,
     bpe_encode,
     byte_level_pretokenize,
     count_tokens,
+    encode,
     load_bpe_spec,
     load_unigram_spec,
     map_bytes,
@@ -107,6 +114,55 @@ class TestBpe:
     def test_determinism(self, toy_bpe):
         assert bpe_encode(toy_bpe, "abc ba ab") == bpe_encode(toy_bpe, "abc ba ab")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_merge_symbols_matches_oracle(self, data):
+        # Small alphabets make pairs repeat and overlap ("aaaa"); the rank
+        # table is built like BpeSpec's, so a repeated pair keeps its first rank.
+        alphabet = "abcd"[: data.draw(st.integers(2, 4))]
+        symbol = st.text(alphabet, min_size=1, max_size=3)
+        merges = data.draw(st.lists(st.tuples(symbol, symbol), min_size=1, max_size=40))
+        merges += data.draw(st.lists(st.sampled_from(merges), max_size=5))
+        ranks = {}
+        for i, pair in enumerate(merges):
+            ranks.setdefault(pair, i)
+        symbols = list(data.draw(st.text(alphabet, max_size=300)))
+        assert _merge_symbols(list(symbols), ranks) == bpe_merge_oracle(symbols, ranks)
+
+    def test_long_cjk_pretoken_matches_oracle(self):
+        # A CJK clause has no spaces, so 2,000 characters are one pretoken.
+        # The merges are learnt from the text itself, most frequent pair first.
+        rng = np.random.default_rng(5)
+        text = "".join(rng.choice(list("的一是不了人我在"), 2000))
+        symbols, merges = list(text), []
+        for _ in range(80):
+            pairs = Counter(zip(symbols, symbols[1:]))
+            pair = max(pairs, key=lambda p: (pairs[p], p))
+            merges.append(pair)
+            symbols = bpe_merge_oracle(symbols, {pair: 0})
+        spec = make_bpe_spec([a + b for a, b in merges], merges, byte_level=False)
+        assert split_pretokens(text) == [text]
+        ids = bpe_encode(spec, text)
+        assert ids == bpe_oracle_encode(spec, text)
+        assert len(ids) < 0.6 * len(text)
+
+    def test_merge_lookups_grow_as_n_log_n(self):
+        # The rescanning loop makes about n^2/2 lookups on this pretoken.
+        class CountingRanks(dict):
+            gets = 0
+
+            def get(self, key, default=None):
+                self.gets += 1
+                return super().get(key, default)
+
+        tokens = ["a" * 2**k for k in range(1, 12)]
+        spec = make_bpe_spec(tokens, [(t[: len(t) // 2], t[: len(t) // 2]) for t in tokens])
+        spec.ranks = CountingRanks(spec.ranks)
+        n = 4000
+        ids = bpe_encode(spec, "a" * n)
+        assert "".join(spec.vocab.tokens[i] for i in ids) == "a" * n
+        assert 0 < spec.ranks.gets <= 8 * n * math.log2(n)
+
 
 class TestUnigram:
     def test_single_token_beats_split(self):
@@ -154,6 +210,19 @@ class TestUnigram:
             assert ids == oracle_ids, repr(s)
             assert unigram_score(spec, ids) == pytest.approx(oracle_score, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("abcxyz\u4e00", max_size=200))
+    def test_viterbi_matches_full_window_oracle(self, s):
+        # Several tokens share a first character; y and 一 start no token
+        # (y is in none, 一 only ends one), and the longest token starts
+        # with c, so the full window is longer than the per-character one.
+        spec = make_unigram_spec(
+            {"a": -1.0, "ab": -2.0, "abc": -2.5, "abcab": -4.0, "ax": -2.75, "b": -1.5,
+             "bc": -2.2, "bx": -3.0, "c": -2.0, "ca": -3.0, "cabcabcab": -6.0, "z": -4.0,
+             "x一": -5.0}
+        )
+        assert _viterbi(spec, s) == viterbi_full_window_oracle(spec, s)
+
     def test_determinism(self):
         spec = make_unigram_spec({"a": -1.0, "b": -1.5, "ab": -2.25})
         assert unigram_encode(spec, "abab") == unigram_encode(spec, "abab")
@@ -162,6 +231,13 @@ class TestUnigram:
 class TestCountTokens:
     def test_empty(self, toy_bpe):
         assert count_tokens(toy_bpe, "") == 0
+
+    def test_encode_dispatches_on_spec_kind(self, toy_bpe):
+        uni = make_unigram_spec({"a": -1.0, "b": -1.0, "ab": -1.5})
+        assert encode(toy_bpe, "abc ab") == bpe_encode(toy_bpe, "abc ab")
+        assert encode(uni, "ab ba") == unigram_encode(uni, "ab ba")
+        with pytest.raises(ValidationError, match="unknown tokenizer spec type"):
+            encode(object(), "ab")
 
     def test_bpe_example(self, toy_bpe):
         assert count_tokens(toy_bpe, "abc") == 1
