@@ -24,7 +24,6 @@ from .embedding_store import (
     load_vocab,
     save_matrix,
     sniff_vocab_format,
-    validate_bundle,
 )
 from .errors import ValidationError, VocabportError
 from .overlap import compute_overlap, overlap_stats
@@ -128,20 +127,28 @@ def _load_any_vocab(path: str):
     return load_vocab(path, sniff_vocab_format(path))
 
 
-def _check_paths(inputs, outputs) -> None:
-    # Validate every referenced path before any work starts, so a bad
-    # output location cannot leave partial results behind.
-    for path in inputs:
-        if path and not os.path.isfile(path):
+def _check_paths(args, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> None:
+    # Validate every path flag before any work starts, so a bad output
+    # location cannot leave partial results behind and no output can
+    # overwrite an input or another output.
+    def given(flags):
+        values = [(flag, getattr(args, flag[2:].replace("-", "_"))) for flag in flags]
+        return [(flag, path) for flag, path in values if path]
+
+    for _, path in given(inputs):
+        if not os.path.isfile(path):
             raise FileNotFoundError(f"input file not found: {path}")
-    for path in outputs:
-        if not path:
-            continue
+    claimed = {os.path.realpath(path): flag for flag, path in given(inputs)}
+    for flag, path in given(outputs):
         parent = os.path.dirname(os.path.abspath(path)) or "."
         if not os.path.isdir(parent):
             raise FileNotFoundError(f"output directory does not exist: {parent}")
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path is a directory: {path}")
+        real = os.path.realpath(path)
+        if real in claimed:
+            raise ValidationError(f"{claimed[real]} and {flag} name the same file: {path}")
+        claimed[real] = flag
 
 
 def _cmd_init(args) -> int:
@@ -157,9 +164,10 @@ def _cmd_init(args) -> int:
     if args.out_out_emb and not args.source_out_emb:
         raise ValidationError("--out-out-emb given but the source model is tied")
     _check_paths(
-        [args.source_vocab, args.source_emb, args.source_out_emb, args.target_vocab,
-         args.aux_vocab, args.aux_emb, args.word_vecs],
-        [args.out_emb, args.out_out_emb, args.report],
+        args,
+        ("--source-vocab", "--source-emb", "--source-out-emb", "--target-vocab",
+         "--aux-vocab", "--aux-emb", "--word-vecs"),
+        ("--out-emb", "--out-out-emb", "--report"),
     )
 
     source_vocab = _load_any_vocab(args.source_vocab)
@@ -171,9 +179,9 @@ def _cmd_init(args) -> int:
         output_emb=output_emb,
         tied=output_emb is None,
     )
-    problems = validate_bundle(source)
-    if problems:
-        raise ValidationError("invalid source bundle: " + "; ".join(problems))
+    # Checked again inside init_target_bundle; this copy fails before the
+    # target vocabulary and the aux files load.
+    initializers._check_source(source)
     target_vocab = _load_any_vocab(args.target_vocab)
 
     aux = None
@@ -209,6 +217,7 @@ def _cmd_init(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
+    _check_paths(args, ("--source-vocab", "--target-vocab"), ("--out",))
     source = _load_any_vocab(args.source_vocab)
     target = _load_any_vocab(args.target_vocab)
     m = compute_overlap(source, target, args.canon)
@@ -262,9 +271,10 @@ def _cmd_analyze(args) -> int:
     source_kind = _infer_kind(args.source_merges, args.source_scores, "source")
     target_kind = _infer_kind(args.target_merges, args.target_scores, "target")
     _check_paths(
-        [args.source_vocab, args.source_merges, args.source_scores,
-         args.target_vocab, args.target_merges, args.target_scores, args.corpus],
-        [args.out],
+        args,
+        ("--source-vocab", "--source-merges", "--source-scores", "--target-vocab",
+         "--target-merges", "--target-scores", "--corpus"),
+        ("--out",),
     )
     source_spec = _build_spec(
         source_kind, args.source_vocab, args.source_merges, args.source_scores, "source"

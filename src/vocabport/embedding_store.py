@@ -51,16 +51,11 @@ class Vocabulary:
     __slots__ = ("tokens", "index")
 
     def __init__(self, tokens: Sequence[str]):
-        toks = tuple(tokens)
-        index: dict[str, int] = {}
-        for i, tok in enumerate(toks):
-            if tok in index:
-                raise ValidationError(
-                    f"duplicate token {tok!r} (ids {index[tok]} and {i})"
-                )
-            index[tok] = i
-        self.tokens = toks
-        self.index = index
+        self.tokens = toks = tuple(tokens)
+        self.index = dict(zip(toks, range(len(toks))))
+        if len(self.index) != len(toks):
+            first, again = _first_repeat(toks)
+            raise ValidationError(f"duplicate token {toks[again]!r} (ids {first} and {again})")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -124,6 +119,14 @@ class ModelBundle:
     input_emb: EmbeddingMatrix
     output_emb: EmbeddingMatrix | None = None
     tied: bool = True
+
+
+def _first_repeat(items: Sequence) -> tuple[int, int]:
+    """Positions (first, second) of the first repeated item; for failure paths only."""
+    seen: dict = {}
+    for i, item in enumerate(items):
+        if seen.setdefault(item, i) != i:
+            return seen[item], i
 
 
 def _first_nonfinite(arr: np.ndarray) -> tuple[int, int] | None:
@@ -202,26 +205,22 @@ def load_scored_tsv(path: str) -> tuple[Vocabulary, list[float]]:
 
 
 def _vocab_from_lines(tokens: list[str], path: str) -> Vocabulary:
-    seen: dict[str, int] = {}
-    for lineno, tok in enumerate(tokens, start=1):
-        if tok in seen:
-            raise FormatError(
-                f"{path}:{lineno}: duplicate token {tok!r} (first at line {seen[tok]})"
-            )
-        seen[tok] = lineno
-    return Vocabulary(tokens)
+    try:
+        return Vocabulary(tokens)
+    except ValidationError:
+        first, again = _first_repeat(tokens)  # token i is on line i + 1
+        raise FormatError(
+            f"{path}:{again + 1}: duplicate token {tokens[again]!r} (first at line {first + 1})"
+        ) from None
 
 
 def _vocab_from_json_map(text: str, path: str) -> Vocabulary:
-    dup: list[str] = []
-
     def pairs_hook(pairs):
-        keys = set()
-        for k, _ in pairs:
-            if k in keys:
-                dup.append(k)
-            keys.add(k)
-        return dict(pairs)
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            keys = [k for k, _ in pairs]
+            raise FormatError(f"{path}: duplicate token {keys[_first_repeat(keys)[1]]!r}")
+        return obj
 
     try:
         obj = json.loads(text, object_pairs_hook=pairs_hook)
@@ -231,28 +230,28 @@ def _vocab_from_json_map(text: str, path: str) -> Vocabulary:
         # Integers beyond int()'s digit limit, or nesting beyond the
         # recursion limit.
         raise FormatError(f"{path}: unreadable JSON ({e})") from e
-    if dup:
-        raise FormatError(f"{path}: duplicate token {dup[0]!r}")
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: expected a JSON object mapping token -> id")
 
-    by_id: dict[int, str] = {}
+    # n tokens with n distinct ids in 0..n-1 fill every slot.
+    n = len(obj)
+    tokens: list = [None] * n
+    out_of_range = False
     for tok, tid in obj.items():
-        if isinstance(tid, bool) or not isinstance(tid, int):
+        if type(tid) is not int:  # also rejects bool
             raise FormatError(f"{path}: id for token {tok!r} is not an integer")
-        if tid in by_id:
+        if not 0 <= tid < n:
+            out_of_range = True
+        elif tokens[tid] is None:
+            tokens[tid] = tok
+        else:
             raise FormatError(
-                f"{path}: non-dense ids: id {tid} assigned to both "
-                f"{by_id[tid]!r} and {tok!r}"
+                f"{path}: non-dense ids: id {tid} assigned to both {tokens[tid]!r} and {tok!r}"
             )
-        by_id[tid] = tok
-    n = len(by_id)
-    missing = [i for i in range(n) if i not in by_id]
-    if missing:
-        raise FormatError(
-            f"{path}: non-dense ids: expected 0..{n - 1}, missing id {missing[0]}"
-        )
-    return Vocabulary([by_id[i] for i in range(n)])
+    if out_of_range:
+        missing = tokens.index(None)
+        raise FormatError(f"{path}: non-dense ids: expected 0..{n - 1}, missing id {missing}")
+    return Vocabulary(tokens)
 
 
 def sniff_vocab_format(path: str) -> str:

@@ -149,10 +149,10 @@ class BpeSpec:
     ranks: dict[tuple[str, str], int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        index = self.vocab.index
         ranks: dict[tuple[str, str], int] = {}
-        for i, pair in enumerate(self.merges):
-            left, right = pair
-            if left + right not in self.vocab:
+        for i, (left, right) in enumerate(self.merges):
+            if left + right not in index:
                 raise MalformedSpecError(
                     f"merge #{i} result {left + right!r} is not in the vocabulary"
                 )

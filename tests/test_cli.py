@@ -10,7 +10,7 @@ from conftest import G, build_instance
 
 from vocabport.cli import emit_report, run
 from vocabport.efficiency import EfficiencyReport
-from vocabport.embedding_store import load_matrix
+from vocabport.embedding_store import EmbeddingMatrix, load_matrix, save_matrix
 from vocabport.initializers import InitReport
 
 
@@ -179,10 +179,103 @@ class TestInitCommand:
         assert code == 2
         assert "i/o error" in capsys.readouterr().err
 
+    def test_invalid_source_bundle_fails_before_aux_files_load(self, tmp_path, capsys):
+        inst = build_instance(tmp_path, n_source=10, n_target=8, n_overlap=4, dim=4, untied=False)
+        save_matrix(EmbeddingMatrix(np.zeros((9, 4), dtype=np.float32)), inst.source_files["emb"])
+        bad_aux = tmp_path / "bad_aux.vemb"
+        bad_aux.write_bytes(b"not a matrix")
+        out = tmp_path / "o.vemb"
+        code = run(
+            ["init", "--method", "clp",
+             "--source-vocab", inst.source_files["vocab"],
+             "--source-emb", inst.source_files["emb"],
+             "--target-vocab", inst.target_vocab_file,
+             "--aux-vocab", inst.aux_model_files[0],
+             "--aux-emb", str(bad_aux),
+             "--seed", "1",
+             "--out-emb", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid source bundle: input matrix has 9 rows for 10 tokens" in err
+        assert "bad_aux" not in err
+        assert not out.exists()
+
+
+class TestOutputCollisions:
+    """An output may name neither an input nor another output of the same run."""
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [("--out-emb", "--out-out-emb"), ("--out-emb", "--report"),
+         ("--source-emb", "--out-emb"), ("--source-out-emb", "--out-out-emb")],
+    )
+    def test_init(self, tmp_path, capsys, first, second):
+        inst = build_instance(tmp_path, n_source=10, n_target=8, n_overlap=4, dim=4)
+        paths = {
+            "--source-vocab": inst.source_files["vocab"],
+            "--source-emb": inst.source_files["emb"],
+            "--source-out-emb": inst.source_files["out_emb"],
+            "--target-vocab": inst.target_vocab_file,
+            "--out-emb": str(tmp_path / "a.vemb"),
+            "--out-out-emb": str(tmp_path / "b.vemb"),
+            "--report": str(tmp_path / "r.json"),
+        }
+        shared = paths[second] = paths[first]
+        if not os.path.exists(shared):
+            Path(shared).write_bytes(b"existing output")
+        before = Path(shared).read_bytes()
+        argv = ["init", "--method", "heuristics", "--seed", "901"]
+        for flag, path in paths.items():
+            argv += [flag, path]
+        assert run(argv) == 1
+        assert f"{first} and {second} name the same file: {shared}" in capsys.readouterr().err
+        assert Path(shared).read_bytes() == before
+        for flag in ("--out-emb", "--out-out-emb", "--report"):
+            assert paths[flag] == shared or not os.path.exists(paths[flag])
+
+    def test_analyze_out_is_corpus(self, tmp_path, capsys):
+        vocab, merges = _write_char_bpe(tmp_path)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("abc\n")
+        code = run(
+            ["analyze", "--source-vocab", vocab, "--source-merges", merges,
+             "--target-vocab", vocab, "--target-merges", merges,
+             "--corpus", str(corpus), "--out", str(corpus)]
+        )
+        assert code == 1
+        assert "--corpus and --out name the same file" in capsys.readouterr().err
+        assert corpus.read_bytes() == b"abc\n"
+
+    @pytest.mark.parametrize("via_symlink", [False, True])
+    def test_overlap_out_is_source_vocab(self, tmp_path, capsys, via_symlink):
+        src = tmp_path / "s.txt"
+        src.write_text("a\nb\n")
+        tgt = tmp_path / "t.txt"
+        tgt.write_text("b\nc\n")
+        out = src
+        if via_symlink:
+            out = tmp_path / "link.json"
+            out.symlink_to(src)
+        code = run(["overlap", "--source-vocab", str(src), "--target-vocab", str(tgt),
+                    "--out", str(out)])
+        assert code == 1
+        assert f"--source-vocab and --out name the same file: {out}" in capsys.readouterr().err
+        assert src.read_bytes() == b"a\nb\n"
+
+    def test_overlap_paths_checked_before_loading(self, tmp_path, capsys):
+        src = tmp_path / "s.txt"
+        src.write_text("a\n")
+        code = run(["overlap", "--source-vocab", str(src),
+                    "--target-vocab", str(tmp_path / "missing.txt"),
+                    "--out", str(tmp_path / "no_dir" / "o.json")])
+        assert code == 2
+        assert "input file not found" in capsys.readouterr().err
+
 
 _COSINE_DIGEST = """
 import hashlib, sys
-from vocabport.embedding_store import load_matrix
+from vocabport.embedding_store import EmbeddingMatrix, load_matrix, save_matrix
 from vocabport.kernels import SupportCosines
 rows = load_matrix(sys.argv[1]).data
 cos, _ = SupportCosines(rows[:300])(rows[300:])

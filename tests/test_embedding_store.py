@@ -22,8 +22,8 @@ from vocabport.embedding_store import (
     sniff_vocab_format,
     validate_bundle,
 )
-from vocabport.errors import FormatError, ValidationError
-from vocabport.tokenizers import load_bpe_spec
+from vocabport.errors import FormatError, MalformedSpecError, ValidationError
+from vocabport.tokenizers import load_bpe_spec, load_unigram_spec
 
 
 class TestVocabularyLoading:
@@ -124,6 +124,89 @@ class TestVocabularyLoading:
         assert sniff_vocab_format(str(j)) == "json-map"
         assert sniff_vocab_format(str(t)) == "line-per-token"
         assert sniff_vocab_format(str(s)) == "tsv-scored"
+
+
+# (format, file text, exact message after "<path>"): one fault per file.
+VOCAB_FAULTS = [
+    ("json-map", '{"a": 0, "a": 1}', ": duplicate token 'a'"),
+    ("json-map", '{"a": {"x": 1, "x": 2}, "b": 1}', ": duplicate token 'x'"),
+    ("json-map", '{"a": 0, "b": 0}', ": non-dense ids: id 0 assigned to both 'a' and 'b'"),
+    ("json-map", '{"a": 0, "b": 1, "c": -1}', ": non-dense ids: expected 0..2, missing id 2"),
+    ("json-map", '{"a": 0, "b": 7}', ": non-dense ids: expected 0..1, missing id 1"),
+    ("json-map", '{"a": 0, "b": 2, "c": 3}', ": non-dense ids: expected 0..2, missing id 1"),
+    ("json-map", '{"a": 0, "b": "1"}', ": id for token 'b' is not an integer"),
+    ("json-map", '{"a": 0, "b": 1.0}', ": id for token 'b' is not an integer"),
+    ("json-map", '{"a": 0, "b": true}', ": id for token 'b' is not an integer"),
+    ("json-map", '{"a": 0, "b": null}', ": id for token 'b' is not an integer"),
+    ("line-per-token", "x\n\ny\nx\n", ":4: duplicate token 'x' (first at line 1)"),
+    ("line-per-token", "a\n\nb\n\n", ":4: duplicate token '' (first at line 2)"),
+    ("tsv-scored", "a\t1\nb\t2\na\t3\n", ":3: duplicate token 'a' (first at line 1)"),
+]
+
+
+class TestVocabularyIndex:
+    @pytest.mark.parametrize("fmt,text,message", VOCAB_FAULTS)
+    def test_single_fault_message(self, tmp_path, fmt, text, message):
+        p = tmp_path / "v.txt"
+        p.write_text(text)
+        with pytest.raises(FormatError) as e:
+            load_vocab(str(p), fmt)
+        assert str(e.value) == f"{p}{message}"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # A non-integer id or an in-range id given twice is reported at
+            # its entry, before any out-of-range id.
+            ('{"a": 0, "b": 5, "c": 0}', "id 0 assigned to both 'a' and 'c'"),
+            ('{"a": 5, "b": "x"}', "id for token 'b' is not an integer"),
+            # Ids out of range are never compared with each other: a repeated
+            # one shows as the lowest id no token has.
+            ('{"a": 5, "b": 5, "c": 0}', "non-dense ids: expected 0..2, missing id 1"),
+            # A repeated key is reported when its object closes, before any
+            # later syntax error or id check.
+            ('{"a": {"x": 1, "x": 2}, "b": }', "duplicate token 'x'"),
+        ],
+    )
+    def test_multi_fault_json_map_order(self, tmp_path, text, message):
+        p = tmp_path / "v.json"
+        p.write_text(text)
+        with pytest.raises(FormatError) as e:
+            load_vocab(str(p), "json-map")
+        assert str(e.value).endswith(message)
+
+    def test_valid_files_never_scan_for_repeats(self, tmp_path, monkeypatch):
+        def scan(items):
+            raise AssertionError("duplicate scan ran on valid input")
+
+        monkeypatch.setattr(embedding_store, "_first_repeat", scan)
+        files = {
+            "v.json": '{"b": 1, "a": 0, "ab": 2}',
+            "v.txt": "a\n\nb\n",
+            "v.tsv": "a\t-1\n<unk>\t-2\nab\t-3\n",
+            "m.txt": "#version: 0.2\na b\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        path = {name: str(tmp_path / name) for name in files}
+        assert load_vocab(path["v.json"], "json-map").tokens == ("a", "b", "ab")
+        assert load_vocab(path["v.txt"], "line-per-token").tokens == ("a", "", "b")
+        assert load_vocab(path["v.tsv"], "tsv-scored").tokens == ("a", "<unk>", "ab")
+        assert load_bpe_spec(path["v.json"], path["m.txt"]).ranks == {("a", "b"): 0}
+        assert load_unigram_spec(path["v.tsv"]).unk_id == 1
+        assert Vocabulary(["x", "y"]).index == {"x": 0, "y": 1}
+
+    def test_vocabulary_names_both_ids(self):
+        with pytest.raises(ValidationError) as e:
+            Vocabulary(["a", "b", "c", "b"])
+        assert str(e.value) == "duplicate token 'b' (ids 1 and 3)"
+
+    def test_merge_result_outside_vocabulary(self, tmp_path):
+        (tmp_path / "v.json").write_text('{"a": 0, "b": 1, "ab": 2}')
+        (tmp_path / "m.txt").write_text("a b\nb a\n")
+        with pytest.raises(MalformedSpecError) as e:
+            load_bpe_spec(str(tmp_path / "v.json"), str(tmp_path / "m.txt"))
+        assert str(e.value) == "merge #1 result 'ba' is not in the vocabulary"
 
 
 # Separators str.splitlines() breaks at besides "\n" and "\r".

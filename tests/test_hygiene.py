@@ -1,0 +1,90 @@
+"""Static checks on the package source: no unused imports, no dead private names.
+
+Deleting code tends to leave an import or a `_helper` behind; these checks
+read the modules with `ast` and fail on such leftovers.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vocabport"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Names read anywhere in the tree, as bare names or as attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in names if _is_private(name)]
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"line {node.lineno}: {bound}")
+    return unused
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    unused = _unused_imports(_tree(path))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_private_definition_is_used():
+    trees = {path.name: _tree(path) for path in MODULES}
+    used = set().union(*(_loaded_names(tree) for tree in trees.values()))
+    dead = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in used
+    ]
+    assert not dead, f"private names referenced nowhere in the package: {dead}"
+
+
+def test_checks_catch_leftovers():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path\nfrom .x import y, z as w\n\n"
+        "def _dead():\n    return y\n\n_LIVE = 1\n_ALSO_DEAD = _LIVE\n"
+    )
+    assert _unused_imports(tree) == ["line 2: os", "line 3: w"]
+    assert _private_definitions(tree) == ["_dead", "_LIVE", "_ALSO_DEAD"]
+    used = _loaded_names(tree)
+    assert "_LIVE" in used and "_dead" not in used and "_ALSO_DEAD" not in used
