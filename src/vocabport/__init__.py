@@ -37,13 +37,7 @@ from .initializers import (
 )
 from .kernels import WeightVector, convex_combine, cosine_similarity, sparsemax
 from .overlap import OverlapMap, compute_overlap, overlap_stats
-from .script_groups import (
-    GroupStats,
-    ScriptGroup,
-    TokenConventions,
-    classify_token,
-    group_statistics,
-)
+from .script_groups import GroupStats, ScriptGroup, classify_token, group_statistics
 from .tokenizers import (
     BpeSpec,
     TokenizerSpec,

@@ -10,12 +10,15 @@ commands reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
+from functools import partial
 
 from . import efficiency, initializers, tokenizers
-from .aux_vectors import load_aux_model, load_word_vectors
+from .aux_vectors import AUX_MODEL, WORD_VECTORS, load_aux_model, load_word_vectors
 from .embedding_store import (
     ModelBundle,
     _read_utf8,
@@ -26,7 +29,7 @@ from .embedding_store import (
     sniff_vocab_format,
 )
 from .errors import ValidationError, VocabportError
-from .overlap import compute_overlap, overlap_stats
+from .overlap import CANON_MODES, compute_overlap, overlap_stats
 
 
 class _UsageError(ValidationError):
@@ -69,7 +72,7 @@ def _build_parser() -> _Parser:
         default="random-fallback",
     )
     p_init.add_argument("--clp-raw-weights", action="store_true")
-    p_init.add_argument("--canon", choices=("exact", "marker-normalized"), default="exact")
+    p_init.add_argument("--canon", choices=CANON_MODES, default="exact")
     p_init.add_argument("--out-emb", required=True)
     p_init.add_argument("--out-out-emb", help="target output matrix path (untied models)")
     p_init.add_argument("--report", help="write the init report JSON here")
@@ -77,7 +80,7 @@ def _build_parser() -> _Parser:
     p_overlap = sub.add_parser("overlap", parents=[common], help="report vocabulary overlap")
     p_overlap.add_argument("--source-vocab", required=True)
     p_overlap.add_argument("--target-vocab", required=True)
-    p_overlap.add_argument("--canon", choices=("exact", "marker-normalized"), default="exact")
+    p_overlap.add_argument("--canon", choices=CANON_MODES, default="exact")
     p_overlap.add_argument("--out", help="report path (default: stdout)")
 
     p_tok = sub.add_parser("tokenize", parents=[common], help="encode text with a spec")
@@ -109,22 +112,63 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def emit_report(report, path: str) -> None:
-    """Write a report as stable-key-ordered JSON (byte-identical reruns)."""
+def emit_report(report, path: str | None) -> None:
+    """Write a report as stable-key-ordered JSON (byte-identical reruns);
+    to stdout when `path` is None."""
     _print_json(report.to_dict(), path)
 
 
+def _write_json(obj, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def _print_json(obj, path: str | None) -> None:
-    payload = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if path is None:
-        sys.stdout.write(payload)
+        sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(payload)
+        _write_all([(path, partial(_write_json, obj))])
+
+
+def _write_all(outputs) -> None:
+    """Write an output set all-or-nothing: for each (path, write) pair,
+    write(temp) fills a temp file beside the path's real target (so a link
+    keeps pointing at the updated file); the temps replace their targets
+    only after every write has succeeded, and are deleted if one failed."""
+    temps: list[tuple[str, str]] = []
+    try:
+        for path, write in outputs:
+            real = os.path.realpath(path)
+            temp = _reserve_temp(real)
+            temps.append((temp, real))
+            write(temp)
+        for temp, real in temps:
+            os.replace(temp, real)
+    except BaseException:
+        for temp, _ in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temp)
+        raise
+
+
+def _reserve_temp(real: str) -> str:
+    # Mode "x" creates the file with the permissions a direct write would
+    # give it, and never takes over an existing file.
+    for n in itertools.count():
+        temp = f"{real}.{os.getpid()}-{n}.tmp"
+        try:
+            open(temp, "xb").close()
+            return temp
+        except FileExistsError:
+            continue
 
 
 def _load_any_vocab(path: str):
     return load_vocab(path, sniff_vocab_format(path))
+
+
+def _flag_value(args, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"))
 
 
 def _check_paths(args, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> None:
@@ -132,7 +176,7 @@ def _check_paths(args, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> Non
     # location cannot leave partial results behind and no output can
     # overwrite an input or another output.
     def given(flags):
-        values = [(flag, getattr(args, flag[2:].replace("-", "_"))) for flag in flags]
+        values = [(flag, _flag_value(args, flag)) for flag in flags]
         return [(flag, path) for flag, path in values if path]
 
     for _, path in given(inputs):
@@ -151,14 +195,31 @@ def _check_paths(args, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> Non
         claimed[real] = flag
 
 
+# Aux vectors by kind (`initializers._SIMILARITY_METHODS` names each method's):
+# the flags locating them and a loader of (paths, target vocab). The lambdas
+# look the loader names up per call, so a wrapped module name applies.
+_AUX_INPUTS = {
+    AUX_MODEL: (("--aux-vocab", "--aux-emb"), lambda paths, vocab: load_aux_model(*paths, vocab)),
+    WORD_VECTORS: (("--word-vecs",), lambda paths, vocab: load_word_vectors(*paths, vocab)),
+}
+
+
 def _cmd_init(args) -> int:
-    # Flag-combination validation first, then path validation, then work.
-    if args.method in ("clp", "clp-plus"):
-        for flag in ("--aux-vocab", "--aux-emb"):
-            if getattr(args, flag[2:].replace("-", "_")) is None:
-                raise ValidationError(f"{flag} is required for --method {args.method}")
-    elif args.method == "focus" and args.word_vecs is None:
-        raise ValidationError("--word-vecs is required for --method focus")
+    # Options first, then flag combinations, then paths; files load last.
+    cfg = initializers.InitConfig(
+        method=args.method,
+        seed=args.seed,
+        sparsemax_temperature=args.temperature,
+        min_group_size=args.min_group_size,
+        missing_aux_policy=args.missing_aux_policy,
+        clp_raw_weights=args.clp_raw_weights,
+        overlap_canon=args.canon,
+    )
+    similarity = initializers._SIMILARITY_METHODS.get(cfg.method)
+    aux_flags, load_aux = _AUX_INPUTS[similarity[0]] if similarity else ((), None)
+    for flag in aux_flags:
+        if _flag_value(args, flag) is None:
+            raise ValidationError(f"{flag} is required for --method {cfg.method}")
     if args.source_out_emb and not args.out_out_emb:
         raise ValidationError("--out-out-emb is required when --source-out-emb is given")
     if args.out_out_emb and not args.source_out_emb:
@@ -166,7 +227,7 @@ def _cmd_init(args) -> int:
     _check_paths(
         args,
         ("--source-vocab", "--source-emb", "--source-out-emb", "--target-vocab",
-         "--aux-vocab", "--aux-emb", "--word-vecs"),
+         *(flag for flags, _ in _AUX_INPUTS.values() for flag in flags)),
         ("--out-emb", "--out-out-emb", "--report"),
     )
 
@@ -183,28 +244,17 @@ def _cmd_init(args) -> int:
     # target vocabulary and the aux files load.
     initializers._check_source(source)
     target_vocab = _load_any_vocab(args.target_vocab)
-
     aux = None
-    if args.method in ("clp", "clp-plus"):
-        aux = load_aux_model(args.aux_vocab, args.aux_emb, target_vocab)
-    elif args.method == "focus":
-        aux = load_word_vectors(args.word_vecs, target_vocab)
+    if load_aux is not None:
+        aux = load_aux([_flag_value(args, flag) for flag in aux_flags], target_vocab)
 
-    cfg = initializers.InitConfig(
-        method=args.method,
-        seed=args.seed,
-        sparsemax_temperature=args.temperature,
-        min_group_size=args.min_group_size,
-        missing_aux_policy=args.missing_aux_policy,
-        clp_raw_weights=args.clp_raw_weights,
-        overlap_canon=args.canon,
-    )
     bundle, report = initializers.init_target_bundle(source, target_vocab, cfg, aux=aux)
-    save_matrix(bundle.input_emb, args.out_emb)
+    outputs = [(args.out_emb, partial(save_matrix, bundle.input_emb))]
     if bundle.output_emb is not None:
-        save_matrix(bundle.output_emb, args.out_out_emb)
+        outputs.append((args.out_out_emb, partial(save_matrix, bundle.output_emb)))
     if args.report:
-        emit_report(report, args.report)
+        outputs.append((args.report, partial(_write_json, report.to_dict())))
+    _write_all(outputs)
     if args.verbose:
         print(
             f"initialized {len(target_vocab)} rows: {report.copied} copied, "
@@ -287,13 +337,10 @@ def _cmd_analyze(args) -> int:
         source_spec,
         target_spec,
         corpus,
-        corpus_id=args.corpus,
+        corpus_id=os.path.basename(args.corpus),
         include_per_sample=args.per_sample,
     )
-    if args.out:
-        emit_report(report, args.out)
-    else:
-        _print_json(report.to_dict(), None)
+    emit_report(report, args.out)
     if args.verbose:
         print(
             f"{report.n_samples} samples: {report.avg_tokens_source:.3f} -> "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .embedding_store import _read_utf8, _split_lines
 from .errors import FormatError, ValidationError
@@ -39,15 +39,9 @@ class EfficiencyReport:
     per_sample: list[dict] | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "corpus_id": self.corpus_id,
-            "n_samples": self.n_samples,
-            "avg_tokens_source": self.avg_tokens_source,
-            "avg_tokens_target": self.avg_tokens_target,
-            "speedup_pct": self.speedup_pct,
-        }
-        if self.per_sample is not None:
-            d["per_sample"] = self.per_sample
+        d = asdict(self)
+        if self.per_sample is None:
+            del d["per_sample"]
         return d
 
 

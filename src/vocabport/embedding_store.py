@@ -318,7 +318,7 @@ def save_matrix(m: EmbeddingMatrix, path: str) -> None:
     data = np.ascontiguousarray(m.data, dtype="<f4")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(data.tobytes())
+        f.write(data)  # the array's own buffer: no payload-sized copy
 
 
 def validate_bundle(b: ModelBundle) -> list[str]:

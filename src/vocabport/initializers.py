@@ -28,7 +28,7 @@ the block size, on `--threads` or on the number of BLAS threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -70,7 +70,9 @@ class InitConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not 0 <= int(self.seed) < 2**64:
+        # int() in _token_rng would truncate a float, parse a str, take a bool.
+        seed_is_int = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
+        if not (seed_is_int and 0 <= self.seed < 2**64):
             raise ValidationError("seed must be an unsigned 64-bit integer")
         if not self.sparsemax_temperature > 0:
             raise ValidationError("sparsemax temperature must be > 0")
@@ -113,16 +115,7 @@ class InitReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "copied": self.copied,
-            "similarity_initialized": self.similarity_initialized,
-            "group_sampled": self.group_sampled,
-            "random_fallback": self.random_fallback,
-            "zero_norm_queries": self.zero_norm_queries,
-            "uniform_fallbacks": self.uniform_fallbacks,
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
 
 def _token_rng(seed: int, target_id: int) -> np.random.Generator:
@@ -250,10 +243,10 @@ def _sparsemax_weights(sims: np.ndarray, cfg: InitConfig) -> tuple[np.ndarray, .
     return weights, np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
 
 
-# Similarity methods: the auxiliary-vector kind each needs, and its rule
-# turning a (rows, support) block of cosines into (weights, convex,
-# uniform): the weights, and per row whether they are convex and whether
-# they fell back to uniform.
+# Similarity methods: the auxiliary-vector kind each needs (the only record
+# of it; the CLI picks aux flags by it), and its rule turning a (rows,
+# support) block of cosines into (weights, convex, uniform): the weights,
+# and per row whether they are convex and whether they fell back to uniform.
 _SIMILARITY_METHODS = {
     "clp": (AUX_MODEL, _clp_weights),
     "focus": (WORD_VECTORS, _sparsemax_weights),
@@ -439,19 +432,14 @@ def init_target_bundle(
     get an output matrix built with the same per-token decisions. The
     method functions validate the source bundle and the auxiliary vectors.
     """
-    method = cfg.method
-    if method == "random":
+    if cfg.method == "random":
         bundle, report = init_random(source, target_vocab, cfg)
     else:
         overlap = compute_overlap(source.vocab, target_vocab, cfg.overlap_canon)
-        if method == "heuristics":
+        if cfg.method == "heuristics":
             bundle, report = init_heuristics(source, target_vocab, overlap, cfg)
-        elif method == "clp":
-            bundle, report = init_clp(source, target_vocab, overlap, aux, cfg)
-        elif method == "focus":
-            bundle, report = init_focus(source, target_vocab, overlap, aux, cfg)
         else:
-            bundle, report = init_clp_plus(source, target_vocab, overlap, aux, cfg)
+            bundle, report = _similarity_init(cfg.method, source, target_vocab, overlap, aux, cfg)
     if report.counter_total() != len(target_vocab):
         raise VocabportError(
             f"internal error: report counters cover {report.counter_total()} of "

@@ -87,24 +87,6 @@ class ScriptGroup:
         return f"{self.script}/{self.position}"
 
 
-@dataclass(frozen=True)
-class TokenConventions:
-    """How to read token strings before classification.
-
-    With `byte_level` set, tokens made entirely of byte-alphabet symbols
-    are decoded through the byte-to-unicode table first (GPT-2-style
-    vocabularies store bytes, not characters); tokens containing other
-    characters are classified as-is, so SentencePiece-style vocabularies
-    work under the same setting.
-    """
-
-    markers: tuple[str, ...] = WORD_MARKERS
-    byte_level: bool = True
-
-
-DEFAULT_CONVENTIONS = TokenConventions()
-
-
 @dataclass
 class GroupStats:
     """Per-coordinate population mean/std over a group's embedding rows."""
@@ -125,7 +107,8 @@ def _script_of(codepoint: int) -> str:
 
 
 def _decode_if_byte_level(token: str) -> str | None:
-    # None means the token is byte-alphabet data that is not valid UTF-8.
+    # GPT-2-style tokens (byte-alphabet symbols only) decode to text; others
+    # are read as they are. None means byte data that is not valid UTF-8.
     if not all(c in UNICODE_TO_BYTE for c in token):
         return token
     try:
@@ -134,24 +117,20 @@ def _decode_if_byte_level(token: str) -> str | None:
         return None
 
 
-def classify_token(
-    token: str, conventions: TokenConventions = DEFAULT_CONVENTIONS
-) -> ScriptGroup:
+def classify_token(token: str) -> ScriptGroup:
     """Assign a (script, position) group; total and deterministic.
 
     A leading word-boundary marker sets position=word-initial and is
-    stripped before the script vote.
+    stripped before the script vote; byte-level tokens are decoded first.
     """
     position = WORD_INTERNAL
-    if token[:1] in conventions.markers:
+    if token[:1] in WORD_MARKERS:
         position = WORD_INITIAL
         token = token[1:]
-    if conventions.byte_level:
-        decoded = _decode_if_byte_level(token)
-        if decoded is None:
-            return ScriptGroup("Unknown", position)
-        token = decoded
-    votes = Counter(_script_of(ord(c)) for c in token if c.isalpha())
+    text = _decode_if_byte_level(token)
+    if text is None:
+        return ScriptGroup("Unknown", position)
+    votes = Counter(_script_of(ord(c)) for c in text if c.isalpha())
     if not votes:
         return ScriptGroup("Unknown", position)
     ranked = votes.most_common()
@@ -160,13 +139,11 @@ def classify_token(
     return ScriptGroup(ranked[0][0], position)
 
 
-def group_members(
-    vocab: Vocabulary, conventions: TokenConventions = DEFAULT_CONVENTIONS
-) -> dict[ScriptGroup, np.ndarray]:
+def group_members(vocab: Vocabulary) -> dict[ScriptGroup, np.ndarray]:
     """The token ids of each group, ascending; groups in order of first member."""
     members: dict[ScriptGroup, list[int]] = {}
     for tid, token in enumerate(vocab.tokens):
-        members.setdefault(classify_token(token, conventions), []).append(tid)
+        members.setdefault(classify_token(token), []).append(tid)
     return {group: np.array(ids, dtype=np.int64) for group, ids in members.items()}
 
 
@@ -181,14 +158,10 @@ def member_statistics(
     return stats
 
 
-def group_statistics(
-    vocab: Vocabulary,
-    emb: EmbeddingMatrix,
-    conventions: TokenConventions = DEFAULT_CONVENTIONS,
-) -> dict[ScriptGroup, GroupStats]:
+def group_statistics(vocab: Vocabulary, emb: EmbeddingMatrix) -> dict[ScriptGroup, GroupStats]:
     """Population mean/std per group over the matrix rows of its members."""
     if emb.rows != len(vocab):
         raise ValidationError(
             f"matrix has {emb.rows} rows for {len(vocab)} tokens"
         )
-    return member_statistics(emb, group_members(vocab, conventions))
+    return member_statistics(emb, group_members(vocab))

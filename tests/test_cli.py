@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import G, build_instance
 
+from vocabport import cli
 from vocabport.cli import emit_report, run
 from vocabport.efficiency import EfficiencyReport
 from vocabport.embedding_store import EmbeddingMatrix, load_matrix, save_matrix
@@ -83,20 +85,56 @@ class TestTokenizeCommand:
 
 
 class TestInitCommand:
-    def test_missing_aux_flag_is_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "method,missing",
+        [("clp", "--aux-vocab"), ("clp-plus", "--aux-emb"), ("focus", "--word-vecs")],
+        ids=["clp", "clp-plus", "focus"],
+    )
+    def test_missing_aux_flag_is_exit_1(self, tmp_path, capsys, method, missing):
         inst = build_instance(tmp_path, n_source=30, n_target=20, n_overlap=10, dim=4)
+        aux = {
+            "--aux-vocab": inst.aux_model_files[0],
+            "--aux-emb": inst.aux_model_files[1],
+            "--word-vecs": inst.word_vec_file,
+        }
+        del aux[missing]
+        argv = ["init", "--method", method,
+                "--source-vocab", inst.source_files["vocab"],
+                "--source-emb", inst.source_files["emb"],
+                "--source-out-emb", inst.source_files["out_emb"],
+                "--target-vocab", inst.target_vocab_file,
+                "--seed", "42",
+                "--out-emb", str(tmp_path / "o.vemb"),
+                "--out-out-emb", str(tmp_path / "oo.vemb")]
+        for flag, path in aux.items():
+            argv += [flag, path]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"vocabport: error: {missing} is required for --method {method}\n"
+
+    @pytest.mark.parametrize(
+        "option,message",
+        [(["--seed", "-1"], "seed must be an unsigned 64-bit integer"),
+         (["--temperature", "0"], "sparsemax temperature must be > 0"),
+         (["--min-group-size", "0"], "min group size must be >= 1")],
+        ids=["seed", "temperature", "min-group-size"],
+    )
+    def test_options_checked_before_inputs_load(self, tmp_path, capsys, option, message):
+        inst = build_instance(tmp_path, n_source=10, n_target=8, n_overlap=4, dim=4, untied=False)
+        bad_emb = tmp_path / "bad.vemb"
+        bad_emb.write_bytes(b"NOPE" + bytes(24))
+        out = tmp_path / "o.vemb"
         code = run(
-            ["init", "--method", "clp",
+            ["init", "--method", "heuristics",
              "--source-vocab", inst.source_files["vocab"],
-             "--source-emb", inst.source_files["emb"],
-             "--source-out-emb", inst.source_files["out_emb"],
+             "--source-emb", str(bad_emb),
              "--target-vocab", inst.target_vocab_file,
-             "--seed", "42",
-             "--out-emb", str(tmp_path / "o.vemb"),
-             "--out-out-emb", str(tmp_path / "oo.vemb")]
+             "--seed", "1",
+             "--out-emb", str(out)] + option
         )
         assert code == 1
-        assert "--aux-vocab" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"vocabport: error: {message}\n"
+        assert not out.exists()
 
     def test_full_run_writes_outputs(self, tmp_path):
         inst = build_instance(tmp_path, n_source=40, n_target=30, n_overlap=15, dim=4)
@@ -119,6 +157,7 @@ class TestInitCommand:
         m = load_matrix(str(out))
         assert (m.rows, m.cols) == (30, 4)
         payload = json.loads(report.read_text())
+        assert set(payload) == {f.name for f in fields(InitReport)}
         assert payload["copied"] == 15
         counters = (
             payload["copied"] + payload["similarity_initialized"]
@@ -273,6 +312,79 @@ class TestOutputCollisions:
         assert "input file not found" in capsys.readouterr().err
 
 
+def _half_written(obj, path):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("{")
+    raise OSError("No space left on device")
+
+
+class TestOutputSets:
+    """Outputs go to temp files beside their targets and replace them only
+    once every output of the run has been written."""
+
+    @staticmethod
+    def _init_argv(inst, tmp_path):
+        return ["init", "--method", "heuristics",
+                "--source-vocab", inst.source_files["vocab"],
+                "--source-emb", inst.source_files["emb"],
+                "--source-out-emb", inst.source_files["out_emb"],
+                "--target-vocab", inst.target_vocab_file,
+                "--seed", "901",
+                "--out-emb", str(tmp_path / "o.vemb"),
+                "--out-out-emb", str(tmp_path / "oo.vemb"),
+                "--report", str(tmp_path / "r.json")]
+
+    @pytest.mark.parametrize("earlier_exists", [False, True])
+    def test_failed_report_write_leaves_no_partial_set(
+        self, tmp_path, capsys, monkeypatch, earlier_exists
+    ):
+        inst = build_instance(tmp_path, n_source=10, n_target=8, n_overlap=4, dim=4)
+        out = tmp_path / "o.vemb"
+        if earlier_exists:
+            out.write_bytes(b"previous run")
+        before = sorted(os.listdir(tmp_path))
+        monkeypatch.setattr(cli, "_write_json", _half_written)
+        assert run(self._init_argv(inst, tmp_path)) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before  # no temp file, no new output
+        if earlier_exists:
+            assert out.read_bytes() == b"previous run"
+
+    def test_failed_overlap_write_keeps_the_old_report(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "s.txt"
+        src.write_text("a\nb\n")
+        out = tmp_path / "o.json"
+        out.write_text("{}\n")
+        monkeypatch.setattr(cli, "_write_json", _half_written)
+        assert run(["overlap", "--source-vocab", str(src), "--target-vocab", str(src),
+                    "--out", str(out)]) == 2
+        assert sorted(os.listdir(tmp_path)) == ["o.json", "s.txt"]
+        assert out.read_text() == "{}\n"
+
+    def test_symlinked_output_updates_its_target(self, tmp_path):
+        inst = build_instance(tmp_path, n_source=10, n_target=8, n_overlap=4, dim=4)
+        argv = self._init_argv(inst, tmp_path)
+        assert run(argv) == 0
+        expected = (tmp_path / "o.vemb").read_bytes()
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "o.vemb").write_bytes(b"stale")
+        (tmp_path / "o.vemb").unlink()
+        (tmp_path / "o.vemb").symlink_to(store / "o.vemb")
+        assert run(argv) == 0
+        assert (tmp_path / "o.vemb").is_symlink()
+        assert (store / "o.vemb").read_bytes() == expected
+        assert sorted(os.listdir(store)) == ["o.vemb"]
+
+    def test_new_output_has_the_default_file_mode(self, tmp_path):
+        inst = build_instance(tmp_path, n_source=10, n_target=8, n_overlap=4, dim=4)
+        assert run(self._init_argv(inst, tmp_path)) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        for name in ("o.vemb", "oo.vemb", "r.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 _COSINE_DIGEST = """
 import hashlib, sys
 from vocabport.embedding_store import EmbeddingMatrix, load_matrix, save_matrix
@@ -346,6 +458,7 @@ class TestAnalyzeCommand:
         )
         assert code == 0
         payload = json.loads(out.read_text())
+        assert set(payload) == {f.name for f in fields(EfficiencyReport)} - {"per_sample"}
         assert payload["n_samples"] == 2
         assert payload["avg_tokens_source"] == 5.0  # 3 and 7 chars
         assert payload["avg_tokens_target"] == 2.0  # [abc] and [abc][Ġ, abc]
@@ -371,6 +484,25 @@ class TestAnalyzeCommand:
         assert run(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_report_does_not_depend_on_corpus_directory(self, tmp_path):
+        src_vocab, src_merges = _write_char_bpe(tmp_path, "src")
+        tgt_vocab, tgt_merges = _write_tiny_bpe(tmp_path)
+        reports = []
+        for where in ("a", "b/c"):
+            corpus = tmp_path / where / "corpus.txt"
+            corpus.parent.mkdir(parents=True)
+            corpus.write_text("abc\nabc abc\n")
+            out = tmp_path / where / "r.json"
+            assert run(
+                ["analyze",
+                 "--source-vocab", src_vocab, "--source-merges", src_merges,
+                 "--target-vocab", tgt_vocab, "--target-merges", tgt_merges,
+                 "--corpus", str(corpus), "--out", str(out)]
+            ) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["corpus_id"] == "corpus.txt"
+
     def test_jsonl_corpus(self, tmp_path):
         src_vocab, src_merges = _write_char_bpe(tmp_path, "src")
         corpus = tmp_path / "c.jsonl"
@@ -385,6 +517,7 @@ class TestAnalyzeCommand:
         )
         assert code == 0
         payload = json.loads(out.read_text())
+        assert set(payload) == {f.name for f in fields(EfficiencyReport)}
         assert payload["speedup_pct"] == 0.0
         assert payload["per_sample"][0] == {"id": "s1", "tokens_source": 2, "tokens_target": 2}
 

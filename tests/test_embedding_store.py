@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,19 @@ class TestVembRoundTrip:
         p = tmp_path_factory.mktemp("rt") / "m.vemb"
         save_matrix(m, str(p))
         assert load_matrix(str(p)).data.tobytes() == m.data.tobytes()
+
+    def test_save_makes_no_payload_copy(self, tmp_path):
+        # numpy reports its allocations to tracemalloc; a 4 MB payload
+        # written from the array's own buffer allocates far less than that.
+        m = EmbeddingMatrix(np.ones((1000, 1000), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            save_matrix(m, str(tmp_path / "m.vemb"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert load_matrix(str(tmp_path / "m.vemb")) == m
 
     def test_unwritable_path(self, tmp_path):
         m = EmbeddingMatrix(np.zeros((1, 1), dtype=np.float32))

@@ -1,13 +1,17 @@
-"""Static checks on the package source: no unused imports, no dead private names.
+"""Static checks on the package source: no unused imports, no dead private
+names, method names spelled only where the methods are defined.
 
-Deleting code tends to leave an import or a `_helper` behind; these checks
-read the modules with `ast` and fail on such leftovers.
+Deleting code tends to leave an import or a `_helper` behind, and a method
+name written out in another module is a second record of which methods
+exist; these checks read the modules with `ast` and fail on such leftovers.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from vocabport.initializers import METHODS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vocabport"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -59,6 +63,14 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return unused
 
 
+def _method_literals(tree: ast.AST) -> list[str]:
+    return [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in METHODS
+    ]
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
@@ -79,6 +91,16 @@ def test_every_private_definition_is_used():
     assert not dead, f"private names referenced nowhere in the package: {dead}"
 
 
+def test_method_names_only_in_initializers():
+    found = {
+        path.name: _method_literals(_tree(path))
+        for path in MODULES
+        if path.name != "initializers.py"
+    }
+    found = {name: lines for name, lines in found.items() if lines}
+    assert not found, f"method names written outside initializers.py: {found}"
+
+
 def test_checks_catch_leftovers():
     tree = ast.parse(
         "from __future__ import annotations\nimport os.path\nfrom .x import y, z as w\n\n"
@@ -88,3 +110,5 @@ def test_checks_catch_leftovers():
     assert _private_definitions(tree) == ["_dead", "_LIVE", "_ALSO_DEAD"]
     used = _loaded_names(tree)
     assert "_LIVE" in used and "_dead" not in used and "_ALSO_DEAD" not in used
+    tree = ast.parse('if args.method in ("clp", "clp-plus"):\n    x = f"{y}focus"\nz = "clp+"\n')
+    assert _method_literals(tree) == ["line 1: 'clp'", "line 1: 'clp-plus'", "line 2: 'focus'"]

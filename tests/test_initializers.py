@@ -689,6 +689,14 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             InitConfig(method="random", seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, "7", True], ids=["float", "str", "bool"])
+    def test_non_integer_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an unsigned 64-bit integer"):
+            InitConfig(method="random", seed=seed)
+
+    def test_numpy_integer_seed(self):
+        assert InitConfig(method="random", seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
     def test_bad_policy(self):
         with pytest.raises(ValidationError):
             InitConfig(method="clp", seed=1, missing_aux_policy="explode")

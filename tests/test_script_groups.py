@@ -7,7 +7,6 @@ from vocabport.embedding_store import EmbeddingMatrix, Vocabulary
 from vocabport.errors import ValidationError
 from vocabport.script_groups import (
     ScriptGroup,
-    TokenConventions,
     classify_token,
     group_members,
     group_statistics,
@@ -57,12 +56,6 @@ def test_mixed_script_tie_is_unknown():
 
 def test_majority_vote():
     assert classify_token("abд").script == "Latin"
-
-
-def test_byte_level_can_be_disabled():
-    conv = TokenConventions(byte_level=False)
-    token = map_bytes("の")  # mojibake-looking Latin-1 chars
-    assert classify_token(token, conv).script == "Latin"
 
 
 @given(st.text(max_size=8))
