@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -18,8 +19,7 @@ from .embedding_store import (
     EmbeddingMatrix,
     Vocabulary,
     _check_dims,
-    _read_utf8,
-    _split_lines,
+    _utf8_lines,
     load_matrix,
     load_vocab,
     sniff_vocab_format,
@@ -57,7 +57,7 @@ class AuxEmbeddings:
 
 
 def _align(
-    target: Vocabulary, lookup: dict[str, int], marker_fallback: bool
+    target: Vocabulary, lookup: Mapping[str, int | None], marker_fallback: bool
 ) -> tuple[dict[int, int], set[int]]:
     alignment: dict[int, int] = {}
     missing: set[int] = set()
@@ -97,57 +97,73 @@ def load_word_vectors(
 
     Lookup uses the raw token string; with `marker_fallback` a token that
     misses is retried with its leading word-boundary marker stripped.
-    Duplicate tokens keep the first occurrence (with a warning); a line
-    whose value count disagrees with the header dimension is an error. One
-    trailing space per line is allowed, since fastText writes one after
-    every value.
-    """
-    lines = _split_lines(_read_utf8(path))
-    if not lines:
-        raise FormatError(f"{path}: empty word-vector file")
-    header = lines[0].split(" ")
-    if len(header) != 2:
-        raise FormatError(f"{path}:1: expected header 'count dim'")
-    try:
-        declared_count, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise FormatError(f"{path}:1: header fields must be integers") from None
-    if dim <= 0:
-        raise FormatError(f"{path}:1: dimension must be positive")
-    _check_dims(f"{path}:1", dim)
 
-    lookup: dict[str, int] = {}
-    vectors: list[np.ndarray] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(" ")
-        if fields[-1] == "":
-            fields.pop()
-        if len(fields) != dim + 1:
-            raise FormatError(
-                f"{path}:{lineno}: {len(fields) - 1} values, header declares dim {dim}"
-            )
-        token = fields[0]
+    The file is read one line at a time and every line is checked, in file
+    order: its UTF-8, its value count against the header dimension (one
+    trailing space is allowed, since fastText writes one after every
+    value), that each value is a number and finite as float32, and whether
+    its token repeats (the first occurrence is kept, with a warning). Only
+    the vectors of tokens the target can use are kept, so `matrix` has one
+    row per such token, not one per line.
+    """
+    usable = target.index
+    if marker_fallback:
+        usable = set(usable).union(t[1:] for t in target.tokens if t[:1] in WORD_MARKERS)
+    # Every token read -> its row in `kept`, or None if the target cannot use it.
+    lookup: dict[str, int | None] = {}
+    kept: list[np.ndarray] = []
+    with open(path, "rb") as f, np.errstate(over="ignore"):
+        lines = _utf8_lines(f, path)
+        header = next(lines, None)
+        if header is None:
+            raise FormatError(f"{path}: empty word-vector file")
+        fields = header.split(" ")
+        if len(fields) != 2:
+            raise FormatError(f"{path}:1: expected header 'count dim'")
         try:
-            vec = np.array([float(v) for v in fields[1:]], dtype=np.float32)
+            declared_count, dim = int(fields[0]), int(fields[1])
         except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-numeric vector value") from None
-        if token in lookup:
-            warnings.warn(
-                f"{path}:{lineno}: duplicate token {token!r}; keeping the first",
-                RuntimeWarning,
-            )
-            continue
-        lookup[token] = len(vectors)
-        vectors.append(vec)
-    if declared_count != len(vectors):
+            raise FormatError(f"{path}:1: header fields must be integers") from None
+        if dim <= 0:
+            raise FormatError(f"{path}:1: dimension must be positive")
+        _check_dims(f"{path}:1", dim)
+
+        for lineno, line in enumerate(lines, start=2):
+            if not line:
+                continue
+            fields = line.split(" ")
+            if fields[-1] == "":
+                fields.pop()
+            if len(fields) != dim + 1:
+                raise FormatError(
+                    f"{path}:{lineno}: {len(fields) - 1} values, header declares dim {dim}"
+                )
+            token = fields[0]
+            try:
+                # Values beyond float32 range become inf here (overflow
+                # warnings are off) and fail the check below.
+                vec = np.fromiter(map(float, fields[1:]), dtype=np.float32, count=dim)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: non-numeric vector value") from None
+            if not np.isfinite(vec).all():
+                raise FormatError(f"{path}:{lineno}: non-finite vector value")
+            if token in lookup:
+                warnings.warn(
+                    f"{path}:{lineno}: duplicate token {token!r}; keeping the first",
+                    RuntimeWarning,
+                )
+            elif token in usable:
+                lookup[token] = len(kept)
+                kept.append(vec)
+            else:
+                lookup[token] = None
+    if declared_count != len(lookup):
         warnings.warn(
-            f"{path}: header declares {declared_count} vectors, file has {len(vectors)}",
+            f"{path}: header declares {declared_count} vectors, file has {len(lookup)}",
             RuntimeWarning,
         )
     matrix = EmbeddingMatrix(
-        np.vstack(vectors) if vectors else np.empty((0, dim), dtype=np.float32)
+        np.vstack(kept) if kept else np.empty((0, dim), dtype=np.float32)
     )
     alignment, missing = _align(target, lookup, marker_fallback)
     return AuxEmbeddings(

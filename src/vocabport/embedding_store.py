@@ -29,7 +29,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +43,8 @@ _VEMB_HEADER = struct.Struct("<4sIQQI")
 VOCAB_FORMATS = ("json-map", "line-per-token", "tsv-scored")
 # Largest dimension numpy can give a float32 array, even an empty one.
 _MAX_DIM = np.iinfo(np.intp).max // 4
+# Rows per step of the finiteness scan; bounds its rows x cols bool temporary.
+_SCAN_ROWS = 1024
 
 
 class Vocabulary:
@@ -130,11 +132,15 @@ def _first_repeat(items: Sequence) -> tuple[int, int]:
 
 
 def _first_nonfinite(arr: np.ndarray) -> tuple[int, int] | None:
-    finite = np.isfinite(arr)
-    if finite.all():
+    """(row, col) of the first NaN or infinity in row-major order, or None."""
+    if arr.size == 0:  # a header may declare 2**40 rows of 0 columns
         return None
-    flat = int(np.argmin(finite))
-    return flat // arr.shape[1], flat % arr.shape[1]
+    for start in range(0, arr.shape[0], _SCAN_ROWS):
+        finite = np.isfinite(arr[start : start + _SCAN_ROWS])
+        if not finite.all():
+            flat = int(np.argmin(finite))
+            return start + flat // arr.shape[1], flat % arr.shape[1]
+    return None
 
 
 def _read_utf8(path: str) -> str:
@@ -159,6 +165,24 @@ def _split_lines(text: str) -> list[str]:
     if "\r" in text:
         lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     return lines
+
+
+def _utf8_lines(f, path: str) -> Iterator[str]:
+    """The lines of an open binary file, decoded one at a time.
+
+    The rules of _split_lines and _read_utf8, without holding the file:
+    lines end at b"\n" only, one "\r" before the break is dropped, and
+    invalid UTF-8 raises FormatError with its byte offset in the file.
+    """
+    offset = 0
+    for raw in f:
+        try:
+            yield raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(
+                f"{path}: invalid UTF-8 at byte offset {offset + e.start}"
+            ) from e
+        offset += len(raw)
 
 
 def _check_dims(where: str, *dims: int) -> None:

@@ -35,7 +35,14 @@ import numpy as np
 from .aux_vectors import AUX_MODEL, WORD_VECTORS, AuxEmbeddings
 from .embedding_store import EmbeddingMatrix, ModelBundle, Vocabulary, validate_bundle
 from .errors import ValidationError, VocabportError
-from .kernels import SupportCosines, WeightVector, convex_combine, sparsemax, weighted_sum
+from .kernels import (
+    SupportCosines,
+    WeightVector,
+    convex_combine,
+    mean_std,
+    sparsemax,
+    weighted_sum,
+)
 from .overlap import CANON_MODES, OverlapMap, compute_overlap
 from .script_groups import classify_token, group_members, member_statistics
 
@@ -125,10 +132,12 @@ def _token_rng(seed: int, target_id: int) -> np.random.Generator:
 
 
 def _element_stats(m: EmbeddingMatrix) -> tuple[float, float]:
+    """Float64 (mean, std) over every element, summed in kernels.mean_std's
+    fixed order of row blocks; no temporary exceeds one block."""
     if m.data.size == 0:
         raise ValidationError("source matrix has no elements to estimate statistics from")
-    a = m.data.astype(np.float64)
-    return float(a.mean()), float(a.std())
+    mean, std = mean_std(m.data)
+    return float(mean), float(std)
 
 
 def _check_source(source: ModelBundle) -> None:
@@ -178,8 +187,6 @@ class _TargetRows:
         self.target_vocab = target_vocab
         self.seed = cfg.seed
         self.sources = [m for m in (source.input_emb, source.output_emb) if m is not None]
-        # Element statistics first: their whole-matrix float64 temporaries
-        # set the call's peak memory, so nothing else should be resident yet.
         self.stats = [_element_stats(m) for m in self.sources]
         self.outs = [np.empty((n, m.cols), dtype=np.float32) for m in self.sources]
         self.report = InitReport(method=method)

@@ -24,6 +24,9 @@ from .errors import ValidationError
 CONVEX_TOL = 1e-6
 # Rows convex_combine gathers per step; bounds its float64 temporary.
 _COMBINE_ROWS = 1024
+# Rows mean_std upcasts per step. It bounds the float64 temporary and fixes
+# the summation order, so the statistics do not depend on the machine.
+_STAT_ROWS = 1024
 
 
 def cosine_similarity(a, b) -> float:
@@ -43,6 +46,42 @@ def cosine_similarity(a, b) -> float:
         warnings.warn("zero-norm vector in cosine_similarity; returning 0.0", RuntimeWarning)
         return 0.0
     return float(np.clip(va.dot(vb) / (na * nb), -1.0, 1.0))
+
+
+def mean_std(
+    data: np.ndarray, ids: np.ndarray | None = None, axis: int | None = None
+) -> tuple:
+    """Float64 population mean and std of the rows of a 2-D array.
+
+    Takes all rows, or the rows `ids` in that order; axis=None gives one
+    mean/std over every element, axis=0 one per column. The rows are read
+    in consecutive blocks of _STAT_ROWS, each upcast into one reused
+    float64 buffer: a first pass adds the block sums for the mean, a
+    second adds the blocks' squared deviations from it. Block by block, in
+    row order, is the only summation order, so the result depends on the
+    data alone, and the temporaries (the buffer, plus the float32 gather
+    of one block of `ids`) on the block size alone.
+    """
+    n = data.shape[0] if ids is None else len(ids)
+    count = n * data.shape[1] if axis is None else n
+    buf = np.empty((min(n, _STAT_ROWS), data.shape[1]))
+
+    def blocks():
+        for start in range(0, max(n, 1), _STAT_ROWS):  # no rows: one empty block, nan stats
+            part = slice(start, start + _STAT_ROWS)
+            rows = data[part] if ids is None else data[ids[part]]
+            block = buf[: len(rows)]
+            np.copyto(block, rows)
+            yield block
+
+    total = sum(block.sum(axis=axis) for block in blocks())
+    mean = total / count
+    squares = 0.0
+    for block in blocks():
+        block -= mean
+        block *= block
+        squares += block.sum(axis=axis)
+    return mean, np.sqrt(squares / count)
 
 
 def sparsemax(z) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .embedding_store import EmbeddingMatrix, Vocabulary
 from .errors import ValidationError
+from .kernels import mean_std
 from .overlap import WORD_MARKERS
 from .tokenizers import UNICODE_TO_BYTE
 
@@ -150,11 +151,16 @@ def group_members(vocab: Vocabulary) -> dict[ScriptGroup, np.ndarray]:
 def member_statistics(
     emb: EmbeddingMatrix, members: dict[ScriptGroup, np.ndarray]
 ) -> dict[ScriptGroup, GroupStats]:
-    """Population mean/std per group over the matrix rows of its member ids."""
+    """Population mean/std per group over the matrix rows of its member ids.
+
+    Each group's ids are gathered and upcast one block at a time, in
+    kernels.mean_std's fixed order, so a group holding most of the
+    vocabulary needs no float64 copy of all its rows.
+    """
     stats: dict[ScriptGroup, GroupStats] = {}
     for group, ids in members.items():
-        rows = emb.data[ids].astype(np.float64)
-        stats[group] = GroupStats(group, len(ids), rows.mean(axis=0), rows.std(axis=0))
+        mean, std = mean_std(emb.data, ids, axis=0)
+        stats[group] = GroupStats(group, len(ids), mean, std)
     return stats
 
 

@@ -3,18 +3,30 @@
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from vocabport.aux_vectors import load_aux_model, load_word_vectors
+from vocabport.aux_vectors import (
+    WORD_VECTORS,
+    AuxEmbeddings,
+    _align,
+    load_aux_model,
+    load_word_vectors,
+)
 from vocabport.embedding_store import (
     EmbeddingMatrix,
     ModelBundle,
     Vocabulary,
+    _check_dims,
+    _read_utf8,
+    _split_lines,
     save_matrix,
 )
+from vocabport.errors import FormatError
+from vocabport.script_groups import GroupStats
 from vocabport.tokenizers import BYTE_TO_UNICODE, BpeSpec, UnigramSpec
 
 G = BYTE_TO_UNICODE[ord(" ")]  # "Ġ"
@@ -129,6 +141,69 @@ def viterbi_full_window_oracle(spec, s):
         i, tid = step[i]
         ids.append(tid)
     return ids
+
+
+def member_statistics_oracle(emb, members):
+    """Per-group statistics from one float64 copy of all the group's rows."""
+    stats = {}
+    for group, ids in members.items():
+        rows = emb.data[ids].astype(np.float64)
+        stats[group] = GroupStats(group, len(ids), rows.mean(axis=0), rows.std(axis=0))
+    return stats
+
+
+def load_word_vectors_oracle(path, target, marker_fallback=False):
+    """The whole-file word-vector loader: decode the file, split it into
+    lines, parse and keep every vector, then align."""
+    lines = _split_lines(_read_utf8(path))
+    if not lines:
+        raise FormatError(f"{path}: empty word-vector file")
+    header = lines[0].split(" ")
+    if len(header) != 2:
+        raise FormatError(f"{path}:1: expected header 'count dim'")
+    try:
+        declared_count, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise FormatError(f"{path}:1: header fields must be integers") from None
+    if dim <= 0:
+        raise FormatError(f"{path}:1: dimension must be positive")
+    _check_dims(f"{path}:1", dim)
+
+    lookup = {}
+    vectors = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(" ")
+        if fields[-1] == "":
+            fields.pop()
+        if len(fields) != dim + 1:
+            raise FormatError(
+                f"{path}:{lineno}: {len(fields) - 1} values, header declares dim {dim}"
+            )
+        token = fields[0]
+        try:
+            vec = np.array([float(v) for v in fields[1:]], dtype=np.float32)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-numeric vector value") from None
+        if token in lookup:
+            warnings.warn(
+                f"{path}:{lineno}: duplicate token {token!r}; keeping the first",
+                RuntimeWarning,
+            )
+            continue
+        lookup[token] = len(vectors)
+        vectors.append(vec)
+    if declared_count != len(vectors):
+        warnings.warn(
+            f"{path}: header declares {declared_count} vectors, file has {len(vectors)}",
+            RuntimeWarning,
+        )
+    matrix = EmbeddingMatrix(
+        np.vstack(vectors) if vectors else np.empty((0, dim), dtype=np.float32)
+    )
+    alignment, missing = _align(target, lookup, marker_fallback)
+    return AuxEmbeddings(WORD_VECTORS, alignment, matrix, missing)
 
 
 def unigram_score(spec, ids):

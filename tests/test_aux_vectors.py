@@ -1,9 +1,15 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from conftest import load_word_vectors_oracle
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vocabport.aux_vectors import aux_row, load_aux_model, load_word_vectors
 from vocabport.embedding_store import EmbeddingMatrix, Vocabulary, save_matrix
-from vocabport.errors import FormatError, ValidationError
+from vocabport.errors import FormatError, ValidationError, VocabportError
 
 
 def _write_aux(tmp_path, tokens, matrix):
@@ -133,6 +139,129 @@ class TestWordVectors:
         assert one.missing == two.missing
         for tid in range(len(target)):
             np.testing.assert_array_equal(one.row(tid), two.row(tid))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e39"])
+    @pytest.mark.parametrize("target", [["a", "b"], ["a", "c"]], ids=["aligned", "unaligned"])
+    def test_non_finite_value_is_located(self, tmp_path, value, target):
+        # 1e39 is finite as a float64 but overflows float32.
+        p = tmp_path / "w.vec"
+        p.write_text(f"3 2\na 1 2\nb 0 {value}\nc 3 4\n")
+        with pytest.raises(FormatError, match=r"^.*w\.vec:3: non-finite vector value$"):
+            load_word_vectors(str(p), Vocabulary(target))
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        # A bad value count on line 2 is reported before the invalid UTF-8
+        # on line 3; the whole-file loader decoded first and reported the
+        # bytes.
+        p = tmp_path / "w.vec"
+        p.write_bytes(b"2 2\na 1\nb\xff 1 2\n")
+        with pytest.raises(FormatError, match=r"w\.vec:2: 1 values, header declares dim 2"):
+            load_word_vectors(str(p), Vocabulary(["a"]))
+        with pytest.raises(FormatError, match=r"w\.vec: invalid UTF-8 at byte offset 9"):
+            load_word_vectors_oracle(str(p), Vocabulary(["a"]))
+        p.write_bytes(b"2 2\na 1 1\nb\xff 1 2\nc 1\n")
+        with pytest.raises(FormatError, match=r"w\.vec: invalid UTF-8 at byte offset 11"):
+            load_word_vectors(str(p), Vocabulary(["a"]))
+
+    def test_keeps_only_usable_rows(self, tmp_path):
+        p = tmp_path / "w.vec"
+        p.write_text("4 1\nthe 1\nxyz 2\nĠof 3\nof 4\n")
+        target = Vocabulary(["Ġthe", "Ġof", "and"])
+        exact = load_word_vectors(str(p), target)
+        assert exact.matrix.rows == 1 and exact.missing == {0, 2}
+        retried = load_word_vectors(str(p), target, marker_fallback=True)
+        assert retried.matrix.rows == 3  # "the", and both spellings of "of"
+        assert [aux_row(retried, t).tolist() for t in range(2)] == [[1], [3]]
+        assert retried.missing == {2}
+
+
+# Word-vector files: mostly well-formed lines, whose tokens hold the
+# separators a .vec file may contain, with now and then a bad header, a
+# wrong value count, a bad value or one or two trailing spaces.
+_TOKENS = ["a", "b", "Ġa", "ab", "x\u2028y", "c\x85", "d\re", "é"]
+_VALUES = ["0", "1.5", "-2e-3", "7", "1_0"] * 8 + ["x", ""]
+_BAD_HEADERS = ["", "3", "3 x", "3  2", "2 0", "1 99999999999999999999"]
+
+
+@st.composite
+def _vec_lines(draw):
+    dim = draw(st.integers(1, 3))
+    lines = [draw(st.sampled_from([f"{n} {dim}" for n in range(6)] * 5 + _BAD_HEADERS))]
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.sampled_from([dim] * 16 + [dim - 1, dim + 1, -1, -1]))
+        if n < 0:
+            lines.append("")
+            continue
+        values = [draw(st.sampled_from(_VALUES)) for _ in range(n)]
+        tail = draw(st.sampled_from(["", "", "", "", " ", " ", "  "]))
+        lines.append(" ".join([draw(st.sampled_from(_TOKENS))] + values) + tail)
+    return lines
+
+
+_BAD_UTF8 = [b"\xff", b"\xe2\x80", b"\xed\xa0\x80", b"\x80"]
+
+
+def _outcome(load, path, target, fallback):
+    """(per-target-id rows, or the error's type and text; warning texts)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            aux = load(path, target, fallback)
+            result = [None if (r := aux.row(t)) is None else r.tolist() for t in range(len(target))]
+        except VocabportError as e:
+            result = (type(e), str(e))
+    return result, [str(w.message) for w in caught]
+
+
+class TestMatchesWholeFileLoader:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        text=_vec_lines(),
+        crlf=st.lists(st.booleans(), min_size=9, max_size=9),
+        final_newline=st.booleans(),
+        target=st.lists(
+            st.sampled_from(_TOKENS + ["Ġb", "Ġab", "zz"]), unique=True, min_size=1, max_size=8
+        ),
+        fallback=st.booleans(),
+        # Invalid UTF-8 in one file in four: (line index, byte offset, bytes).
+        bad=st.one_of(
+            st.none(), st.none(), st.none(),
+            st.tuples(st.integers(0, 8), st.integers(0, 40), st.sampled_from(_BAD_UTF8)),
+        ),
+    )
+    def test_same_rows_warnings_and_errors(
+        self, tmp_path, text, crlf, final_newline, target, fallback, bad
+    ):
+        lines = [(line + ("\r\n" if cr else "\n")).encode("utf-8") for line, cr in zip(text, crlf)]
+        if not final_newline:
+            lines[-1] = lines[-1].rstrip(b"\r\n")
+        bad_line = None
+        if bad is not None and bad[0] < len(lines):
+            bad_line, at, junk = bad
+            raw = lines[bad_line]
+            at = min(at, len(raw.rstrip(b"\r\n")))
+            lines[bad_line] = raw[:at] + junk + raw[at:]
+        path = str(tmp_path / "w.vec")
+        vocab = Vocabulary(target)
+        with open(path, "wb") as f:
+            f.write(b"".join(lines))
+        got = _outcome(load_word_vectors, path, vocab, fallback)
+        want = _outcome(load_word_vectors_oracle, path, vocab, fallback)
+        if bad_line:
+            # The stream meets the bad bytes only after the lines before
+            # them: a fault there comes first, otherwise the same UTF-8
+            # error, after the duplicate warnings those lines gave.
+            assert re.search(r"invalid UTF-8 at byte offset \d+$", want[0][1])
+            with open(path, "wb") as f:
+                f.write(b"".join(lines[:bad_line]))
+            before = _outcome(load_word_vectors_oracle, path, vocab, fallback)
+            if isinstance(before[0], tuple):
+                want = before
+            else:
+                want = (want[0], [w for w in before[1] if "duplicate" in w])
+        assert got == want
 
 
 class TestAuxRow:

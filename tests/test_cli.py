@@ -112,6 +112,30 @@ class TestInitCommand:
         err = capsys.readouterr().err
         assert err == f"vocabport: error: {missing} is required for --method {method}\n"
 
+    def test_non_finite_word_vector_is_exit_1(self, tmp_path, capsys):
+        # The token on the bad line is not in the target vocabulary.
+        inst = build_instance(tmp_path, n_source=30, n_target=20, n_overlap=10, dim=4)
+        vec = Path(inst.word_vec_file)
+        lines = vec.read_text().splitlines()
+        lines.append("unused " + " ".join(["1e39"] + ["0"] * 11))
+        vec.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.vemb"
+        code = run(
+            ["init", "--method", "focus",
+             "--source-vocab", inst.source_files["vocab"],
+             "--source-emb", inst.source_files["emb"],
+             "--source-out-emb", inst.source_files["out_emb"],
+             "--target-vocab", inst.target_vocab_file,
+             "--word-vecs", str(vec),
+             "--seed", "42",
+             "--out-emb", str(out),
+             "--out-out-emb", str(tmp_path / "oo.vemb")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{vec}:{len(lines)}: non-finite vector value" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "option,message",
         [(["--seed", "-1"], "seed must be an unsigned 64-bit integer"),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import sparsemax_oracle
 
+from vocabport import kernels
 from vocabport.embedding_store import EmbeddingMatrix
 from vocabport.errors import ValidationError
 from vocabport.kernels import (
@@ -12,6 +13,7 @@ from vocabport.kernels import (
     WeightVector,
     convex_combine,
     cosine_similarity,
+    mean_std,
     sparsemax,
 )
 
@@ -250,3 +252,42 @@ class TestConvexCombine:
         np.testing.assert_allclose(
             convex_combine(w, EmbeddingMatrix(rows)), expected, rtol=0, atol=1e-12
         )
+
+
+# One row, one row past a block, and a count that is not a multiple of it.
+ROW_COUNTS = pytest.mark.parametrize(
+    "rows",
+    [1, kernels._STAT_ROWS + 1, 3 * kernels._STAT_ROWS + 37],
+    ids=["one", "block+1", "ragged"],
+)
+
+
+class TestMeanStd:
+    """Block-wise statistics against numpy's mean()/std() of one float64 copy."""
+
+    @staticmethod
+    def _rel(got, want):
+        return np.max(np.abs(np.asarray(got) - want) / np.abs(want))
+
+    @ROW_COUNTS
+    def test_whole_matrix_matches_float64_oracle(self, rows):
+        data = np.random.default_rng(rows).normal(0.3, 1.7, (rows, 5)).astype(np.float32)
+        whole = data.astype(np.float64)
+        mean, std = mean_std(data)
+        assert np.ndim(mean) == 0 and np.ndim(std) == 0
+        assert self._rel(mean, whole.mean()) < 1e-12
+        assert self._rel(std, whole.std()) < 1e-12
+
+    @ROW_COUNTS
+    def test_row_subset_per_column_matches_float64_oracle(self, rows):
+        rng = np.random.default_rng(rows + 1)
+        data = rng.normal(-0.4, 0.8, (rows + 50, 6)).astype(np.float32)
+        ids = rng.permutation(rows + 50)[:rows]
+        chosen = data[ids].astype(np.float64)
+        mean, std = mean_std(data, ids, axis=0)
+        assert mean.shape == std.shape == (6,)
+        assert self._rel(mean, chosen.mean(axis=0)) < 1e-12
+        if rows > 1:
+            assert self._rel(std, chosen.std(axis=0)) < 1e-12
+        else:
+            assert not std.any()

@@ -1,0 +1,98 @@
+"""Peak memory bounds, measured with tracemalloc instead of timers.
+
+numpy reports its array allocations to tracemalloc, so the traced peak of
+a call is the most it held at once beyond what existed before the call.
+Block constants are set small, so a bound of a few blocks is far below
+one whole-matrix temporary.
+"""
+
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+from conftest import build_instance
+
+from vocabport import cli, embedding_store, kernels
+from vocabport.aux_vectors import load_word_vectors
+from vocabport.embedding_store import EmbeddingMatrix, Vocabulary, _first_nonfinite
+from vocabport.initializers import _element_stats
+from vocabport.script_groups import ScriptGroup, member_statistics
+
+BLOCK = 64
+ROWS, COLS = 4000, 256  # 4 MB of float32; one float64 block is 128 KB
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(kernels, "_STAT_ROWS", BLOCK)
+    monkeypatch.setattr(embedding_store, "_SCAN_ROWS", BLOCK)
+
+
+@pytest.fixture
+def matrix():
+    rng = np.random.default_rng(3)
+    return EmbeddingMatrix(rng.normal(0.1, 0.7, (ROWS, COLS)).astype(np.float32))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_element_stats_hold_one_block(small_blocks, matrix):
+    _, peak = _traced_peak(_element_stats, matrix)
+    assert peak < 4 * BLOCK * COLS * 8
+
+
+def test_group_of_every_row_is_gathered_by_blocks(small_blocks, matrix):
+    members = {ScriptGroup("Latin", "word-initial"): np.arange(ROWS)[::-1].copy()}
+    stats, peak = _traced_peak(member_statistics, matrix, members)
+    assert stats[ScriptGroup("Latin", "word-initial")].count == ROWS
+    assert peak < 4 * BLOCK * COLS * 8
+
+
+def test_finiteness_scan_holds_one_block(small_blocks, matrix):
+    data = matrix.data.copy()
+    data[ROWS - 2, 7] = np.nan
+    bad, peak = _traced_peak(_first_nonfinite, data)
+    assert bad == (ROWS - 2, 7)
+    assert peak < 4 * BLOCK * COLS
+
+
+def test_word_vectors_keep_only_aligned_rows(tmp_path):
+    # 1,000 vectors of dimension 100; the target uses every tenth token.
+    rng = np.random.default_rng(4)
+    tokens = [f"w{i:05d}" for i in range(1000)]
+    values = rng.normal(0.0, 1.0, (1000, 100)).astype(np.float32)
+    path = tmp_path / "w.vec"
+    with open(path, "w") as f:
+        f.write(f"{len(tokens)} 100\n")
+        for tok, row in zip(tokens, values):
+            f.write(tok + " " + " ".join(repr(float(v)) for v in row) + "\n")
+    target = Vocabulary(tokens[::10] + ["absent"])
+    vecs, peak = _traced_peak(load_word_vectors, str(path), target)
+    assert vecs.matrix.rows == len(vecs.vocab_alignment) == 100
+    np.testing.assert_array_equal(vecs.row(3), values[30])
+    assert peak < os.path.getsize(path) / 4
+
+
+@pytest.mark.parametrize("method", ["heuristics", "random"])
+def test_init_peak_close_to_inputs_plus_outputs(small_blocks, tmp_path, method):
+    inst = build_instance(tmp_path, n_source=2000, n_target=1600, n_overlap=600, dim=512)
+    files = inst.source_files
+    outs = [str(tmp_path / "out_in.vemb"), str(tmp_path / "out_out.vemb")]
+    argv = ["init", "--method", method, "--source-vocab", files["vocab"],
+            "--source-emb", files["emb"], "--source-out-emb", files["out_emb"],
+            "--target-vocab", inst.target_vocab_file, "--seed", "7",
+            "--out-emb", outs[0], "--out-out-emb", outs[1],
+            "--report", str(tmp_path / "report.json")]
+    code, peak = _traced_peak(cli.run, argv)
+    assert code == 0
+    io_bytes = sum(os.path.getsize(p) for p in [files["emb"], files["out_emb"], *outs])
+    assert peak <= 1.25 * io_bytes

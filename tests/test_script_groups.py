@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import member_statistics_oracle
+
+from vocabport import kernels
 from vocabport.embedding_store import EmbeddingMatrix, Vocabulary
 from vocabport.errors import ValidationError
 from vocabport.script_groups import (
@@ -125,3 +128,28 @@ class TestGroupStatistics:
             assert split[group].count == st_.count
             assert split[group].mean.tobytes() == st_.mean.tobytes()
             assert split[group].std.tobytes() == st_.std.tobytes()
+
+
+def test_member_statistics_match_per_group_oracle(monkeypatch):
+    # A group holding most rows, one holding a few, a one-row group and an
+    # empty one (nan statistics), summed over 16-row blocks; the oracle
+    # upcasts each group in one piece.
+    monkeypatch.setattr(kernels, "_STAT_ROWS", 16)
+    rng = np.random.default_rng(13)
+    emb = EmbeddingMatrix(rng.normal(0.2, 1.1, (300, 9)).astype(np.float32))
+    order = rng.permutation(300)
+    members = {
+        ScriptGroup("Latin", "word-initial"): np.sort(order[:250]),
+        ScriptGroup("Han", "word-internal"): order[250:299],
+        ScriptGroup("Greek", "word-internal"): order[299:],
+        ScriptGroup("Han", "word-initial"): order[:0],
+    }
+    with pytest.warns(RuntimeWarning):
+        got = member_statistics(emb, members)
+    with pytest.warns(RuntimeWarning):
+        want = member_statistics_oracle(emb, members)
+    assert list(got) == list(want)
+    for group, st_ in want.items():
+        assert got[group].count == st_.count
+        np.testing.assert_allclose(got[group].mean, st_.mean, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got[group].std, st_.std, rtol=1e-12, atol=1e-15)
