@@ -54,6 +54,8 @@ MISSING_AUX_POLICIES = ("random-fallback", "error")
 # least one. The weight rule and the cosine product each hold a few such
 # blocks at once.
 _BLOCK_BYTES = 16 << 20
+# Overlap pairs copied per step; bounds the gather of source rows.
+_COPY_ROWS = 1024
 # Zero-norm query ids quoted in the report's warning.
 _ZERO_NORM_SAMPLE = 5
 
@@ -102,6 +104,10 @@ class InitReport:
     auxiliary vector is all zero, and clp rows with a nonzero vector whose
     cosines left nothing to normalize (all clamped to 0, or raw cosines
     summing to 0). Both kinds take uniform weights over the support.
+    `support_size` and `support_dropped`, also outside the sum, split the
+    copied rows of a similarity method: those in the similarity support,
+    and those left out of it for lack of an auxiliary vector. Both are 0
+    for random and heuristics.
     """
 
     method: str
@@ -111,6 +117,8 @@ class InitReport:
     random_fallback: int = 0
     zero_norm_queries: int = 0
     uniform_fallbacks: int = 0
+    support_size: int = 0
+    support_dropped: int = 0
     warnings: list[str] = field(default_factory=list)
 
     def counter_total(self) -> int:
@@ -195,8 +203,10 @@ class _TargetRows:
             self.report.warnings.extend(overlap.warnings)
             t_ids = np.fromiter(overlap.pairs.keys(), dtype=np.int64, count=len(overlap.pairs))
             s_ids = np.fromiter(overlap.pairs.values(), dtype=np.int64, count=len(overlap.pairs))
-            for out, m in zip(self.outs, self.sources):
-                out[t_ids] = m.data[s_ids]
+            for start in range(0, len(t_ids), _COPY_ROWS):
+                part = slice(start, start + _COPY_ROWS)
+                for out, m in zip(self.outs, self.sources):
+                    out[t_ids[part]] = m.data[s_ids[part]]
 
     def sample_random(self, t: int) -> None:
         """Fill row t from the whole-matrix element statistics."""
@@ -278,17 +288,17 @@ def _similarity_init(
     # fabricating zero similarities for the rest would still let them
     # compete inside sparsemax.
     support = [(t, s) for t, s in sorted(overlap.pairs.items()) if t in aux.vocab_alignment]
-    dropped = len(overlap.pairs) - len(support)
-    if dropped:
+    n_supp = report.support_size = len(support)
+    report.support_dropped = len(overlap.pairs) - n_supp
+    if report.support_dropped:
         report.warnings.append(
-            f"{dropped} overlapping tokens lack auxiliary vectors and are "
-            "excluded from the similarity support"
+            f"{report.support_dropped} overlapping tokens lack auxiliary vectors "
+            "and are excluded from the similarity support"
         )
-    n_supp = len(support)
     supp_src = np.array([s for _, s in support], dtype=np.int64)
     if n_supp:
         aux_ids = np.array([aux.vocab_alignment[t] for t, _ in support], dtype=np.int64)
-        cosines = SupportCosines(aux.matrix.data[aux_ids])
+        cosines = SupportCosines(aux.matrix.data, aux_ids)
         zero_support = int(np.count_nonzero(cosines.zero_rows))
         if zero_support:
             report.warnings.append(

@@ -27,6 +27,12 @@ _COMBINE_ROWS = 1024
 # Rows mean_std upcasts per step. It bounds the float64 temporary and fixes
 # the summation order, so the statistics do not depend on the machine.
 _STAT_ROWS = 1024
+# Support rows SupportCosines gathers and splits per step; bounds its float64
+# temporaries while it builds the int32 slices.
+_SPLIT_ROWS = 1024
+# Support rows SupportCosines upcasts per GEMM tile in each call; bounds the
+# two reused float64 tile buffers.
+_TILE_ROWS = 1024
 
 
 def cosine_similarity(a, b) -> float:
@@ -127,24 +133,42 @@ class SupportCosines:
     each slice product (hi @ hi.T, hi @ lo.T, lo @ hi.T) is a sum of
     integers below 2**53 and therefore exact in any summation order. Only
     elementwise float64 operations round, so a query's cosines do not
-    depend on which rows share its block or on the BLAS build. A cosine's
-    error is below dim * 2**(-2*bits): 2e-10 at dimension 768, 4e-9 at
-    4096.
+    depend on which rows share its block, on how the support is tiled or
+    on the BLAS build. A cosine's error is below dim * 2**(-2*bits): 2e-10
+    at dimension 768, 4e-9 at 4096.
+
+    The support is the rows of `data`, or the rows `ids` in that order. Its
+    slices are stored as int32, 8 bytes per support element: |hi| <=
+    2**bits <= 2**26 for every dim, so int32 holds them exactly (float32
+    would need bits capped at 24, which changes cosines at dims below 9).
+    They are gathered and split _SPLIT_ROWS rows at a time, and each call
+    upcasts _TILE_ROWS support rows at a time into two float64 buffers for
+    the GEMMs, so no temporary spans the whole support.
     """
 
-    def __init__(self, support):
-        support = np.asarray(support)
-        if support.ndim != 2:
+    def __init__(self, data, ids=None):
+        data = np.asarray(data)
+        if data.ndim != 2:
             raise ValueError("support must be a 2-D array of rows")
+        n = data.shape[0] if ids is None else len(ids)
         # |hi| <= 2**bits, |lo| <= 2**(bits-1) and dim * 2**(2*bits) <= 2**53.
-        self.bits = (53 - (support.shape[1] - 1).bit_length()) // 2
-        self.hi, self.lo, norms = self._split(support)
+        self.bits = (53 - (data.shape[1] - 1).bit_length()) // 2
+        self.hi = np.empty((n, data.shape[1]), dtype=np.int32)
+        self.lo = np.empty_like(self.hi)
+        norms = np.empty(n)
+        for start in range(0, n, _SPLIT_ROWS):
+            part = slice(start, start + _SPLIT_ROWS)
+            rows = data[part] if ids is None else data[ids[part]]
+            self.hi[part], self.lo[part], norms[part] = self._split(rows)
+        if not np.isfinite(norms).all():
+            # int32 holds no inf or nan; the slices of such a row are garbage.
+            raise ValueError("support rows must be finite")
         self.zero_rows = norms == 0.0
         self._norms = np.where(self.zero_rows, 1.0, norms)
 
     def _split(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Integer slices hi and lo of float rows, and the rows' norms in
-        the same scaled units (0 for an all-zero row)."""
+        """Integer-valued float64 slices hi and lo of float rows, and the
+        rows' norms in the same scaled units (0 for an all-zero row)."""
         a = np.array(rows, dtype=np.float64)
         peak = np.maximum(a.max(axis=1, initial=0.0), -a.min(axis=1, initial=0.0))
         _, exp = np.frexp(peak)
@@ -163,11 +187,22 @@ class SupportCosines:
         are 0.
         """
         q_hi, q_lo, q_norms = self._split(queries)
-        cos = q_hi @ self.hi.T
-        cross = q_hi @ self.lo.T
-        cross += q_lo @ self.hi.T
-        cos += np.ldexp(cross, -self.bits, out=cross)
-        del cross
+        n = len(self.hi)
+        cos = np.empty((len(q_hi), n))
+        # Reused per tile: a fresh array per tile would fault in new pages.
+        hi_buf = np.empty((min(n, _TILE_ROWS), self.hi.shape[1]))
+        lo_buf = np.empty_like(hi_buf)
+        for start in range(0, n, _TILE_ROWS):
+            part = slice(start, start + _TILE_ROWS)
+            hi = hi_buf[: min(_TILE_ROWS, n - start)]
+            lo = lo_buf[: len(hi)]
+            np.copyto(hi, self.hi[part])
+            np.copyto(lo, self.lo[part])
+            cross = q_hi @ lo.T
+            cross += q_lo @ hi.T
+            # Rounds once, as hi-product + cross would. A matmul straight into
+            # the strided columns of cos runs slower than into a new array.
+            np.add(q_hi @ hi.T, np.ldexp(cross, -self.bits, out=cross), out=cos[:, part])
         zero = q_norms == 0.0
         cos /= np.where(zero, 1.0, q_norms)[:, None]
         cos /= self._norms

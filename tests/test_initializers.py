@@ -52,6 +52,7 @@ class TestRandom:
         np.testing.assert_array_equal(bundle.input_emb.data, np.zeros((3, 3)))
         assert report.random_fallback == 3
         assert report.counter_total() == 3
+        assert report.support_size == report.support_dropped == 0
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(3)
@@ -171,6 +172,7 @@ class TestHeuristics:
             == source.input_emb.data[1].tobytes()
         )
         assert report.copied == 1
+        assert report.support_size == report.support_dropped == 0
 
     def test_degenerate_group_samples_exactly(self):
         source = _bundle(
@@ -508,6 +510,7 @@ class TestBlockEngine:
 
         assert one_report.similarity_initialized == 29
         assert one_report.random_fallback == 1
+        assert (one_report.support_size, one_report.support_dropped) == (n_supp, 1)
         assert one_report.zero_norm_queries == 1
         for t in overlap.non_overlap:
             if t not in aux.vocab_alignment:
@@ -604,12 +607,15 @@ class TestReportDiagnostics:
 
     def test_diagnostics_in_dict_but_not_in_total(self):
         report = InitReport(
-            method="clp", similarity_initialized=3, zero_norm_queries=2, uniform_fallbacks=1
+            method="clp", copied=4, similarity_initialized=3, zero_norm_queries=2,
+            uniform_fallbacks=1, support_size=3, support_dropped=1,
         )
-        assert report.counter_total() == 3
+        assert report.counter_total() == 7
         payload = report.to_dict()
         assert payload["zero_norm_queries"] == 2
         assert payload["uniform_fallbacks"] == 1
+        assert payload["support_size"] == 3
+        assert payload["support_dropped"] == 1
 
 
 @pytest.fixture
@@ -634,6 +640,8 @@ class TestEdgeCases:
         vecs = _aux(WORD_VECTORS, {0: 0, 2: 1}, [[1.0, 0.0], [1.0, 0.0]], 3)
         bundle, report = init_focus(source, target, overlap, vecs, _cfg("focus"))
         assert any("excluded" in w for w in report.warnings)
+        assert (report.support_size, report.support_dropped) == (1, 1)
+        assert report.counter_total() == 3
         # support is o1 alone, so q copies o1's row exactly
         np.testing.assert_array_equal(bundle.input_emb.data[2], [2.0, 0.0])
 

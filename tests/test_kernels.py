@@ -147,6 +147,51 @@ class TestSparsemaxBatch:
             sparsemax(np.zeros((2, 2, 2)))
 
 
+def support_cosines_oracle(support, queries):
+    """Exact-slice cosines from one float64 copy of both slices of the
+    whole support and three whole-support GEMMs. Returns (cosines,
+    zero-query mask, zero-support mask)."""
+    bits = (53 - (support.shape[1] - 1).bit_length()) // 2
+
+    def split(rows):
+        a = np.array(rows, dtype=np.float64)
+        peak = np.maximum(a.max(axis=1, initial=0.0), -a.min(axis=1, initial=0.0))
+        _, exp = np.frexp(peak)
+        np.ldexp(a, (bits - exp)[:, None], out=a)
+        hi = np.rint(a)
+        a -= hi
+        lo = np.rint(np.ldexp(a, bits, out=a), out=a)
+        squares = np.einsum("ij,ij->i", hi, hi)
+        squares += np.ldexp(np.einsum("ij,ij->i", hi, lo), 1 - bits)
+        return hi, lo, np.sqrt(squares)
+
+    s_hi, s_lo, s_norms = split(support)
+    q_hi, q_lo, q_norms = split(queries)
+    cos = q_hi @ s_hi.T
+    cross = q_hi @ s_lo.T
+    cross += q_lo @ s_hi.T
+    cos += np.ldexp(cross, -bits, out=cross)
+    zero = q_norms == 0.0
+    cos /= np.where(zero, 1.0, q_norms)[:, None]
+    cos /= np.where(s_norms == 0.0, 1.0, s_norms)
+    return np.clip(cos, -1.0, 1.0, out=cos), zero, s_norms == 0.0
+
+
+def _extreme_rows(rng, rows, dim):
+    """Normal rows with all-zero, float32-max, subnormal and mixed-scale
+    rows mixed in."""
+    a = rng.normal(size=(rows, dim)).astype(np.float32)
+    big = np.finfo(np.float32).max
+    tiny = np.finfo(np.float32).smallest_subnormal
+    a[1] = 0.0
+    a[2] = big
+    a[3] = np.where(a[3] > 0, tiny, -tiny)
+    a[4] *= np.float32(1e30)
+    a[5] *= np.float32(1e-40)
+    a[6, 0] = big / 2  # one huge entry; the rest quantize to nearly nothing
+    return a
+
+
 class TestSupportCosines:
     def _reference(self, queries, support):
         q = np.asarray(queries, dtype=np.float64)
@@ -183,6 +228,44 @@ class TestSupportCosines:
         np.testing.assert_array_equal(zero, [True, False])
         np.testing.assert_array_equal(cos[0], 0.0)
         np.testing.assert_allclose(cos[1], [1.0, 0.0, -np.sqrt(0.5)], atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [1, 3, 8, 9, 12, 300, 768])
+    @pytest.mark.parametrize("split_rows,tile_rows", [(1, 7), (7, 1), (None, None)])
+    def test_bitwise_equal_to_whole_float64_oracle(
+        self, monkeypatch, dim, split_rows, tile_rows
+    ):
+        # 1,100 support rows: more than one block and one tile at the defaults.
+        rng = np.random.default_rng(dim)
+        data = _extreme_rows(rng, 1200, dim)
+        ids = rng.permutation(1200)[:1100]
+        ids[:10] = np.arange(10)  # every extreme row is in the support
+        queries = _extreme_rows(rng, 9, dim)
+        if split_rows is not None:
+            monkeypatch.setattr(kernels, "_SPLIT_ROWS", split_rows)
+            monkeypatch.setattr(kernels, "_TILE_ROWS", tile_rows)
+        expected, expected_zero, zero_rows = support_cosines_oracle(data[ids], queries)
+        for cosines in (SupportCosines(data, ids), SupportCosines(data[ids])):
+            assert cosines.hi.dtype == cosines.lo.dtype == np.int32
+            cos, zero = cosines(queries)
+            np.testing.assert_array_equal(cos, expected)
+            np.testing.assert_array_equal(zero, expected_zero)
+            np.testing.assert_array_equal(cosines.zero_rows, zero_rows)
+
+    def test_empty_support_and_queries(self):
+        cosines = SupportCosines(np.ones((4, 3), dtype=np.float32), np.array([], dtype=np.int64))
+        cos, zero = cosines(np.ones((2, 3), dtype=np.float32))
+        assert cos.shape == (2, 0) and not zero.any()
+        cos, zero = SupportCosines(np.ones((4, 3), dtype=np.float32))(np.empty((0, 3)))
+        assert cos.shape == (0, 4) and zero.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_support_rejected(self, bad):
+        # int32 slices cannot hold a non-finite value; casting would make
+        # garbage cosines instead of an error.
+        data = np.ones((5, 4))
+        data[3, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            SupportCosines(data)
 
     def test_extreme_magnitudes(self):
         big = np.finfo(np.float32).max

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 from conftest import build_instance
 
-from vocabport import cli, embedding_store, kernels
+from vocabport import cli, embedding_store, initializers, kernels
 from vocabport.aux_vectors import load_word_vectors
-from vocabport.embedding_store import EmbeddingMatrix, Vocabulary, _first_nonfinite
-from vocabport.initializers import _element_stats
+from vocabport.embedding_store import EmbeddingMatrix, ModelBundle, Vocabulary, _first_nonfinite
+from vocabport.initializers import InitConfig, _element_stats, _TargetRows
+from vocabport.kernels import SupportCosines
+from vocabport.overlap import compute_overlap
 from vocabport.script_groups import ScriptGroup, member_statistics
 
 BLOCK = 64
@@ -26,7 +28,10 @@ ROWS, COLS = 4000, 256  # 4 MB of float32; one float64 block is 128 KB
 @pytest.fixture
 def small_blocks(monkeypatch):
     monkeypatch.setattr(kernels, "_STAT_ROWS", BLOCK)
+    monkeypatch.setattr(kernels, "_SPLIT_ROWS", BLOCK)
+    monkeypatch.setattr(kernels, "_TILE_ROWS", BLOCK)
     monkeypatch.setattr(embedding_store, "_SCAN_ROWS", BLOCK)
+    monkeypatch.setattr(initializers, "_COPY_ROWS", BLOCK)
 
 
 @pytest.fixture
@@ -65,6 +70,26 @@ def test_finiteness_scan_holds_one_block(small_blocks, matrix):
     assert peak < 4 * BLOCK * COLS
 
 
+def test_support_slices_take_8_bytes_per_element(small_blocks, matrix):
+    ids = np.arange(ROWS)[::-1].copy()
+    cosines, peak = _traced_peak(SupportCosines, matrix.data, ids)
+    assert cosines.hi.shape == (ROWS, COLS)
+    assert peak < 8 * ROWS * COLS + 4 * BLOCK * COLS * 8
+
+
+def test_overlap_rows_are_copied_by_blocks(small_blocks, matrix):
+    # Every target token overlaps, in reverse order; the only whole-size
+    # allocation is the target matrix itself.
+    tokens = [f"t{i}" for i in range(ROWS)]
+    source = ModelBundle(Vocabulary(tokens), matrix)
+    target = Vocabulary(tokens[::-1])
+    overlap = compute_overlap(source.vocab, target)
+    cfg = InitConfig(method="heuristics", seed=1)
+    rows, peak = _traced_peak(_TargetRows, "heuristics", source, target, cfg, overlap)
+    np.testing.assert_array_equal(rows.outs[0], matrix.data[::-1])
+    assert peak < 4 * ROWS * COLS + 4 * BLOCK * COLS * 8
+
+
 def test_word_vectors_keep_only_aligned_rows(tmp_path):
     # 1,000 vectors of dimension 100; the target uses every tenth token.
     rng = np.random.default_rng(4)
@@ -82,17 +107,29 @@ def test_word_vectors_keep_only_aligned_rows(tmp_path):
     assert peak < os.path.getsize(path) / 4
 
 
-@pytest.mark.parametrize("method", ["heuristics", "random"])
-def test_init_peak_close_to_inputs_plus_outputs(small_blocks, tmp_path, method):
-    inst = build_instance(tmp_path, n_source=2000, n_target=1600, n_overlap=600, dim=512)
+# Traced peak over the VEMB inputs (source, and the aux model for clp-plus)
+# plus outputs. clp-plus also holds the support's int32 slices, 8 bytes per
+# support element: 1,200 rows x 512 here.
+_INIT_PEAK_BOUNDS = {"heuristics": 1.25, "random": 1.25, "clp-plus": 1.45}
+
+
+@pytest.mark.parametrize("method", list(_INIT_PEAK_BOUNDS))
+def test_init_peak_close_to_inputs_plus_outputs(small_blocks, monkeypatch, tmp_path, method):
+    monkeypatch.setattr(initializers, "_BLOCK_BYTES", 1 << 16)
+    inst = build_instance(tmp_path, n_source=2000, n_target=1600, n_overlap=1200, dim=512,
+                          aux_dim=512)
     files = inst.source_files
+    ins = [files["emb"], files["out_emb"]]
     outs = [str(tmp_path / "out_in.vemb"), str(tmp_path / "out_out.vemb")]
     argv = ["init", "--method", method, "--source-vocab", files["vocab"],
             "--source-emb", files["emb"], "--source-out-emb", files["out_emb"],
             "--target-vocab", inst.target_vocab_file, "--seed", "7",
             "--out-emb", outs[0], "--out-out-emb", outs[1],
             "--report", str(tmp_path / "report.json")]
+    if method == "clp-plus":
+        argv += ["--aux-vocab", inst.aux_model_files[0], "--aux-emb", inst.aux_model_files[1]]
+        ins.append(inst.aux_model_files[1])
     code, peak = _traced_peak(cli.run, argv)
     assert code == 0
-    io_bytes = sum(os.path.getsize(p) for p in [files["emb"], files["out_emb"], *outs])
-    assert peak <= 1.25 * io_bytes
+    io_bytes = sum(os.path.getsize(p) for p in [*ins, *outs])
+    assert peak <= _INIT_PEAK_BOUNDS[method] * io_bytes
