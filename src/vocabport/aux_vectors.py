@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Container, Mapping
 
 import numpy as np
 
@@ -90,6 +90,121 @@ def load_aux_model(vocab_path: str, matrix_path: str, target: Vocabulary) -> Aux
     )
 
 
+# Value text converted per block: lines are gathered until their value
+# strings hold this many characters (dims run from 100 to 4,096, so a line
+# count would not bound the block's memory).
+_BLOCK_CHARS = 1 << 16
+
+# Value text numpy's C reader converts as float() does (both parse ASCII
+# with PyOS_string_to_double): digits, signs, points, exponents, the
+# letters of inf/infinity/nan and the space between values. loadtxt also
+# strips the separators \x1c-\x1f that float() rejects and breaks lines at
+# "\r", so a block with any other character takes the per-line path.
+_PLAIN_CHARS = b"0123456789+-.eEinfatyINFATY "
+
+
+def _plain_numeric(values: list[str]) -> bool:
+    """Whether a block's value strings are all non-empty whitelisted ASCII.
+
+    loadtxt skips an empty line with a warning, so that is excluded here;
+    an empty field (a doubled, leading or trailing space) makes loadtxt
+    raise ValueError, which also sends the block down the per-line path.
+    """
+    return all(
+        v and v.isascii() and not v.encode("ascii").translate(None, _PLAIN_CHARS)
+        for v in values
+    )
+
+
+def _convert_block(
+    block: list[tuple[int, str, str]], dim: int, path: str
+) -> tuple[np.ndarray, str | None]:
+    """Float32 rows for the block's (lineno, token, values) lines up to its
+    first faulty line, and that line's error text (None if it has none).
+
+    Plain numeric text goes through np.loadtxt as float64, then the same
+    double -> float32 cast np.fromiter makes; anything else, or a block
+    loadtxt rejects, goes line by line through float(), which alone names
+    a value error. Values beyond float32 range become inf (the caller turns
+    overflow warnings off) and fail the finiteness check.
+    """
+    values = [v for _, _, v in block]
+    if _plain_numeric(values):
+        try:
+            parsed = np.loadtxt(
+                values, dtype=np.float64, delimiter=" ", comments=None, quotechar=None, ndmin=2
+            )
+        except ValueError:
+            parsed = None
+        if parsed is not None and parsed.shape == (len(block), dim):
+            vecs = parsed.astype(np.float32)
+            finite = np.isfinite(vecs).all(axis=1)
+            if finite.all():
+                return vecs, None
+            bad = int(np.argmin(finite))
+            return vecs[:bad], f"{path}:{block[bad][0]}: non-finite vector value"
+    vecs = np.empty((len(block), dim), dtype=np.float32)
+    for i, (lineno, _, text) in enumerate(block):
+        try:
+            vecs[i] = np.fromiter(map(float, text.split(" ")), dtype=np.float32, count=dim)
+        except ValueError:
+            return vecs[:i], f"{path}:{lineno}: non-numeric vector value"
+        if not np.isfinite(vecs[i]).all():
+            return vecs[:i], f"{path}:{lineno}: non-finite vector value"
+    return vecs, None
+
+
+class _WordVectorRows:
+    """The lines of a word-vector file, converted a block at a time, and the
+    vectors kept for the tokens the target can use."""
+
+    def __init__(self, path: str, dim: int, usable: Container[str]) -> None:
+        self.path, self.dim, self.usable = path, dim, usable
+        # Every token read -> its row in the kept vectors, or None if the
+        # target cannot use it.
+        self.lookup: dict[str, int | None] = {}
+        self.kept: list[np.ndarray] = []
+        self.n_kept = 0
+        self.pending: list[tuple[int, str, str]] = []
+        self.pending_chars = 0
+
+    def add(self, lineno: int, token: str, values: str) -> None:
+        self.pending.append((lineno, token, values))
+        self.pending_chars += len(values)
+        if self.pending_chars >= _BLOCK_CHARS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Convert the pending lines, then record their tokens in line order
+        up to the first faulty line, whose error is raised after them."""
+        block, self.pending, self.pending_chars = self.pending, [], 0
+        if not block:
+            return
+        vecs, fault = _convert_block(block, self.dim, self.path)
+        keep = []
+        for i, (lineno, token, _) in enumerate(block[: len(vecs)]):
+            if token in self.lookup:
+                warnings.warn(
+                    f"{self.path}:{lineno}: duplicate token {token!r}; keeping the first",
+                    RuntimeWarning,
+                )
+            elif token in self.usable:
+                self.lookup[token] = self.n_kept
+                self.n_kept += 1
+                keep.append(i)
+            else:
+                self.lookup[token] = None
+        if keep:
+            self.kept.append(vecs[keep])
+        if fault is not None:
+            raise FormatError(fault)
+
+    def matrix(self) -> EmbeddingMatrix:
+        return EmbeddingMatrix(
+            np.vstack(self.kept) if self.kept else np.empty((0, self.dim), dtype=np.float32)
+        )
+
+
 def load_word_vectors(
     path: str, target: Vocabulary, marker_fallback: bool = False
 ) -> AuxEmbeddings:
@@ -105,13 +220,16 @@ def load_word_vectors(
     its token repeats (the first occurrence is kept, with a warning). Only
     the vectors of tokens the target can use are kept, so `matrix` has one
     row per such token, not one per line.
+
+    Values are converted a block of lines at a time (`_BLOCK_CHARS`
+    characters of value text): by numpy's C reader when the block is plain
+    ASCII numeric text, by Python's float() otherwise. Both give the same
+    float32 values, and the errors, their order and the warnings are those
+    of converting one line at a time.
     """
     usable = target.index
     if marker_fallback:
         usable = set(usable).union(t[1:] for t in target.tokens if t[:1] in WORD_MARKERS)
-    # Every token read -> its row in `kept`, or None if the target cannot use it.
-    lookup: dict[str, int | None] = {}
-    kept: list[np.ndarray] = []
     with open(path, "rb") as f, np.errstate(over="ignore"):
         lines = _utf8_lines(f, path)
         header = next(lines, None)
@@ -128,48 +246,37 @@ def load_word_vectors(
             raise FormatError(f"{path}:1: dimension must be positive")
         _check_dims(f"{path}:1", dim)
 
-        for lineno, line in enumerate(lines, start=2):
-            if not line:
-                continue
-            fields = line.split(" ")
-            if fields[-1] == "":
-                fields.pop()
-            if len(fields) != dim + 1:
-                raise FormatError(
-                    f"{path}:{lineno}: {len(fields) - 1} values, header declares dim {dim}"
-                )
-            token = fields[0]
-            try:
-                # Values beyond float32 range become inf here (overflow
-                # warnings are off) and fail the check below.
-                vec = np.fromiter(map(float, fields[1:]), dtype=np.float32, count=dim)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric vector value") from None
-            if not np.isfinite(vec).all():
-                raise FormatError(f"{path}:{lineno}: non-finite vector value")
-            if token in lookup:
-                warnings.warn(
-                    f"{path}:{lineno}: duplicate token {token!r}; keeping the first",
-                    RuntimeWarning,
-                )
-            elif token in usable:
-                lookup[token] = len(kept)
-                kept.append(vec)
-            else:
-                lookup[token] = None
-    if declared_count != len(lookup):
+        rows = _WordVectorRows(path, dim, usable)
+        try:
+            for lineno, line in enumerate(lines, start=2):
+                if not line:
+                    continue
+                # The fields of line.split(" "), less one trailing empty one.
+                trailing = line.endswith(" ")
+                n_values = line.count(" ") - trailing
+                if n_values != dim:
+                    raise FormatError(
+                        f"{path}:{lineno}: {n_values} values, header declares dim {dim}"
+                    )
+                token, _, values = line.partition(" ")
+                rows.add(lineno, token, values[:-1] if trailing else values)
+        except FormatError:
+            # A value-count or UTF-8 fault at line L surfaces only after the
+            # pending lines before it: a fault among them wins, and their
+            # duplicate warnings come first.
+            rows.flush()
+            raise
+        rows.flush()
+    if declared_count != len(rows.lookup):
         warnings.warn(
-            f"{path}: header declares {declared_count} vectors, file has {len(lookup)}",
+            f"{path}: header declares {declared_count} vectors, file has {len(rows.lookup)}",
             RuntimeWarning,
         )
-    matrix = EmbeddingMatrix(
-        np.vstack(kept) if kept else np.empty((0, dim), dtype=np.float32)
-    )
-    alignment, missing = _align(target, lookup, marker_fallback)
+    alignment, missing = _align(target, rows.lookup, marker_fallback)
     return AuxEmbeddings(
         source_kind=WORD_VECTORS,
         vocab_alignment=alignment,
-        matrix=matrix,
+        matrix=rows.matrix(),
         missing=missing,
     )
 

@@ -107,7 +107,10 @@ class InitReport:
     `support_size` and `support_dropped`, also outside the sum, split the
     copied rows of a similarity method: those in the similarity support,
     and those left out of it for lack of an auxiliary vector. Both are 0
-    for random and heuristics.
+    for random and heuristics. `nonzero_weights` gives the min, p50, p90
+    and max of the number of nonzero weights per similarity row (a uniform
+    row counts `support_size`), as nearest-rank order statistics; all 0
+    when no row was weighted.
     """
 
     method: str
@@ -119,6 +122,9 @@ class InitReport:
     uniform_fallbacks: int = 0
     support_size: int = 0
     support_dropped: int = 0
+    nonzero_weights: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(("min", "p50", "p90", "max"), 0)
+    )
     warnings: list[str] = field(default_factory=list)
 
     def counter_total(self) -> int:
@@ -131,6 +137,19 @@ class InitReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _nearest_rank_quantiles(counts: list[int]) -> dict[str, int]:
+    """min, p50, p90 and max of `counts`: the ceil(p * n / 100)-th smallest
+    value for each percentile p, so every one is an element of `counts`."""
+    ranked = sorted(counts)
+    n = len(ranked)
+    return {
+        "min": ranked[0],
+        "p50": ranked[(50 * n + 99) // 100 - 1],
+        "p90": ranked[(90 * n + 99) // 100 - 1],
+        "max": ranked[-1],
+    }
 
 
 def _token_rng(seed: int, target_id: int) -> np.random.Generator:
@@ -330,6 +349,7 @@ def _similarity_init(
             query_aux.append(aux_id)
 
     zero_ids: list[int] = []
+    nonzero: list[int] = []  # nonzero weights per query row
     uniform_rows = None  # the uniform-weight combination, made at most once
     block_rows = max(1, _BLOCK_BYTES // (8 * max(n_supp, 1)))
     for start in range(0, len(query_t), block_rows):
@@ -350,14 +370,18 @@ def _similarity_init(
                     flat = WeightVector(supp_src, np.full(n_supp, 1.0 / n_supp))
                     uniform_rows = [convex_combine(flat, m) for m in rows.sources]
                 mixed = uniform_rows
+                nonzero.append(n_supp)
             else:
                 nz = np.flatnonzero(w)
+                nonzero.append(len(nz))
                 sparse = WeightVector(supp_src[nz], w[nz], convex=bool(is_convex))
                 combine = convex_combine if is_convex else weighted_sum
                 mixed = [combine(sparse, m) for m in rows.sources]
             for out, row in zip(rows.outs, mixed):
                 out[t] = row
         report.similarity_initialized += len(block)
+    if nonzero:
+        report.nonzero_weights = _nearest_rank_quantiles(nonzero)
     if zero_ids:
         more = ", ..." if report.zero_norm_queries > len(zero_ids) else ""
         report.warnings.append(

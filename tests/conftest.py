@@ -154,7 +154,8 @@ def member_statistics_oracle(emb, members):
 
 def load_word_vectors_oracle(path, target, marker_fallback=False):
     """The whole-file word-vector loader: decode the file, split it into
-    lines, parse and keep every vector, then align."""
+    lines, parse every value with float() and keep every vector, then
+    align. A value that is not finite as float32 is an error."""
     lines = _split_lines(_read_utf8(path))
     if not lines:
         raise FormatError(f"{path}: empty word-vector file")
@@ -183,9 +184,12 @@ def load_word_vectors_oracle(path, target, marker_fallback=False):
             )
         token = fields[0]
         try:
-            vec = np.array([float(v) for v in fields[1:]], dtype=np.float32)
+            with np.errstate(over="ignore"):
+                vec = np.array([float(v) for v in fields[1:]], dtype=np.float32)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-numeric vector value") from None
+        if not np.isfinite(vec).all():
+            raise FormatError(f"{path}:{lineno}: non-finite vector value")
         if token in lookup:
             warnings.warn(
                 f"{path}:{lineno}: duplicate token {token!r}; keeping the first",

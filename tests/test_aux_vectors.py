@@ -1,5 +1,7 @@
 import re
 import warnings
+from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from conftest import load_word_vectors_oracle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vocabport import aux_vectors
 from vocabport.aux_vectors import aux_row, load_aux_model, load_word_vectors
 from vocabport.embedding_store import EmbeddingMatrix, Vocabulary, save_matrix
 from vocabport.errors import FormatError, ValidationError, VocabportError
@@ -116,6 +119,16 @@ class TestWordVectors:
         with pytest.raises(FormatError, match=rf"t\.vec:2: {values} values, header declares dim 3"):
             load_word_vectors(str(p), Vocabulary(["foo"]))
 
+    def test_lone_empty_value_is_non_numeric(self, tmp_path):
+        # numpy's reader skips an empty line with a warning; the loader
+        # must not hand it one.
+        p = tmp_path / "t.vec"
+        p.write_text("1 1\nfoo  \n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=r"t\.vec:2: non-numeric vector value"):
+                load_word_vectors(str(p), Vocabulary(["foo"]))
+
     def test_unshapeable_dimension(self, tmp_path):
         p = tmp_path / "w.vec"
         p.write_text("1 99999999999999999999\n")
@@ -179,7 +192,12 @@ class TestWordVectors:
 # separators a .vec file may contain, with now and then a bad header, a
 # wrong value count, a bad value or one or two trailing spaces.
 _TOKENS = ["a", "b", "Ġa", "ab", "x\u2028y", "c\x85", "d\re", "é"]
-_VALUES = ["0", "1.5", "-2e-3", "7", "1_0"] * 8 + ["x", ""]
+# Also values on which numpy's loadtxt and float() disagree, or which only
+# one path parses: "\x1c" loadtxt strips, "\r" it breaks lines at, and
+# non-ASCII digits and "1_0" only float() accepts.
+_VALUES = ["0", "1.5", "-2e-3", "7", "1_0"] * 8 + ["x", "", "1\x1c", "١", "1\r2", "+.5"] + [
+    "nan", "1e39"
+]
 _BAD_HEADERS = ["", "3", "3 x", "3  2", "2 0", "1 99999999999999999999"]
 
 
@@ -213,27 +231,45 @@ def _outcome(load, path, target, fallback):
     return result, [str(w.message) for w in caught]
 
 
+_FUZZ = dict(
+    text=_vec_lines(),
+    crlf=st.lists(st.booleans(), min_size=9, max_size=9),
+    final_newline=st.booleans(),
+    target=st.lists(
+        st.sampled_from(_TOKENS + ["Ġb", "Ġab", "zz"]), unique=True, min_size=1, max_size=8
+    ),
+    fallback=st.booleans(),
+    # Invalid UTF-8 in one file in four: (line index, byte offset, bytes).
+    bad=st.one_of(
+        st.none(), st.none(), st.none(),
+        st.tuples(st.integers(0, 8), st.integers(0, 40), st.sampled_from(_BAD_UTF8)),
+    ),
+)
+_FUZZ_SETTINGS = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
 class TestMatchesWholeFileLoader:
-    @settings(
-        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-    )
-    @given(
-        text=_vec_lines(),
-        crlf=st.lists(st.booleans(), min_size=9, max_size=9),
-        final_newline=st.booleans(),
-        target=st.lists(
-            st.sampled_from(_TOKENS + ["Ġb", "Ġab", "zz"]), unique=True, min_size=1, max_size=8
-        ),
-        fallback=st.booleans(),
-        # Invalid UTF-8 in one file in four: (line index, byte offset, bytes).
-        bad=st.one_of(
-            st.none(), st.none(), st.none(),
-            st.tuples(st.integers(0, 8), st.integers(0, 40), st.sampled_from(_BAD_UTF8)),
-        ),
-    )
+    @_FUZZ_SETTINGS
+    @given(**_FUZZ)
     def test_same_rows_warnings_and_errors(
         self, tmp_path, text, crlf, final_newline, target, fallback, bad
     ):
+        self._check(tmp_path, text, crlf, final_newline, target, fallback, bad)
+
+    @_FUZZ_SETTINGS
+    @given(block_chars=st.sampled_from([1, 8]), **_FUZZ)
+    def test_same_outcome_with_smallest_blocks(
+        self, tmp_path, block_chars, text, crlf, final_newline, target, fallback, bad
+    ):
+        # One line per block, or a few: faults and duplicates fall in
+        # blocks after the ones that converted the lines before them.
+        with mock.patch.object(aux_vectors, "_BLOCK_CHARS", block_chars):
+            self._check(tmp_path, text, crlf, final_newline, target, fallback, bad)
+
+    @staticmethod
+    def _check(tmp_path, text, crlf, final_newline, target, fallback, bad):
         lines = [(line + ("\r\n" if cr else "\n")).encode("utf-8") for line, cr in zip(text, crlf)]
         if not final_newline:
             lines[-1] = lines[-1].rstrip(b"\r\n")
@@ -262,6 +298,88 @@ class TestMatchesWholeFileLoader:
             else:
                 want = (want[0], [w for w in before[1] if "duplicate" in w])
         assert got == want
+
+
+_F32 = np.finfo(np.float32)
+
+
+def _midpoint(x):
+    """The float64 halfway between float32 x and the next float32 up."""
+    lo = np.float32(x)
+    with np.errstate(over="ignore"):
+        hi = np.nextafter(lo, np.float32(np.inf))
+    return (float(lo) + float(hi)) / 2 if np.isfinite(hi) else float(lo)
+
+
+# Finite values as writers print them; a float32 subnormal, a float64 value
+# (which rounds to float32 after parsing) and float32 rounding midpoints,
+# also one float64 step either side of them.
+_FINITE = st.one_of(
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(float),
+    st.floats(width=32, min_value=-float(_F32.smallest_normal),
+              max_value=float(_F32.smallest_normal)).map(float),
+    st.floats(min_value=-float(_F32.max), max_value=float(_F32.max)),
+    st.tuples(
+        st.floats(width=32, allow_nan=False, allow_infinity=False).map(_midpoint),
+        st.sampled_from([0, 0, -1, 1]),
+    ).map(lambda m: float(np.nextafter(m[0], np.inf * m[1])) if m[1] else m[0]),
+)
+_FORMATS = [
+    repr,
+    lambda x: str(np.float32(x)),  # shortest float32 text
+    "%.4f".__mod__,
+    "%.9g".__mod__,
+    "%.17g".__mod__,
+    "%e".__mod__,
+    lambda x: str(Decimal(x)),  # the exact binary value in decimal
+]
+_NON_FINITE = ["inf", "-Infinity", "NaN", "1e39"]
+
+
+@st.composite
+def _value_text(draw):
+    text = draw(st.sampled_from(_FORMATS))(draw(_FINITE))
+    sign = "-" if text.startswith("-") else draw(st.sampled_from(["", "+"]))
+    zeros = draw(st.sampled_from(["", "", "0", "00"]))
+    return sign + zeros + text.lstrip("-")
+
+
+def _bits_or_error(load, path, target):
+    try:
+        return load(path, target).matrix.data.view(np.uint32).tolist()
+    except FormatError as e:
+        return str(e)
+
+
+class TestExactness:
+    @_FUZZ_SETTINGS
+    @given(
+        dim=st.integers(1, 6),
+        data=st.data(),
+        block_chars=st.sampled_from([1, 40, aux_vectors._BLOCK_CHARS]),
+    )
+    def test_rows_bit_equal_to_float_parsing(self, tmp_path, dim, data, block_chars):
+        n = data.draw(st.integers(1, 12))
+        rows = [[data.draw(_value_text()) for _ in range(dim)] for _ in range(n)]
+        # Now and then a value that is not finite as float32.
+        injected = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, dim - 1), st.sampled_from(_NON_FINITE)),
+            max_size=2,
+        ))
+        for line, col, value in injected:
+            rows[line][col] = value
+        tail = data.draw(st.sampled_from(["", " "]))
+        path = str(tmp_path / "w.vec")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(f"{n} {dim}\n")
+            f.writelines(f"t{i} " + " ".join(row) + tail + "\n" for i, row in enumerate(rows))
+        target = Vocabulary([f"t{i}" for i in range(n)])
+        with mock.patch.object(aux_vectors, "_BLOCK_CHARS", block_chars):
+            got = _bits_or_error(load_word_vectors, path, target)
+        assert got == _bits_or_error(load_word_vectors_oracle, path, target)
+        if injected:
+            first = min(line for line, _, _ in injected)
+            assert got == f"{path}:{first + 2}: non-finite vector value"
 
 
 class TestAuxRow:

@@ -40,6 +40,9 @@ def _aux(kind, alignment, matrix, n_target):
     )
 
 
+_ZERO_QUANTILES = {"min": 0, "p50": 0, "p90": 0, "max": 0}
+
+
 def _cfg(method, **kw):
     kw.setdefault("seed", 42)
     return InitConfig(method=method, **kw)
@@ -53,6 +56,7 @@ class TestRandom:
         assert report.random_fallback == 3
         assert report.counter_total() == 3
         assert report.support_size == report.support_dropped == 0
+        assert report.nonzero_weights == _ZERO_QUANTILES
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(3)
@@ -173,6 +177,7 @@ class TestHeuristics:
         )
         assert report.copied == 1
         assert report.support_size == report.support_dropped == 0
+        assert report.nonzero_weights == _ZERO_QUANTILES
 
     def test_degenerate_group_samples_exactly(self):
         source = _bundle(
@@ -324,6 +329,7 @@ class TestClpPlus:
         aux = _aux(AUX_MODEL, {0: 0, 1: 1}, np.eye(2), 2)
         bundle, report = init_clp_plus(source, target, overlap, aux, _cfg("clp-plus"))
         assert report.similarity_initialized == 0 and report.copied == 2
+        assert report.nonzero_weights == _ZERO_QUANTILES
         np.testing.assert_array_equal(bundle.input_emb.data, [[2.0], [1.0]])
 
     def test_row_stays_inside_supported_hull(self):
@@ -605,6 +611,58 @@ class TestReportDiagnostics:
         _, plus = init_clp_plus(source, target, overlap, aux, _cfg("clp-plus"))
         assert plus.uniform_fallbacks == 0
 
+    def test_nonzero_weight_quantiles_focus(self):
+        # Support e1, e2, e3. Per query, sparsemax keeps: e1 -> 1 weight,
+        # (1, 1, 0) -> 2, (1, 1, 1) -> 3 equal ones, zero vector -> uniform 3.
+        source = _bundle(["o1", "o2", "o3"], np.eye(3))
+        target = Vocabulary(["o1", "o2", "o3", "qa", "qb", "qc", "qd"])
+        overlap = compute_overlap(source.vocab, target)
+        rows = np.vstack([np.eye(3), [[1, 0, 0], [1, 1, 0], [1, 1, 1], [0, 0, 0]]])
+        vecs = _aux(WORD_VECTORS, {i: i for i in range(7)}, rows, 7)
+        _, report = init_focus(source, target, overlap, vecs, _cfg("focus"))
+        # counts 1, 2, 3, 3: nearest ranks ceil(2) = 2 and ceil(3.6) = 4
+        assert report.nonzero_weights == {"min": 1, "p50": 2, "p90": 3, "max": 3}
+        assert report.counter_total() == 7
+        assert report.to_dict()["nonzero_weights"] == report.nonzero_weights
+
+    def test_nonzero_weight_quantiles_clp_plus(self, monkeypatch):
+        source, target, overlap, alignment, matrix, n_supp = _block_instance()
+        aux = _aux(AUX_MODEL, alignment, matrix, len(target))
+        counts = []
+        rule_kind, rule = initializers._SIMILARITY_METHODS["clp-plus"]
+
+        def recording_rule(sims, cfg):
+            weights, convex, uniform = rule(sims, cfg)
+            counts.extend(np.count_nonzero(weights, axis=1).tolist())
+            return weights, convex, uniform
+
+        monkeypatch.setitem(
+            initializers._SIMILARITY_METHODS, "clp-plus", (rule_kind, recording_rule)
+        )
+        # Blocks of 3 rows: the quantiles do not depend on the block.
+        monkeypatch.setattr(initializers, "_BLOCK_BYTES", 3 * 8 * n_supp)
+        _, report = init_target_bundle(
+            source, target, _cfg("clp-plus", sparsemax_temperature=0.2), aux=aux
+        )
+        assert len(counts) == report.similarity_initialized == 29
+        assert counts[1] == n_supp  # q2, zero-norm, takes uniform weights
+        want = {
+            name: int(np.percentile(counts, p, method="inverted_cdf"))
+            for name, p in [("min", 0), ("p50", 50), ("p90", 90), ("max", 100)]
+        }
+        assert report.nonzero_weights == want
+        assert want["max"] == n_supp and want["min"] < want["p90"] < n_supp
+
+    def test_nearest_rank_quantiles_match_inverted_cdf(self):
+        rng = np.random.default_rng(21)
+        for n in range(1, 41):
+            counts = rng.integers(1, 50, n).tolist()
+            want = {
+                name: int(np.percentile(counts, p, method="inverted_cdf"))
+                for name, p in [("min", 0), ("p50", 50), ("p90", 90), ("max", 100)]
+            }
+            assert initializers._nearest_rank_quantiles(counts) == want, counts
+
     def test_diagnostics_in_dict_but_not_in_total(self):
         report = InitReport(
             method="clp", copied=4, similarity_initialized=3, zero_norm_queries=2,
@@ -616,6 +674,7 @@ class TestReportDiagnostics:
         assert payload["uniform_fallbacks"] == 1
         assert payload["support_size"] == 3
         assert payload["support_dropped"] == 1
+        assert payload["nonzero_weights"] == _ZERO_QUANTILES
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import build_instance
 
-from vocabport import cli, embedding_store, initializers, kernels
+from vocabport import aux_vectors, cli, embedding_store, initializers, kernels
 from vocabport.aux_vectors import load_word_vectors
 from vocabport.embedding_store import EmbeddingMatrix, ModelBundle, Vocabulary, _first_nonfinite
 from vocabport.initializers import InitConfig, _element_stats, _TargetRows
@@ -105,6 +105,28 @@ def test_word_vectors_keep_only_aligned_rows(tmp_path):
     assert vecs.matrix.rows == len(vecs.vocab_alignment) == 100
     np.testing.assert_array_equal(vecs.row(3), values[30])
     assert peak < os.path.getsize(path) / 4
+
+
+def test_word_vector_blocks_are_bounded_in_bytes(tmp_path):
+    # 120 vectors of dimension 2,000, about 39k characters a line; the
+    # target uses every tenth token. A block of 16 lines would hold 630k
+    # characters of value text.
+    rng = np.random.default_rng(5)
+    tokens = [f"w{i:03d}" for i in range(120)]
+    values = rng.normal(0.0, 1.0, (120, 2000)).astype(np.float32)
+    path = tmp_path / "w.vec"
+    with open(path, "w") as f:
+        f.write(f"{len(tokens)} 2000\n")
+        for tok, row in zip(tokens, values):
+            f.write(tok + " " + " ".join(repr(float(v)) for v in row) + "\n")
+    vecs, peak = _traced_peak(load_word_vectors, str(path), Vocabulary(tokens[::10]))
+    np.testing.assert_array_equal(vecs.row(5), values[50])
+    kept = vecs.matrix.data.nbytes
+    line = os.path.getsize(path) // len(tokens)
+    # The kept rows twice (the final stack copies them), a few copies of
+    # the line in flight (numpy's reader holds one as UCS-4) and of a
+    # block's value text.
+    assert peak < 2 * kept + 8 * line + 2 * aux_vectors._BLOCK_CHARS
 
 
 # Traced peak over the VEMB inputs (source, and the aux model for clp-plus)
