@@ -9,9 +9,11 @@ initializer decides the fallback.
 
 from __future__ import annotations
 
+import os
+import stat
 import warnings
 from dataclasses import dataclass, field
-from typing import Container, Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -156,14 +158,21 @@ def _convert_block(
 
 class _WordVectorRows:
     """The lines of a word-vector file, converted a block at a time, and the
-    vectors kept for the tokens the target can use."""
+    vectors kept for the tokens the target can use.
 
-    def __init__(self, path: str, dim: int, usable: Container[str]) -> None:
+    Kept vectors go straight into one float32 array, trimmed in place by
+    `matrix`. It has a row per usable token (a repeated token is not kept
+    again), but no more than `max_rows`, the rows the file can hold; pages
+    never written never become resident. A file that outgrows `max_rows`
+    (a pipe, say, whose size is unknown) doubles the array as it fills.
+    """
+
+    def __init__(self, path: str, dim: int, usable: Collection[str], max_rows: int) -> None:
         self.path, self.dim, self.usable = path, dim, usable
         # Every token read -> its row in the kept vectors, or None if the
         # target cannot use it.
         self.lookup: dict[str, int | None] = {}
-        self.kept: list[np.ndarray] = []
+        self.kept = np.empty((min(len(usable), max_rows), dim), dtype=np.float32)
         self.n_kept = 0
         self.pending: list[tuple[int, str, str]] = []
         self.pending_chars = 0
@@ -195,14 +204,16 @@ class _WordVectorRows:
             else:
                 self.lookup[token] = None
         if keep:
-            self.kept.append(vecs[keep])
+            if self.n_kept > len(self.kept):
+                rows = min(max(self.n_kept, 2 * len(self.kept)), len(self.usable))
+                self.kept.resize((rows, self.dim), refcheck=False)
+            self.kept[self.n_kept - len(keep) : self.n_kept] = vecs[keep]
         if fault is not None:
             raise FormatError(fault)
 
     def matrix(self) -> EmbeddingMatrix:
-        return EmbeddingMatrix(
-            np.vstack(self.kept) if self.kept else np.empty((0, self.dim), dtype=np.float32)
-        )
+        self.kept.resize((self.n_kept, self.dim), refcheck=False)
+        return EmbeddingMatrix(self.kept)
 
 
 def load_word_vectors(
@@ -246,7 +257,11 @@ def load_word_vectors(
             raise FormatError(f"{path}:1: dimension must be positive")
         _check_dims(f"{path}:1", dim)
 
-        rows = _WordVectorRows(path, dim, usable)
+        # A line of dim values spans at least 2 * dim bytes, which bounds
+        # the rows a regular file can fill.
+        st = os.fstat(f.fileno())
+        max_rows = st.st_size // (2 * dim) if stat.S_ISREG(st.st_mode) else 0
+        rows = _WordVectorRows(path, dim, usable, max_rows)
         try:
             for lineno, line in enumerate(lines, start=2):
                 if not line:

@@ -90,6 +90,41 @@ def analyze_corpus(
     )
 
 
+def _tied_pairs(ordered: list) -> int:
+    """Pairs of equal items in a sorted list: t * (t - 1) / 2 per run of t."""
+    total = run = 0
+    for a, b in zip(ordered, ordered[1:]):
+        run = run + 1 if a == b else 0
+        total += run
+    return total
+
+
+def _merge_sort_swaps(values: list) -> tuple[list, int]:
+    """`values` sorted, and the number of pairs i < j with values[i] >
+    values[j], counted by a bottom-up merge sort."""
+    n = len(values)
+    src, dst = list(values), [None] * n
+    swaps = 0
+    width = 1
+    while width < n:
+        for lo in range(0, n, 2 * width):
+            mid, hi = min(lo + width, n), min(lo + 2 * width, n)
+            i, j, k = lo, mid, lo
+            while i < mid and j < hi:
+                if src[j] < src[i]:
+                    dst[k] = src[j]
+                    swaps += mid - i
+                    j += 1
+                else:
+                    dst[k] = src[i]
+                    i += 1
+                k += 1
+            dst[k:hi] = src[i:mid] if i < mid else src[j:hi]
+        src, dst = dst, src
+        width *= 2
+    return src, swaps
+
+
 def kendall_tau(x, y) -> float:
     """Tie-corrected rank correlation (tau-b) over all pairs.
 
@@ -99,6 +134,11 @@ def kendall_tau(x, y) -> float:
     tied only in x or only in y (pairs tied in both count in neither).
     Raises when either sequence is constant, where tau is undefined, and
     on NaN or infinite values, which have no rank.
+
+    The counts come from Knight's (1966) O(n log n) method: sort the pairs
+    by (x, y), count ties in x and joint ties along that order, then merge
+    sort the y values, whose swaps are the discordant pairs, and count the
+    ties in y. They are the integers a pair-by-pair count gives, so tau is.
     """
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
@@ -111,21 +151,14 @@ def kendall_tau(x, y) -> float:
                 raise ValidationError(f"{name}[{i}] is {v!r}; kendall tau needs finite values")
     if n < 2:
         raise ValidationError("need at least two observations")
-    concordant = discordant = ties_x = ties_y = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            dx = (xs[i] > xs[j]) - (xs[i] < xs[j])
-            dy = (ys[i] > ys[j]) - (ys[i] < ys[j])
-            if dx == 0 and dy == 0:
-                continue
-            if dx == 0:
-                ties_x += 1
-            elif dy == 0:
-                ties_y += 1
-            elif dx == dy:
-                concordant += 1
-            else:
-                discordant += 1
+    pairs = sorted(zip(xs, ys))
+    tied_x = _tied_pairs([p[0] for p in pairs])  # ties in x, and in both
+    tied_xy = _tied_pairs(pairs)
+    sorted_y, discordant = _merge_sort_swaps([p[1] for p in pairs])
+    tied_y = _tied_pairs(sorted_y)  # ties in y, and in both
+    ties_x = tied_x - tied_xy
+    ties_y = tied_y - tied_xy
+    concordant = n * (n - 1) // 2 - tied_x - tied_y + tied_xy - discordant
     denom_x = concordant + discordant + ties_x
     denom_y = concordant + discordant + ties_y
     if denom_x == 0 or denom_y == 0:

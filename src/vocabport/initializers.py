@@ -17,7 +17,12 @@ output space would double the cost and let the two matrices drift apart.
 
 Determinism contract: every token draws from its own RNG stream derived
 from (seed, target id), so a row's value depends only on the inputs, the
-seed and its target id, never on the order rows are filled in. Similarity
+seed and its target id, never on the order rows are filled in. A sampled
+row is float32(mean + std * z), two float64 roundings, the same bits as
+numpy's `normal(mean, std)`: z is one `standard_normal` call per token,
+as wide as all target matrices together (the input matrix's columns come
+first), and rows are filled in blocks of `_DRAW_BYTES` whose size cannot
+change a byte, since no step mixes rows. Similarity
 rows are filled in blocks of query rows: one cosine product per block
 (`kernels.SupportCosines`, exact slice products, so no BLAS rounding), the
 weight rule applied row-wise to the block, then one combination per row
@@ -44,7 +49,7 @@ from .kernels import (
     weighted_sum,
 )
 from .overlap import CANON_MODES, OverlapMap, compute_overlap
-from .script_groups import classify_token, group_members, member_statistics
+from .script_groups import ScriptGroup, classify_token, group_members, member_statistics
 
 METHODS = ("random", "clp", "heuristics", "focus", "clp-plus")
 MISSING_AUX_POLICIES = ("random-fallback", "error")
@@ -56,6 +61,12 @@ MISSING_AUX_POLICIES = ("random-fallback", "error")
 _BLOCK_BYTES = 16 << 20
 # Overlap pairs copied per step; bounds the gather of source rows.
 _COPY_ROWS = 1024
+# Byte budget of the reused float64 buffer that sampled rows are drawn
+# into: _DRAW_BYTES // (8 * columns of all target matrices) rows, at least
+# one.
+_DRAW_BYTES = 2 << 20
+# Groups listed in the report's group_sampled_by_group.
+_GROUP_SAMPLE = 8
 # Zero-norm query ids quoted in the report's warning.
 _ZERO_NORM_SAMPLE = 5
 
@@ -110,7 +121,10 @@ class InitReport:
     for random and heuristics. `nonzero_weights` gives the min, p50, p90
     and max of the number of nonzero weights per similarity row (a uniform
     row counts `support_size`), as nearest-rank order statistics; all 0
-    when no row was weighted.
+    when no row was weighted. `group_sampled_by_group` maps the labels of
+    the largest heuristics groups (at most `_GROUP_SAMPLE`, ties broken by
+    label) to their rows inside `group_sampled`, keys sorted; it is empty
+    for the other methods.
     """
 
     method: str
@@ -125,6 +139,7 @@ class InitReport:
     nonzero_weights: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(("min", "p50", "p90", "max"), 0)
     )
+    group_sampled_by_group: dict[str, int] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
     def counter_total(self) -> int:
@@ -227,12 +242,36 @@ class _TargetRows:
                 for out, m in zip(self.outs, self.sources):
                     out[t_ids[part]] = m.data[s_ids[part]]
 
-    def sample_random(self, t: int) -> None:
-        """Fill row t from the whole-matrix element statistics."""
-        rng = _token_rng(self.seed, t)
-        for out, (mu, sd) in zip(self.outs, self.stats):
-            out[t] = rng.normal(mu, sd, out.shape[1])
-        self.report.random_fallback += 1
+    def sample(self, ids: list[int], params: list[tuple]) -> None:
+        """Fill rows `ids` of each target matrix with float32(mean + std * z).
+
+        `params` holds one (mean, std) per matrix, scalars or per-column
+        arrays. Each token's z comes from one standard_normal call on its
+        own stream, drawn into a row of a reused block buffer as wide as all
+        matrices together; the block is scaled and shifted in place, and
+        each matrix takes its columns.
+        """
+        widths = [out.shape[1] for out in self.outs]
+        mean = np.concatenate([np.broadcast_to(m, w) for (m, _), w in zip(params, widths)])
+        std = np.concatenate([np.broadcast_to(s, w) for (_, s), w in zip(params, widths)])
+        block_rows = max(1, _DRAW_BYTES // (8 * len(mean)))
+        z = np.empty((min(block_rows, len(ids)), len(mean)))
+        for start in range(0, len(ids), block_rows):
+            block = ids[start : start + block_rows]
+            draws = z[: len(block)]
+            for row, t in zip(draws, block):
+                _token_rng(self.seed, t).standard_normal(out=row)
+            draws *= std
+            draws += mean
+            col = 0
+            for out, width in zip(self.outs, widths):
+                out[block] = draws[:, col : col + width]
+                col += width
+
+    def sample_random(self, ids: list[int]) -> None:
+        """Fill rows `ids` from the whole-matrix element statistics."""
+        self.sample(ids, self.stats)
+        self.report.random_fallback += len(ids)
 
     def result(self) -> tuple[ModelBundle, InitReport]:
         input_emb, *output_emb = (EmbeddingMatrix(out) for out in self.outs)
@@ -250,8 +289,7 @@ def init_random(
 ) -> tuple[ModelBundle, InitReport]:
     """Sample every target row from the source matrix's element statistics."""
     rows = _TargetRows("random", source, target_vocab, cfg)
-    for t in range(len(target_vocab)):
-        rows.sample_random(t)
+    rows.sample_random(list(range(len(target_vocab))))
     return rows.result()
 
 
@@ -332,8 +370,9 @@ def _similarity_init(
             "similarity support"
         )
 
-    # Tokens without an auxiliary vector are settled here; the rest are
-    # queries, weighted in blocks below.
+    # Tokens without an auxiliary vector are sampled; the rest are queries,
+    # weighted in blocks below.
+    missing: list[int] = []
     query_t: list[int] = []
     query_aux: list[int] = []
     for t in overlap.non_overlap:
@@ -343,10 +382,11 @@ def _similarity_init(
                 raise ValidationError(
                     f"token {target_vocab.tokens[t]!r} (id {t}) has no auxiliary vector"
                 )
-            rows.sample_random(t)
+            missing.append(t)
         else:
             query_t.append(t)
             query_aux.append(aux_id)
+    rows.sample_random(missing)
 
     zero_ids: list[int] = []
     nonzero: list[int] = []  # nonzero weights per query row
@@ -444,20 +484,27 @@ def init_heuristics(
     random-fallback).
     """
     rows = _TargetRows("heuristics", source, target_vocab, cfg, overlap)
+    report = rows.report
     # Both source matrices share the vocabulary, so it is classified once.
     members = group_members(source.vocab)
     group_stats = [member_statistics(m, members) for m in rows.sources]
+    fallback: list[int] = []
+    by_group: dict[ScriptGroup, list[int]] = {}
     for t in overlap.non_overlap:
         group = classify_token(target_vocab.tokens[t])
         st = group_stats[0].get(group)
         if group.script == "Unknown" or st is None or st.count < cfg.min_group_size:
-            rows.sample_random(t)
-            continue
-        rng = _token_rng(cfg.seed, t)
-        for out, stats in zip(rows.outs, group_stats):
-            g = stats[group]
-            out[t] = rng.normal(g.mean, g.std)
-        rows.report.group_sampled += 1
+            fallback.append(t)
+        else:
+            by_group.setdefault(group, []).append(t)
+    rows.sample_random(fallback)
+    for group, ids in by_group.items():
+        rows.sample(ids, [(stats[group].mean, stats[group].std) for stats in group_stats])
+        report.group_sampled += len(ids)
+    largest = sorted(by_group.items(), key=lambda kv: (-len(kv[1]), kv[0].label()))
+    report.group_sampled_by_group = dict(
+        sorted((group.label(), len(ids)) for group, ids in largest[:_GROUP_SAMPLE])
+    )
     return rows.result()
 
 

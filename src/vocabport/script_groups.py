@@ -10,7 +10,6 @@ punctuation, undecodable byte-fallback strings) classify as Unknown.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,37 +106,48 @@ def _script_of(codepoint: int) -> str:
     return "Unknown"
 
 
-def _decode_if_byte_level(token: str) -> str | None:
-    # GPT-2-style tokens (byte-alphabet symbols only) decode to text; others
-    # are read as they are. None means byte data that is not valid UTF-8.
-    if not all(c in UNICODE_TO_BYTE for c in token):
-        return token
-    try:
-        return bytes(UNICODE_TO_BYTE[c] for c in token).decode("utf-8")
-    except UnicodeDecodeError:
-        return None
+# The GPT-2 byte alphabet, and the table that maps each of its symbols to
+# the Latin-1 character of its byte, so a byte-level token decodes with
+# token.translate(_BYTE_TABLE).encode("latin-1").decode("utf-8").
+_BYTE_ALPHABET = frozenset(UNICODE_TO_BYTE)
+_BYTE_TABLE = str.maketrans({c: chr(b) for c, b in UNICODE_TO_BYTE.items()})
+
+
+def _majority_script(text: str) -> str:
+    """The script most letters of `text` belong to; Unknown if it has no
+    letters or two scripts share the top count."""
+    scripts = [_script_of(ord(c)) for c in text if c.isalpha()]
+    if not scripts:
+        return "Unknown"
+    first = scripts[0]
+    if scripts.count(first) == len(scripts):
+        return first
+    votes: dict[str, int] = {}
+    for script in scripts:
+        votes[script] = votes.get(script, 0) + 1
+    top = max(votes.values())
+    winners = [script for script, count in votes.items() if count == top]
+    return winners[0] if len(winners) == 1 else "Unknown"
 
 
 def classify_token(token: str) -> ScriptGroup:
     """Assign a (script, position) group; total and deterministic.
 
     A leading word-boundary marker sets position=word-initial and is
-    stripped before the script vote; byte-level tokens are decoded first.
+    stripped before the script vote. A token made of GPT-2 byte-alphabet
+    symbols only is decoded to its UTF-8 text first; if those bytes are not
+    valid UTF-8 it is Unknown. Other tokens are read as they are.
     """
     position = WORD_INTERNAL
     if token[:1] in WORD_MARKERS:
         position = WORD_INITIAL
         token = token[1:]
-    text = _decode_if_byte_level(token)
-    if text is None:
-        return ScriptGroup("Unknown", position)
-    votes = Counter(_script_of(ord(c)) for c in text if c.isalpha())
-    if not votes:
-        return ScriptGroup("Unknown", position)
-    ranked = votes.most_common()
-    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
-        return ScriptGroup("Unknown", position)
-    return ScriptGroup(ranked[0][0], position)
+    if _BYTE_ALPHABET.issuperset(token):
+        try:
+            token = token.translate(_BYTE_TABLE).encode("latin-1").decode("utf-8")
+        except UnicodeDecodeError:
+            return ScriptGroup("Unknown", position)
+    return ScriptGroup(_majority_script(token), position)
 
 
 def group_members(vocab: Vocabulary) -> dict[ScriptGroup, np.ndarray]:

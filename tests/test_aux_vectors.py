@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 import warnings
 from decimal import Decimal
 from unittest import mock
@@ -186,6 +188,33 @@ class TestWordVectors:
         assert retried.matrix.rows == 3  # "the", and both spellings of "of"
         assert [aux_row(retried, t).tolist() for t in range(2)] == [[1], [3]]
         assert retried.missing == {2}
+
+    def test_header_dimension_allocates_no_rows_the_file_cannot_hold(self, tmp_path):
+        # 3 usable tokens x 7e8 values would be 7.8 GiB; a 12-byte file
+        # holds no line of that many values.
+        p = tmp_path / "w.vec"
+        p.write_text("0 701638247\n")
+        vecs = load_word_vectors(str(p), Vocabulary(["a", "Ġa", "1"]))
+        assert vecs.matrix.data.shape == (0, 701638247)
+        assert vecs.missing == {0, 1, 2}
+
+    def test_pipe_grows_the_kept_rows(self, tmp_path, monkeypatch):
+        # A pipe's size is unknown, so the kept rows start with no room and
+        # grow as the target's tokens arrive, here one line per block.
+        monkeypatch.setattr(aux_vectors, "_BLOCK_CHARS", 1)
+        text = "6 2\n" + "".join(f"w{i} {i} {-i}\n" for i in range(6))
+        (tmp_path / "file.vec").write_text(text)
+        fifo = tmp_path / "pipe.vec"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        target = Vocabulary(["w5", "w0", "w3", "absent"])
+        piped = load_word_vectors(str(fifo), target)
+        writer.join()
+        whole = load_word_vectors(str(tmp_path / "file.vec"), target)
+        assert piped.vocab_alignment == whole.vocab_alignment
+        np.testing.assert_array_equal(piped.matrix.data, whole.matrix.data)
+        assert piped.matrix.data.tolist() == [[0, 0], [3, -3], [5, -5]]
 
 
 # Word-vector files: mostly well-formed lines, whose tokens hold the

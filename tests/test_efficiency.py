@@ -2,9 +2,10 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from conftest import make_bpe_spec, make_unigram_spec
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vocabport.efficiency import (
@@ -36,6 +37,51 @@ def kendall_oracle(x, y):
     return (concordant - discordant) / math.sqrt(
         (concordant + discordant + ties_x) * (concordant + discordant + ties_y)
     )
+
+
+def kendall_pair_loop(x, y):
+    """kendall_tau as it was before Knight's method: every pair compared in
+    a Python loop, the same float formula on the counts."""
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
+    n = len(xs)
+    concordant = discordant = ties_x = ties_y = 0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            dx = (xs[i] > xs[j]) - (xs[i] < xs[j])
+            dy = (ys[i] > ys[j]) - (ys[i] < ys[j])
+            if dx == 0 and dy == 0:
+                continue
+            if dx == 0:
+                ties_x += 1
+            elif dy == 0:
+                ties_y += 1
+            elif dx == dy:
+                concordant += 1
+            else:
+                discordant += 1
+    denom_x = concordant + discordant + ties_x
+    denom_y = concordant + discordant + ties_y
+    if denom_x == 0 or denom_y == 0:
+        raise ValidationError("kendall tau is undefined for a constant sequence")
+    return (concordant - discordant) / math.sqrt(denom_x * denom_y)
+
+
+def kendall_counts_numpy(x, y, block=256):
+    """(C, D, Tx, Ty) from every ordered pair, compared a block of rows at a
+    time with numpy: C counts pairs with x and y both greater, D x greater
+    and y less, Tx x equal and y greater, Ty x greater and y equal."""
+    x, y = np.asarray(x), np.asarray(y)
+    counts = np.zeros(4, dtype=np.int64)
+    for start in range(0, len(x), block):
+        gx = x[start : start + block, None] > x[None, :]
+        ex = x[start : start + block, None] == x[None, :]
+        gy = y[start : start + block, None] > y[None, :]
+        ly = y[start : start + block, None] < y[None, :]
+        ey = y[start : start + block, None] == y[None, :]
+        counts += [np.count_nonzero(gx & gy), np.count_nonzero(gx & ly),
+                   np.count_nonzero(ex & gy), np.count_nonzero(gx & ey)]
+    return [int(c) for c in counts]
 
 
 def char_level_spec():
@@ -170,6 +216,46 @@ class TestKendallTau:
             x = [rnd.random() for _ in range(n)]
             y = [rnd.random() for _ in range(n)]
             assert kendall_tau(x, y) == kendall_tau(y, x)
+
+    @settings(max_examples=300)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4), st.floats(-1e3, 1e3)),
+            min_size=2, max_size=40,
+        ),
+        x_kind=st.sampled_from(["tied", "distinct", "signed-zero"]),
+        y_kind=st.sampled_from(["tied", "distinct", "signed-zero"]),
+    )
+    def test_matches_pair_loop(self, pairs, x_kind, y_kind):
+        # Small integers give ties in x, in y and in both; floats are mostly
+        # distinct; -0.0 and 0.0 are the same rank.
+        def column(k, kind):
+            if kind == "tied":
+                return [p[k] for p in pairs]
+            if kind == "distinct":
+                return [p[2] + i * 1e-3 for i, p in enumerate(pairs)]
+            return [[-0.0, 0.0, 1.0][p[k] % 3] for p in pairs]
+
+        x, y = column(0, x_kind), column(1, y_kind)
+        try:
+            expected = kendall_pair_loop(x, y)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="undefined"):
+                kendall_tau(x, y)
+            return
+        assert kendall_tau(x, y) == expected
+
+    def test_twenty_thousand_observations(self):
+        # About 2e8 pairs: hours for the pair loop. The counts come from a
+        # numpy pair comparison instead; ties in x (200 values), in y (59
+        # values) and in both.
+        rnd = np.random.default_rng(20_000)
+        x = rnd.integers(0, 200, 20_000)
+        y = x // 4 + rnd.integers(0, 10, 20_000)
+        c, d, tx, ty = kendall_counts_numpy(x, y)
+        expected = (c - d) / math.sqrt((c + d + tx) * (c + d + ty))
+        assert kendall_tau(x.tolist(), y.tolist()) == expected
+        assert 0.1 < expected < 0.9
 
     def test_all_tied_undefined(self):
         with pytest.raises(ValidationError, match="undefined"):

@@ -677,6 +677,172 @@ class TestReportDiagnostics:
         assert payload["nonzero_weights"] == _ZERO_QUANTILES
 
 
+def _sampled_rows_oracle(seed, ids, params, widths):
+    """The per-token loop the block sampler replaced: one rng.normal call
+    per matrix and token, array-parameter form for per-column statistics."""
+    outs = [np.empty((len(ids), w), dtype=np.float32) for w in widths]
+    for i, t in enumerate(ids):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        for out, (mean, std) in zip(outs, params):
+            out[i] = rng.normal(mean, std) if np.ndim(mean) else rng.normal(mean, std, out.shape[1])
+    return outs
+
+
+def _heuristics_oracle(source, target, overlap, cfg):
+    """Non-overlap rows of init_heuristics by the old per-token loop."""
+    sources = [m for m in (source.input_emb, source.output_emb) if m is not None]
+    members = script_groups.group_members(source.vocab)
+    stats = [script_groups.member_statistics(m, members) for m in sources]
+    element = [initializers._element_stats(m) for m in sources]
+    rows = []
+    for t in overlap.non_overlap:
+        group = script_groups.classify_token(target.tokens[t])
+        st = stats[0].get(group)
+        if group.script == "Unknown" or st is None or st.count < cfg.min_group_size:
+            params = element
+        else:
+            params = [(s[group].mean, s[group].std) for s in stats]
+        rows.append(_sampled_rows_oracle(cfg.seed, [t], params, [m.cols for m in sources]))
+    return [np.concatenate([r[k] for r in rows]) for k in range(len(sources))]
+
+
+_SCRIPT_WORDS = ["Ġcat", "dog", "Ġдом", "кот", "Ġبيت", "كتب", "Ġ猫", "12", "?!"]
+
+
+def _sampling_instance(dim, untied):
+    """A source of Latin, Cyrillic, Arabic and Han words on both positions
+    plus digit tokens, and a target with new words of each group, Unknown
+    tokens and a group the source lacks (Greek)."""
+    rng = np.random.default_rng(dim)
+    tokens = [
+        f"{w}{i}" if w[-1].isalpha() else w * (i + 1) for w in _SCRIPT_WORDS for i in range(4)
+    ]
+    rows = rng.normal(0.3, 1.4, (len(tokens), dim))
+    out_rows = rng.normal(-0.2, 0.6, (len(tokens), dim)) if untied else None
+    source = _bundle(tokens, rows, out_rows)
+    new = [f"{w}{i}" for w in _SCRIPT_WORDS[:7] for i in range(4, 7)] + ["777", "αβγ", "Ġ"]
+    target = Vocabulary(tokens[::5] + new)
+    return source, target, compute_overlap(source.vocab, target)
+
+
+def _block_budget(monkeypatch, block_rows, width):
+    if block_rows is not None:
+        monkeypatch.setattr(initializers, "_DRAW_BYTES", block_rows * 8 * width)
+
+
+class TestSamplerOracle:
+    """Block-sampled rows equal the old per-token rng.normal rows bit for bit."""
+
+    @pytest.mark.parametrize("block_rows", [1, 3, None], ids=["1row", "3rows", "default"])
+    @pytest.mark.parametrize("untied", [False, True], ids=["tied", "untied"])
+    @pytest.mark.parametrize("dim", [1, 3, 1024])
+    def test_heuristics(self, monkeypatch, dim, untied, block_rows):
+        source, target, overlap = _sampling_instance(dim, untied)
+        _block_budget(monkeypatch, block_rows, dim * (1 + untied))
+        cfg = _cfg("heuristics", seed=2024, min_group_size=2)
+        bundle, report = init_heuristics(source, target, overlap, cfg)
+        assert report.group_sampled == 21 and report.random_fallback == 3
+        got = [bundle.input_emb, bundle.output_emb][: 1 + untied]
+        for m, want in zip(got, _heuristics_oracle(source, target, overlap, cfg)):
+            assert m.data[overlap.non_overlap].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block_rows", [1, 3, None], ids=["1row", "3rows", "default"])
+    @pytest.mark.parametrize("untied", [False, True], ids=["tied", "untied"])
+    @pytest.mark.parametrize("dim", [1, 3, 1024])
+    def test_random(self, monkeypatch, dim, untied, block_rows):
+        source, target, _ = _sampling_instance(dim, untied)
+        _block_budget(monkeypatch, block_rows, dim * (1 + untied))
+        bundle, _ = init_random(source, target, _cfg("random", seed=7))
+        sources = [source.input_emb, source.output_emb][: 1 + untied]
+        want = _sampled_rows_oracle(
+            7, range(len(target)), [initializers._element_stats(m) for m in sources],
+            [dim] * len(sources),
+        )
+        got = [bundle.input_emb, bundle.output_emb][: 1 + untied]
+        for m, w in zip(got, want):
+            assert m.data.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("block_rows", [1, 3, None], ids=["1row", "3rows", "default"])
+    @pytest.mark.parametrize("untied", [False, True], ids=["tied", "untied"])
+    @pytest.mark.parametrize("dim", [1, 3, 1024])
+    def test_missing_aux_fallback(self, monkeypatch, dim, untied, block_rows):
+        source, target, overlap = _sampling_instance(dim, untied)
+        _block_budget(monkeypatch, block_rows, dim * (1 + untied))
+        # Every other target token has an auxiliary vector.
+        alignment = {t: i for i, t in enumerate(range(0, len(target), 2))}
+        aux_rows = np.random.default_rng(1).normal(size=(len(alignment), 4))
+        aux = _aux(AUX_MODEL, alignment, aux_rows, len(target))
+        bundle, report = init_clp_plus(source, target, overlap, aux, _cfg("clp-plus", seed=11))
+        missing = [t for t in overlap.non_overlap if t not in alignment]
+        assert report.random_fallback == len(missing) > 3
+        sources = [source.input_emb, source.output_emb][: 1 + untied]
+        want = _sampled_rows_oracle(
+            11, missing, [initializers._element_stats(m) for m in sources], [dim] * len(sources)
+        )
+        got = [bundle.input_emb, bundle.output_emb][: 1 + untied]
+        for m, w in zip(got, want):
+            assert m.data[missing].tobytes() == w.tobytes()
+
+    def test_zero_std_and_extreme_means_round_alike(self, monkeypatch):
+        # std 0 gives the mean exactly (no -0.0 from a negative z times 0);
+        # a huge mean overflows float32 to inf in both.
+        source = _bundle(["a", "b"], np.zeros((2, 5)))
+        target = Vocabulary(["x", "y", "z"])
+        rows = initializers._TargetRows("random", source, target, _cfg("random", seed=3))
+        for params in ([(0.0, 0.0)], [(-2.5, 0.0)], [(3.0e38, 1.0e38)], [(1e-40, 1e-45)]):
+            with np.errstate(over="ignore"):
+                rows.sample([0, 1, 2], params)
+                want = _sampled_rows_oracle(3, [0, 1, 2], params, [5])[0]
+            assert rows.outs[0].tobytes() == want.tobytes(), params
+
+
+class TestGroupSampledByGroup:
+    def _run(self, counts, min_group_size=1):
+        # One source token and counts[label] new target tokens per group.
+        words = {"Latin": "cat", "Cyrillic": "кот", "Greek": "γάτα", "Arabic": "قط",
+                 "Hebrew": "חתול", "Han": "猫"}
+        src, tgt = [], []
+        for label, n in counts.items():
+            script, position = label.split("/")
+            marker = "Ġ" if position == "word-initial" else ""
+            src.append(marker + words[script])
+            tgt += [f"{marker}{words[script]}{'x' if script == 'Latin' else ''}{i}"
+                    for i in range(n)]
+        source = _bundle(src, np.eye(len(src)))
+        target = Vocabulary(tgt)
+        overlap = compute_overlap(source.vocab, target)
+        cfg = _cfg("heuristics", min_group_size=min_group_size)
+        return init_heuristics(source, target, overlap, cfg)[1]
+
+    def test_largest_eight_with_ties_broken_by_label(self):
+        counts = {"Latin/word-initial": 5, "Latin/word-internal": 4,
+                  "Cyrillic/word-initial": 3, "Cyrillic/word-internal": 3,
+                  "Hebrew/word-initial": 2, "Greek/word-internal": 2,
+                  "Greek/word-initial": 2, "Arabic/word-internal": 2,
+                  "Arabic/word-initial": 2, "Han/word-internal": 1}
+        report = self._run(counts)
+        assert report.group_sampled == sum(counts.values())
+        # Five groups tie at 2 for the last four places: Hebrew sorts last.
+        want = {k: v for k, v in counts.items() if k not in ("Hebrew/word-initial",
+                                                             "Han/word-internal")}
+        assert report.group_sampled_by_group == want
+        assert list(report.group_sampled_by_group) == sorted(want)
+        assert report.to_dict()["group_sampled_by_group"] == want
+
+    def test_fallback_rows_are_not_listed(self):
+        report = self._run({"Latin/word-initial": 3, "Greek/word-internal": 2}, min_group_size=2)
+        assert (report.group_sampled, report.random_fallback) == (0, 5)
+        assert report.group_sampled_by_group == {}
+
+    def test_empty_for_other_methods(self, instance, aux_model, word_vecs):
+        cfg_aux = {"clp": aux_model, "focus": word_vecs, "clp-plus": aux_model, "random": None}
+        for method, aux in cfg_aux.items():
+            _, report = init_target_bundle(
+                instance.source, instance.target_vocab, _cfg(method), aux=aux
+            )
+            assert report.group_sampled_by_group == {}, method
+
+
 @pytest.fixture
 def instance_tied(tmp_path):
     return build_instance(tmp_path, untied=False)

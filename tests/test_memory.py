@@ -90,6 +90,23 @@ def test_overlap_rows_are_copied_by_blocks(small_blocks, matrix):
     assert peak < 4 * ROWS * COLS + 4 * BLOCK * COLS * 8
 
 
+@pytest.mark.parametrize("block_rows", [1, 3, 64])
+def test_sampling_holds_one_draw_block(monkeypatch, matrix, block_rows):
+    # An untied source: each draw row spans both matrices, 2 x COLS values.
+    source = ModelBundle(Vocabulary([f"s{i}" for i in range(ROWS)]), matrix, matrix, tied=False)
+    block = block_rows * 8 * 2 * COLS
+    monkeypatch.setattr(initializers, "_DRAW_BYTES", block)
+    rows = _TargetRows("random", source, Vocabulary([f"t{i}" for i in range(ROWS)]),
+                       InitConfig(method="random", seed=1))
+    ids = list(range(ROWS))[::-1]
+    params = [(np.full(COLS, 0.1), np.full(COLS, 2.0)), (0.3, 0.5)]
+    initializers._token_rng(0, 0).standard_normal()  # numpy's one-time RNG set-up
+    _, peak = _traced_peak(rows.sample, ids, params)
+    # The draw block, one ufunc buffer (np.getbufsize() float64 values) and
+    # small per-call objects; nothing that grows with the number of rows.
+    assert peak < block + 8 * np.getbufsize() + (32 << 10)
+
+
 def test_word_vectors_keep_only_aligned_rows(tmp_path):
     # 1,000 vectors of dimension 100; the target uses every tenth token.
     rng = np.random.default_rng(4)
@@ -123,10 +140,10 @@ def test_word_vector_blocks_are_bounded_in_bytes(tmp_path):
     np.testing.assert_array_equal(vecs.row(5), values[50])
     kept = vecs.matrix.data.nbytes
     line = os.path.getsize(path) // len(tokens)
-    # The kept rows twice (the final stack copies them), a few copies of
-    # the line in flight (numpy's reader holds one as UCS-4) and of a
-    # block's value text.
-    assert peak < 2 * kept + 8 * line + 2 * aux_vectors._BLOCK_CHARS
+    # The kept rows once (they are written into one array, trimmed in
+    # place), a few copies of the line in flight (numpy's reader holds one
+    # as UCS-4) and of a block's value text.
+    assert peak < kept + 8 * line + 2 * aux_vectors._BLOCK_CHARS
 
 
 # Traced peak over the VEMB inputs (source, and the aux model for clp-plus)

@@ -1,11 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import member_statistics_oracle
 
-from vocabport import kernels
+from vocabport import kernels, script_groups
 from vocabport.embedding_store import EmbeddingMatrix, Vocabulary
 from vocabport.errors import ValidationError
 from vocabport.script_groups import (
@@ -15,7 +17,7 @@ from vocabport.script_groups import (
     group_statistics,
     member_statistics,
 )
-from vocabport.tokenizers import map_bytes
+from vocabport.tokenizers import UNICODE_TO_BYTE, map_bytes
 
 
 @pytest.mark.parametrize(
@@ -66,6 +68,63 @@ def test_total_and_deterministic(token):
     first = classify_token(token)
     assert classify_token(token) == first
     assert first.script is not None and first.position in ("word-initial", "word-internal")
+
+
+def classify_token_oracle(token):
+    """The Counter-based classifier: byte-level tokens decoded through a
+    bytes() of their symbols, votes ranked by Counter.most_common."""
+    position = "word-internal"
+    if token[:1] in ("Ġ", "▁"):
+        position = "word-initial"
+        token = token[1:]
+    if all(c in UNICODE_TO_BYTE for c in token):
+        try:
+            token = bytes(UNICODE_TO_BYTE[c] for c in token).decode("utf-8")
+        except UnicodeDecodeError:
+            return ScriptGroup("Unknown", position)
+    votes = Counter(script_groups._script_of(ord(c)) for c in token if c.isalpha())
+    if not votes:
+        return ScriptGroup("Unknown", position)
+    ranked = votes.most_common()
+    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
+        return ScriptGroup("Unknown", position)
+    return ScriptGroup(ranked[0][0], position)
+
+
+# Letters of several scripts (one outside every range), digits, punctuation,
+# a combining mark, astral Han, the word markers and some byte-alphabet
+# symbols that are not printable bytes.
+_MIXED = "abzÀдЖαλبيשא日本𠀀ひカ한कሀ019١?!.,\u0301 \t" + "ĠĊ▁" + "ĀġŃ"
+_BYTE_SYMBOLS = sorted(UNICODE_TO_BYTE)
+_TOKENS = st.one_of(
+    st.text(alphabet=_MIXED, max_size=10),
+    # Byte-level tokens, most of them invalid UTF-8.
+    st.text(alphabet=st.sampled_from(_BYTE_SYMBOLS), max_size=8),
+    # Valid byte-level encodings of mixed-script text.
+    st.text(alphabet=_MIXED, max_size=6).map(map_bytes),
+    # Two or three scripts with equal or nearly equal vote counts.
+    st.tuples(
+        st.lists(st.sampled_from("aдبα日ሀ"), min_size=2, max_size=3, unique=True),
+        st.integers(1, 3),
+        st.integers(0, 1),
+    ).map(lambda t: "".join(c * t[1] for c in t[0]) + t[0][0] * t[2]),
+)
+
+
+@settings(max_examples=2000)
+@given(marker=st.sampled_from(["", "Ġ", "▁"]), token=_TOKENS, byte_level=st.booleans())
+def test_classifier_matches_counter_oracle(marker, token, byte_level):
+    if byte_level:
+        token = map_bytes(token)
+    token = marker + token
+    assert classify_token(token) == classify_token_oracle(token)
+
+
+def test_classifier_oracle_cases():
+    # Exact ties, a tie under a majority, a decoded tie, invalid UTF-8.
+    for token in ["aд", "aдд", "aaдд", "aдα", "aaдα", "Ġ" + map_bytes("aд"),
+                  map_bytes("日本")[:-1], "ĠĠ", "", "▁", "ሀa", "ሀሀa", "a\u0301д"]:
+        assert classify_token(token) == classify_token_oracle(token), token
 
 
 class TestGroupStatistics:
