@@ -2,7 +2,8 @@
 
 Two sources: the embedding matrix of an auxiliary target-language model
 that shares the target tokenizer, or static word vectors in the usual
-text format (header "count dim", then "token v1 ... v_dim" per line).
+text format (header "count dim", then "token v1 ... v_dim" per line),
+read in 64 KiB blocks of whole lines and never held whole.
 A target token with no auxiliary vector is not an error here; the
 initializer decides the fallback.
 """
@@ -13,7 +14,8 @@ import os
 import stat
 import warnings
 from dataclasses import dataclass, field
-from typing import Collection, Mapping
+from itertools import chain
+from typing import Mapping
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .embedding_store import (
     EmbeddingMatrix,
     Vocabulary,
     _check_dims,
-    _utf8_lines,
+    _line_blocks,
     load_matrix,
     load_vocab,
     sniff_vocab_format,
@@ -92,11 +94,6 @@ def load_aux_model(vocab_path: str, matrix_path: str, target: Vocabulary) -> Aux
     )
 
 
-# Value text converted per block: lines are gathered until their value
-# strings hold this many characters (dims run from 100 to 4,096, so a line
-# count would not bound the block's memory).
-_BLOCK_CHARS = 1 << 16
-
 # Value text numpy's C reader converts as float() does (both parse ASCII
 # with PyOS_string_to_double): digits, signs, points, exponents, the
 # letters of inf/infinity/nan and the space between values. loadtxt also
@@ -131,7 +128,7 @@ def _convert_block(
     overflow warnings off) and fail the finiteness check.
     """
     values = [v for _, _, v in block]
-    if _plain_numeric(values):
+    if values and _plain_numeric(values):  # loadtxt warns on no lines
         try:
             parsed = np.loadtxt(
                 values, dtype=np.float64, delimiter=" ", comments=None, quotechar=None, ndmin=2
@@ -156,66 +153,6 @@ def _convert_block(
     return vecs, None
 
 
-class _WordVectorRows:
-    """The lines of a word-vector file, converted a block at a time, and the
-    vectors kept for the tokens the target can use.
-
-    Kept vectors go straight into one float32 array, trimmed in place by
-    `matrix`. It has a row per usable token (a repeated token is not kept
-    again), but no more than `max_rows`, the rows the file can hold; pages
-    never written never become resident. A file that outgrows `max_rows`
-    (a pipe, say, whose size is unknown) doubles the array as it fills.
-    """
-
-    def __init__(self, path: str, dim: int, usable: Collection[str], max_rows: int) -> None:
-        self.path, self.dim, self.usable = path, dim, usable
-        # Every token read -> its row in the kept vectors, or None if the
-        # target cannot use it.
-        self.lookup: dict[str, int | None] = {}
-        self.kept = np.empty((min(len(usable), max_rows), dim), dtype=np.float32)
-        self.n_kept = 0
-        self.pending: list[tuple[int, str, str]] = []
-        self.pending_chars = 0
-
-    def add(self, lineno: int, token: str, values: str) -> None:
-        self.pending.append((lineno, token, values))
-        self.pending_chars += len(values)
-        if self.pending_chars >= _BLOCK_CHARS:
-            self.flush()
-
-    def flush(self) -> None:
-        """Convert the pending lines, then record their tokens in line order
-        up to the first faulty line, whose error is raised after them."""
-        block, self.pending, self.pending_chars = self.pending, [], 0
-        if not block:
-            return
-        vecs, fault = _convert_block(block, self.dim, self.path)
-        keep = []
-        for i, (lineno, token, _) in enumerate(block[: len(vecs)]):
-            if token in self.lookup:
-                warnings.warn(
-                    f"{self.path}:{lineno}: duplicate token {token!r}; keeping the first",
-                    RuntimeWarning,
-                )
-            elif token in self.usable:
-                self.lookup[token] = self.n_kept
-                self.n_kept += 1
-                keep.append(i)
-            else:
-                self.lookup[token] = None
-        if keep:
-            if self.n_kept > len(self.kept):
-                rows = min(max(self.n_kept, 2 * len(self.kept)), len(self.usable))
-                self.kept.resize((rows, self.dim), refcheck=False)
-            self.kept[self.n_kept - len(keep) : self.n_kept] = vecs[keep]
-        if fault is not None:
-            raise FormatError(fault)
-
-    def matrix(self) -> EmbeddingMatrix:
-        self.kept.resize((self.n_kept, self.dim), refcheck=False)
-        return EmbeddingMatrix(self.kept)
-
-
 def load_word_vectors(
     path: str, target: Vocabulary, marker_fallback: bool = False
 ) -> AuxEmbeddings:
@@ -224,29 +161,29 @@ def load_word_vectors(
     Lookup uses the raw token string; with `marker_fallback` a token that
     misses is retried with its leading word-boundary marker stripped.
 
-    The file is read one line at a time and every line is checked, in file
-    order: its UTF-8, its value count against the header dimension (one
-    trailing space is allowed, since fastText writes one after every
-    value), that each value is a number and finite as float32, and whether
-    its token repeats (the first occurrence is kept, with a warning). Only
-    the vectors of tokens the target can use are kept, so `matrix` has one
-    row per such token, not one per line.
+    The file is read a block of whole lines at a time (one 64 KiB read,
+    see embedding_store._line_blocks), never whole, and every line is
+    checked, in file order: its UTF-8, its value count against the header
+    dimension (one trailing space is allowed, since fastText writes one
+    after every value), that each value is a number and finite as float32,
+    and whether its token repeats (the first occurrence is kept, with a
+    warning). Only the vectors of tokens the target can use are kept, so
+    `matrix` has one row per such token, not one per line.
 
-    Values are converted a block of lines at a time (`_BLOCK_CHARS`
-    characters of value text): by numpy's C reader when the block is plain
-    ASCII numeric text, by Python's float() otherwise. Both give the same
-    float32 values, and the errors, their order and the warnings are those
-    of converting one line at a time.
+    A block's values are converted at once: by numpy's C reader when they
+    are plain ASCII numeric text, by Python's float() otherwise. Both give
+    the same float32 values, and the errors, their order and the warnings
+    are those of converting one line at a time.
     """
     usable = target.index
     if marker_fallback:
         usable = set(usable).union(t[1:] for t in target.tokens if t[:1] in WORD_MARKERS)
     with open(path, "rb") as f, np.errstate(over="ignore"):
-        lines = _utf8_lines(f, path)
-        header = next(lines, None)
-        if header is None:
+        blocks = _line_blocks(f, path)
+        lines = next(blocks, None)
+        if lines is None:
             raise FormatError(f"{path}: empty word-vector file")
-        fields = header.split(" ")
+        fields = lines.pop(0).split(" ")
         if len(fields) != 2:
             raise FormatError(f"{path}:1: expected header 'count dim'")
         try:
@@ -257,41 +194,69 @@ def load_word_vectors(
             raise FormatError(f"{path}:1: dimension must be positive")
         _check_dims(f"{path}:1", dim)
 
-        # A line of dim values spans at least 2 * dim bytes, which bounds
-        # the rows a regular file can fill.
+        # Every token read -> its row in the kept vectors, or None if the
+        # target cannot use it.
+        lookup: dict[str, int | None] = {}
+        # Kept vectors go straight into one float32 array, trimmed in place
+        # at the end. It has a row per usable token (a repeated token is not
+        # kept again), but no more than a regular file can hold, since a line
+        # of dim values spans at least 2 * dim bytes; pages never written
+        # never become resident. A file that outgrows it (a pipe, say, whose
+        # size is unknown) doubles it as it fills.
         st = os.fstat(f.fileno())
         max_rows = st.st_size // (2 * dim) if stat.S_ISREG(st.st_mode) else 0
-        rows = _WordVectorRows(path, dim, usable, max_rows)
-        try:
-            for lineno, line in enumerate(lines, start=2):
+        kept = np.empty((min(len(usable), max_rows), dim), dtype=np.float32)
+        n_kept = 0
+        lineno = 1  # of the last line read
+        for lines in chain([lines], blocks):
+            block, fault = [], None
+            for i, line in enumerate(lines):
+                lines[i] = ""  # each line is released once split
+                lineno += 1
                 if not line:
                     continue
                 # The fields of line.split(" "), less one trailing empty one.
                 trailing = line.endswith(" ")
                 n_values = line.count(" ") - trailing
                 if n_values != dim:
-                    raise FormatError(
-                        f"{path}:{lineno}: {n_values} values, header declares dim {dim}"
-                    )
+                    fault = f"{path}:{lineno}: {n_values} values, header declares dim {dim}"
+                    break
                 token, _, values = line.partition(" ")
-                rows.add(lineno, token, values[:-1] if trailing else values)
-        except FormatError:
-            # A value-count or UTF-8 fault at line L surfaces only after the
-            # pending lines before it: a fault among them wins, and their
-            # duplicate warnings come first.
-            rows.flush()
-            raise
-        rows.flush()
-    if declared_count != len(rows.lookup):
+                block.append((lineno, token, values[:-1] if trailing else values))
+            vecs, bad_value = _convert_block(block, dim, path)
+            # The block's lines up to its first faulty line are recorded in
+            # line order, then that fault is raised.
+            keep = []
+            for i, (at, token, _) in enumerate(block[: len(vecs)]):
+                if token in lookup:
+                    warnings.warn(
+                        f"{path}:{at}: duplicate token {token!r}; keeping the first",
+                        RuntimeWarning,
+                    )
+                elif token in usable:
+                    lookup[token] = n_kept
+                    n_kept += 1
+                    keep.append(i)
+                else:
+                    lookup[token] = None
+            if keep:
+                if n_kept > len(kept):
+                    rows = min(max(n_kept, 2 * len(kept)), len(usable))
+                    kept.resize((rows, dim), refcheck=False)
+                kept[n_kept - len(keep) : n_kept] = vecs[keep]
+            if bad_value or fault:
+                raise FormatError(bad_value or fault)
+    if declared_count != len(lookup):
         warnings.warn(
-            f"{path}: header declares {declared_count} vectors, file has {len(rows.lookup)}",
+            f"{path}: header declares {declared_count} vectors, file has {len(lookup)}",
             RuntimeWarning,
         )
-    alignment, missing = _align(target, rows.lookup, marker_fallback)
+    kept.resize((n_kept, dim), refcheck=False)
+    alignment, missing = _align(target, lookup, marker_fallback)
     return AuxEmbeddings(
         source_kind=WORD_VECTORS,
         vocab_alignment=alignment,
-        matrix=rows.matrix(),
+        matrix=EmbeddingMatrix(kept),
         missing=missing,
     )
 

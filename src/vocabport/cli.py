@@ -21,8 +21,8 @@ from . import efficiency, initializers, tokenizers
 from .aux_vectors import AUX_MODEL, WORD_VECTORS, load_aux_model, load_word_vectors
 from .embedding_store import (
     ModelBundle,
+    _read_lines,
     _read_utf8,
-    _split_lines,
     load_matrix,
     load_vocab,
     save_matrix,
@@ -279,24 +279,22 @@ def _cmd_overlap(args) -> int:
     return 0
 
 
-def _build_spec(kind: str, vocab: str | None, merges: str | None, scores: str | None, side: str):
+def _build_spec(kind: str, vocab: str | None, merges: str | None, scores: str | None):
     if kind == "bpe":
-        if not vocab or not merges:
-            raise ValidationError(f"--{side}-vocab and --{side}-merges are required for a BPE spec")
         return tokenizers.load_bpe_spec(vocab, merges)
-    if not scores:
-        raise ValidationError(f"--{side}-scores is required for a Unigram spec")
     return tokenizers.load_unigram_spec(scores)
 
 
-def _infer_kind(merges: str | None, scores: str | None, side: str) -> str:
+def _infer_kind(vocab: str | None, merges: str | None, scores: str | None, side: str) -> str:
     if merges and scores:
         raise ValidationError(f"give either --{side}-merges or --{side}-scores, not both")
     if scores:
         return "unigram"
-    if merges:
-        return "bpe"
-    raise ValidationError(f"--{side}-merges (bpe) or --{side}-scores (unigram) is required")
+    if not merges:
+        raise ValidationError(f"--{side}-merges (bpe) or --{side}-scores (unigram) is required")
+    if not vocab:
+        raise ValidationError(f"--{side}-vocab and --{side}-merges are required for a BPE spec")
+    return "bpe"
 
 
 def _cmd_tokenize(args) -> int:
@@ -318,8 +316,8 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    source_kind = _infer_kind(args.source_merges, args.source_scores, "source")
-    target_kind = _infer_kind(args.target_merges, args.target_scores, "target")
+    source_kind = _infer_kind(args.source_vocab, args.source_merges, args.source_scores, "source")
+    target_kind = _infer_kind(args.target_vocab, args.target_merges, args.target_scores, "target")
     _check_paths(
         args,
         ("--source-vocab", "--source-merges", "--source-scores", "--target-vocab",
@@ -327,10 +325,10 @@ def _cmd_analyze(args) -> int:
         ("--out",),
     )
     source_spec = _build_spec(
-        source_kind, args.source_vocab, args.source_merges, args.source_scores, "source"
+        source_kind, args.source_vocab, args.source_merges, args.source_scores
     )
     target_spec = _build_spec(
-        target_kind, args.target_vocab, args.target_merges, args.target_scores, "target"
+        target_kind, args.target_vocab, args.target_merges, args.target_scores
     )
     corpus = efficiency.load_corpus(args.corpus, args.format)
     report = efficiency.analyze_corpus(
@@ -352,7 +350,7 @@ def _cmd_analyze(args) -> int:
 
 def _read_numbers(path: str) -> list[float]:
     values = []
-    for lineno, line in enumerate(_split_lines(_read_utf8(path)), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         line = line.strip()
         if not line:
             continue

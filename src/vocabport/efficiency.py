@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .embedding_store import _read_utf8, _split_lines
+from .embedding_store import _read_lines
 from .errors import FormatError, ValidationError
 from .tokenizers import TokenizerSpec, count_tokens
 
@@ -171,7 +171,7 @@ def load_corpus(path: str, fmt: str = "txt") -> list[CorpusSample]:
     "text" field (and an optional "id")."""
     if fmt not in CORPUS_FORMATS:
         raise ValidationError(f"unknown corpus format {fmt!r}")
-    lines = _split_lines(_read_utf8(path))
+    lines = _read_lines(path)
     samples: list[CorpusSample] = []
     if fmt == "txt":
         for i, line in enumerate(lines):

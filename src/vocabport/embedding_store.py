@@ -19,6 +19,9 @@ Vocabularies come in three text formats:
                     and drops them, Unigram specs read the same format
                     through load_scored_tsv and keep them
 
+The line formats, and every other line-based input of the package, are
+read in 64 KiB blocks of whole lines (_line_blocks) and never held whole.
+
 Values are stored as 32-bit floats; arithmetic elsewhere in the package
 accumulates in 64-bit.
 """
@@ -45,6 +48,8 @@ VOCAB_FORMATS = ("json-map", "line-per-token", "tsv-scored")
 _MAX_DIM = np.iinfo(np.intp).max // 4
 # Rows per step of the finiteness scan; bounds its rows x cols bool temporary.
 _SCAN_ROWS = 1024
+# Bytes per read of a line-based text file (see _line_blocks).
+_READ_BYTES = 1 << 16
 
 
 class Vocabulary:
@@ -167,22 +172,47 @@ def _split_lines(text: str) -> list[str]:
     return lines
 
 
-def _utf8_lines(f, path: str) -> Iterator[str]:
-    """The lines of an open binary file, decoded one at a time.
+def _line_blocks(f, path: str) -> Iterator[list[str]]:
+    """The lines of an open binary file, one list per read of _READ_BYTES.
 
-    The rules of _split_lines and _read_utf8, without holding the file:
-    lines end at b"\n" only, one "\r" before the break is dropped, and
-    invalid UTF-8 raises FormatError with its byte offset in the file.
+    Each read is cut after its last b"\n" and the rest carried into the
+    next, so a block holds whole lines, decoded at once and split by
+    _split_lines. On invalid UTF-8 the lines before the bad one are
+    yielded, then FormatError is raised with the byte offset in the file,
+    as _read_utf8 reports it.
     """
-    offset = 0
-    for raw in f:
+    offset = 0  # of the block's first byte in the file
+    carried: list[bytes] = []  # the bytes read since the last b"\n"
+    while True:
+        raw = f.read(_READ_BYTES)
+        cut = raw.rfind(b"\n") + 1  # 0 if the read ends no line, or is empty at the end
+        if raw and not cut:
+            carried.append(raw)
+            continue
+        carried.append(raw[:cut])
+        block, carried = b"".join(carried), [raw[cut:]]
+        del raw  # while the caller works on a block, only its lines are held
+        if not block:
+            return
         try:
-            yield raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
+            lines = _split_lines(block.decode("utf-8"))
         except UnicodeDecodeError as e:
-            raise FormatError(
-                f"{path}: invalid UTF-8 at byte offset {offset + e.start}"
-            ) from e
-        offset += len(raw)
+            good = block.rfind(b"\n", 0, e.start) + 1
+            if good:
+                yield _split_lines(block[:good].decode("utf-8"))
+            raise FormatError(f"{path}: invalid UTF-8 at byte offset {offset + e.start}") from e
+        offset += len(block)
+        del block
+        yield lines
+
+
+def _read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file (see _split_lines), read a block at a time."""
+    lines: list[str] = []
+    with open(path, "rb") as f:
+        for block in _line_blocks(f, path):
+            lines += block
+    return lines
 
 
 def _check_dims(where: str, *dims: int) -> None:
@@ -202,17 +232,16 @@ def load_vocab(path: str, fmt: str) -> Vocabulary:
         raise ValidationError(f"unknown vocabulary format {fmt!r}")
     if fmt == "tsv-scored":
         return load_scored_tsv(path)[0]
-    text = _read_utf8(path)
     if fmt == "json-map":
-        return _vocab_from_json_map(text, path)
-    return _vocab_from_lines(_split_lines(text), path)
+        return _vocab_from_json_map(_read_utf8(path), path)
+    return _vocab_from_lines(_read_lines(path), path)
 
 
 def load_scored_tsv(path: str) -> tuple[Vocabulary, list[float]]:
     """Read a "token<TAB>score" file: its tokens in line order, and their scores."""
     tokens: list[str] = []
     scores: list[float] = []
-    for lineno, line in enumerate(_split_lines(_read_utf8(path)), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         fields = line.split("\t")
         if len(fields) != 2:
             raise FormatError(

@@ -237,6 +237,13 @@ class _TargetRows:
             self.report.warnings.extend(overlap.warnings)
             t_ids = np.fromiter(overlap.pairs.keys(), dtype=np.int64, count=len(overlap.pairs))
             s_ids = np.fromiter(overlap.pairs.values(), dtype=np.int64, count=len(overlap.pairs))
+            outside = (s_ids < 0) | (s_ids >= source.input_emb.rows)
+            if outside.any():
+                i = int(np.argmax(outside))
+                raise ValidationError(
+                    f"overlap map pairs target id {t_ids[i]} with source id {s_ids[i]}, "
+                    f"outside the source's {source.input_emb.rows} rows"
+                )
             for start in range(0, len(t_ids), _COPY_ROWS):
                 part = slice(start, start + _COPY_ROWS)
                 for out, m in zip(self.outs, self.sources):

@@ -35,8 +35,7 @@ import numpy as np
 
 from .embedding_store import (
     Vocabulary,
-    _read_utf8,
-    _split_lines,
+    _read_lines,
     load_scored_tsv,
     load_vocab,
 )
@@ -351,7 +350,7 @@ def load_bpe_spec(vocab_path: str, merges_path: str) -> BpeSpec:
     """
     vocab = load_vocab(vocab_path, "json-map")
     merges: list[tuple[str, str]] = []
-    lines = _split_lines(_read_utf8(merges_path))
+    lines = _read_lines(merges_path)
     start = 1 if lines and lines[0].startswith("#") else 0
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line:

@@ -11,7 +11,7 @@ from conftest import load_word_vectors_oracle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vocabport import aux_vectors
+from vocabport import embedding_store
 from vocabport.aux_vectors import aux_row, load_aux_model, load_word_vectors
 from vocabport.embedding_store import EmbeddingMatrix, Vocabulary, save_matrix
 from vocabport.errors import FormatError, ValidationError, VocabportError
@@ -201,7 +201,7 @@ class TestWordVectors:
     def test_pipe_grows_the_kept_rows(self, tmp_path, monkeypatch):
         # A pipe's size is unknown, so the kept rows start with no room and
         # grow as the target's tokens arrive, here one line per block.
-        monkeypatch.setattr(aux_vectors, "_BLOCK_CHARS", 1)
+        monkeypatch.setattr(embedding_store, "_READ_BYTES", 1)
         text = "6 2\n" + "".join(f"w{i} {i} {-i}\n" for i in range(6))
         (tmp_path / "file.vec").write_text(text)
         fifo = tmp_path / "pipe.vec"
@@ -294,7 +294,7 @@ class TestMatchesWholeFileLoader:
     ):
         # One line per block, or a few: faults and duplicates fall in
         # blocks after the ones that converted the lines before them.
-        with mock.patch.object(aux_vectors, "_BLOCK_CHARS", block_chars):
+        with mock.patch.object(embedding_store, "_READ_BYTES", block_chars):
             self._check(tmp_path, text, crlf, final_newline, target, fallback, bad)
 
     @staticmethod
@@ -385,7 +385,7 @@ class TestExactness:
     @given(
         dim=st.integers(1, 6),
         data=st.data(),
-        block_chars=st.sampled_from([1, 40, aux_vectors._BLOCK_CHARS]),
+        block_chars=st.sampled_from([1, 40, embedding_store._READ_BYTES]),
     )
     def test_rows_bit_equal_to_float_parsing(self, tmp_path, dim, data, block_chars):
         n = data.draw(st.integers(1, 12))
@@ -403,7 +403,7 @@ class TestExactness:
             f.write(f"{n} {dim}\n")
             f.writelines(f"t{i} " + " ".join(row) + tail + "\n" for i, row in enumerate(rows))
         target = Vocabulary([f"t{i}" for i in range(n)])
-        with mock.patch.object(aux_vectors, "_BLOCK_CHARS", block_chars):
+        with mock.patch.object(embedding_store, "_READ_BYTES", block_chars):
             got = _bits_or_error(load_word_vectors, path, target)
         assert got == _bits_or_error(load_word_vectors_oracle, path, target)
         if injected:

@@ -558,6 +558,30 @@ class TestAnalyzeCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("source", ["merges", "scores"])
+    def test_bpe_side_without_vocab_rejected_before_any_spec_loads(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        from vocabport import tokenizers
+
+        loads = []
+        for name in ("load_bpe_spec", "load_unigram_spec"):
+            monkeypatch.setattr(tokenizers, name, lambda *a, name=name: loads.append(name))
+        src_vocab, src_merges = _write_char_bpe(tmp_path, "src")
+        scores = tmp_path / "u.tsv"
+        scores.write_text("a\t-1.0\n")
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("x\n")
+        source_flags = (["--source-vocab", src_vocab, "--source-merges", src_merges]
+                        if source == "merges" else ["--source-scores", str(scores)])
+        code = run(["analyze", *source_flags, "--target-merges", src_merges,
+                    "--corpus", str(corpus)])
+        assert code == 1
+        assert "--target-vocab and --target-merges are required for a BPE spec" in (
+            capsys.readouterr().err
+        )
+        assert loads == []
+
 
 class TestStatsCommand:
     def test_kendall(self, tmp_path, capsys):

@@ -2,10 +2,11 @@ import json
 import os
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vocabport import embedding_store
@@ -274,6 +275,51 @@ class TestLineSplitting:
         # Only "\n" breaks a line; one "\r" before it is dropped; a final
         # newline ends the last line.
         assert embedding_store._split_lines(text) == lines
+
+
+# Line breaks, separators that stay inside a line, multi-byte characters (a
+# small read cuts them) and invalid sequences: a stray continuation byte,
+# lone and truncated lead bytes, an encoded surrogate, a code point past
+# U+10FFFF.
+_TEXT_PIECES = [b"a", b"bc ", b"\n", b"\r\n", b"\r", "\x85".encode(), "\u2028".encode(),
+                "é".encode(), "語".encode(), "𝄞".encode()]
+_INVALID_PIECES = [b"\x80", b"\xff", b"\xc3", b"\xe2\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+class TestBlockReader:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        pieces=st.lists(st.sampled_from(_TEXT_PIECES * 4 + _INVALID_PIECES), max_size=40),
+        final_newline=st.booleans(),
+        read_bytes=st.sampled_from([1, 2, 3, 7, 64]),
+    )
+    def test_matches_whole_file_split(self, tmp_path, pieces, final_newline, read_bytes):
+        data = b"".join(pieces).rstrip(b"\n") + (b"\n" if final_newline else b"")
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        try:
+            want, error = embedding_store._split_lines(embedding_store._read_utf8(str(path))), None
+        except FormatError as e:
+            # The lines that end before the first invalid byte.
+            error = str(e)
+            bad = int(error.rsplit(" ", 1)[1])
+            want = embedding_store._split_lines(data[: data.rfind(b"\n", 0, bad) + 1].decode())
+        with mock.patch.object(embedding_store, "_READ_BYTES", read_bytes):
+            got, got_error = [], None
+            with open(path, "rb") as f:
+                try:
+                    for block in embedding_store._line_blocks(f, str(path)):
+                        got += block
+                except FormatError as e:
+                    got_error = str(e)
+            assert (got, got_error) == (want, error)
+            if error is None:
+                assert embedding_store._read_lines(str(path)) == want
+            else:
+                with pytest.raises(FormatError) as e:
+                    embedding_store._read_lines(str(path))
+                assert str(e.value) == error
 
 
 class TestVembRoundTrip:

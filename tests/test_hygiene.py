@@ -7,13 +7,16 @@ exist; these checks read the modules with `ast` and fail on such leftovers.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import vocabport
 from vocabport.initializers import METHODS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vocabport"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -99,6 +102,38 @@ def test_method_names_only_in_initializers():
     }
     found = {name: lines for name, lines in found.items() if lines}
     assert not found, f"method names written outside initializers.py: {found}"
+
+
+def _assigned(tree: ast.AST, name: str) -> list[ast.expr]:
+    """The values assigned to a bare name anywhere in the tree."""
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+    ]
+
+
+def test_perfbench_names_resolve():
+    # The benchmark's tracer wraps the functions in its TRACED table, and its
+    # set-up probe calls each workload's loaders from the package top level;
+    # a renamed function would crash a traced run or the probe.
+    traced = ast.literal_eval(_assigned(_tree(PERFBENCH / "tracer.py"), "TRACED")[0])
+    loaders = {
+        plan.elts[0].value
+        for plans in _assigned(_tree(PERFBENCH / "workloads.py"), "loaders")
+        for plan in plans.elts
+    }
+    assert len(traced) > 5 and len(loaders) > 3
+    missing = [
+        f"vocabport.{module}.{name}"
+        for module, names in traced.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"vocabport.{module}"), name, None))
+    ]
+    missing += [f"vocabport.{name}" for name in sorted(loaders)
+                if not callable(getattr(vocabport, name, None))]
+    assert not missing, f"names perfbench calls that vocabport lacks: {missing}"
 
 
 def test_checks_catch_leftovers():

@@ -885,6 +885,23 @@ class TestEdgeCases:
         with pytest.raises(ValidationError, match="partition"):
             init_heuristics(source, target, bad, _cfg("heuristics"))
 
+    @pytest.mark.parametrize("source_id", [-1, 2])
+    @pytest.mark.parametrize("method", ["heuristics", "clp"])
+    def test_overlap_source_id_outside_source_rejected(self, source_id, method):
+        # -1 would copy the last source row, 2 would raise a bare IndexError.
+        from vocabport.overlap import OverlapMap
+
+        source = _bundle(["a", "b"], [[1.0], [2.0]])
+        target = Vocabulary(["a", "q"])
+        bad = OverlapMap(pairs={0: source_id}, non_overlap=[1])
+        message = f"target id 0 with source id {source_id}, outside the source's 2 rows"
+        with pytest.raises(ValidationError, match=message):
+            if method == "heuristics":
+                init_heuristics(source, target, bad, _cfg(method))
+            else:
+                aux = _aux(AUX_MODEL, {0: 0, 1: 1}, [[1.0], [1.0]], 2)
+                init_clp(source, target, bad, aux, _cfg(method))
+
     def test_invalid_source_bundle_rejected(self):
         source = ModelBundle(
             vocab=Vocabulary(["a", "b", "c"]),

@@ -13,9 +13,16 @@ import numpy as np
 import pytest
 from conftest import build_instance
 
-from vocabport import aux_vectors, cli, embedding_store, initializers, kernels
+from vocabport import cli, embedding_store, initializers, kernels
 from vocabport.aux_vectors import load_word_vectors
-from vocabport.embedding_store import EmbeddingMatrix, ModelBundle, Vocabulary, _first_nonfinite
+from vocabport.efficiency import load_corpus
+from vocabport.embedding_store import (
+    EmbeddingMatrix,
+    ModelBundle,
+    Vocabulary,
+    _first_nonfinite,
+    load_vocab,
+)
 from vocabport.initializers import InitConfig, _element_stats, _TargetRows
 from vocabport.kernels import SupportCosines
 from vocabport.overlap import compute_overlap
@@ -143,7 +150,31 @@ def test_word_vector_blocks_are_bounded_in_bytes(tmp_path):
     # The kept rows once (they are written into one array, trimmed in
     # place), a few copies of the line in flight (numpy's reader holds one
     # as UCS-4) and of a block's value text.
-    assert peak < kept + 8 * line + 2 * aux_vectors._BLOCK_CHARS
+    assert peak < kept + 8 * line + 2 * embedding_store._READ_BYTES
+
+
+@pytest.mark.parametrize("load", [
+    lambda path: load_corpus(path, "txt"),
+    lambda path: load_vocab(path, "line-per-token"),
+], ids=["load_corpus", "load_vocab"])
+def test_line_files_are_read_by_blocks(tmp_path, load):
+    # 4,000 lines of 200 to 1,400 characters, one in three of them CJK: 5 MB
+    # of UTF-8 that whole would be held again as bytes and as text.
+    n = 4000
+    path = tmp_path / "lines.txt"
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(f"{i} " + ("語" if i % 3 == 0 else "x") * (200 + i * 37 % 1200) + "\n"
+                     for i in range(n))
+    tracemalloc.start()
+    try:
+        result = load(str(path))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == n
+    # What the result keeps, the list of line references it is built from
+    # (9 bytes a line with list growth) and a few reads in flight.
+    assert peak < kept + 9 * n + 4 * embedding_store._READ_BYTES
 
 
 # Traced peak over the VEMB inputs (source, and the aux model for clp-plus)
