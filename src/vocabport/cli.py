@@ -300,12 +300,10 @@ def _infer_kind(vocab: str | None, merges: str | None, scores: str | None, side:
 def _cmd_tokenize(args) -> int:
     if (args.text is None) == (args.file is None):
         raise ValidationError("exactly one of --text or --file is required")
-    if args.spec_kind == "bpe":
-        if not args.merges:
-            raise ValidationError("--merges is required for --spec-kind bpe")
-        spec = tokenizers.load_bpe_spec(args.vocab, args.merges)
-    else:
-        spec = tokenizers.load_unigram_spec(args.vocab)
+    if args.spec_kind == "bpe" and not args.merges:
+        raise ValidationError("--merges is required for --spec-kind bpe")
+    # --vocab names the JSON map of a BPE spec or the TSV of a Unigram one.
+    spec = _build_spec(args.spec_kind, args.vocab, args.merges, args.vocab)
     if args.text is not None:
         text = args.text
     else:

@@ -21,7 +21,7 @@ from .tokenizers import TokenizerSpec, count_tokens
 CORPUS_FORMATS = ("txt", "jsonl")
 
 
-@dataclass
+@dataclass(slots=True)
 class CorpusSample:
     id: str
     text: str

@@ -148,13 +148,18 @@ def _first_nonfinite(arr: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
+def _utf8_error(path: str, offset: int) -> FormatError:
+    """The error for a file whose bytes are not UTF-8 from `offset` on."""
+    return FormatError(f"{path}: invalid UTF-8 at byte offset {offset}")
+
+
 def _read_utf8(path: str) -> str:
     with open(path, "rb") as f:
         raw = f.read()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: invalid UTF-8 at byte offset {e.start}") from e
+        raise _utf8_error(path, e.start) from e
 
 
 def _split_lines(text: str) -> list[str]:
@@ -200,7 +205,7 @@ def _line_blocks(f, path: str) -> Iterator[list[str]]:
             good = block.rfind(b"\n", 0, e.start) + 1
             if good:
                 yield _split_lines(block[:good].decode("utf-8"))
-            raise FormatError(f"{path}: invalid UTF-8 at byte offset {offset + e.start}") from e
+            raise _utf8_error(path, offset + e.start) from e
         offset += len(block)
         del block
         yield lines

@@ -18,7 +18,7 @@ from .embedding_store import EmbeddingMatrix, Vocabulary
 from .errors import ValidationError
 from .kernels import mean_std
 from .overlap import WORD_MARKERS
-from .tokenizers import UNICODE_TO_BYTE
+from .tokenizers import BYTE_ALPHABET, unmap_bytes
 
 SCRIPT_LABELS = (
     "Latin",
@@ -106,13 +106,6 @@ def _script_of(codepoint: int) -> str:
     return "Unknown"
 
 
-# The GPT-2 byte alphabet, and the table that maps each of its symbols to
-# the Latin-1 character of its byte, so a byte-level token decodes with
-# token.translate(_BYTE_TABLE).encode("latin-1").decode("utf-8").
-_BYTE_ALPHABET = frozenset(UNICODE_TO_BYTE)
-_BYTE_TABLE = str.maketrans({c: chr(b) for c, b in UNICODE_TO_BYTE.items()})
-
-
 def _majority_script(text: str) -> str:
     """The script most letters of `text` belong to; Unknown if it has no
     letters or two scripts share the top count."""
@@ -142,9 +135,9 @@ def classify_token(token: str) -> ScriptGroup:
     if token[:1] in WORD_MARKERS:
         position = WORD_INITIAL
         token = token[1:]
-    if _BYTE_ALPHABET.issuperset(token):
+    if BYTE_ALPHABET.issuperset(token):
         try:
-            token = token.translate(_BYTE_TABLE).encode("latin-1").decode("utf-8")
+            token = unmap_bytes(token)
         except UnicodeDecodeError:
             return ScriptGroup("Unknown", position)
     return ScriptGroup(_majority_script(token), position)

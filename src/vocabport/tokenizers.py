@@ -4,15 +4,19 @@ These engines exist to measure fragmentation, so determinism matters more
 than parity with any particular upstream implementation: the same input
 must produce the same ids on every run and thread count.
 
-Pretokenization follows a fixed, documented boundary rule rather than a
-configurable regex:
+Pretokenization follows one fixed, documented boundary rule, not a
+configurable pattern. Each character has a class: plain space, other
+whitespace, letter (isalpha), numeric (isnumeric) or other. The rule has
+four cases, tried in this order:
 
-  * runs of letters, numerics, and other non-space characters form
-    pretokens, split wherever the character class changes;
-  * a whitespace run followed by a visible character splits off its last
-    character; if that character is a plain space it folds into the
-    following pretoken ("hi there" -> ["hi", " there"]);
-  * a trailing whitespace run is one pretoken.
+  1. a run of letters, of numerics or of other characters is a pretoken,
+     split wherever the class changes; a plain space just before the run
+     folds into it ("hi there" -> ["hi", " there"]);
+  2. a whitespace run that ends the text is one pretoken;
+  3. a whitespace run before a visible character splits off its last
+     character; the rest, if any, is one pretoken;
+  4. that last character, unless it is a plain space (which case 1 takes),
+     stands alone.
 
 Byte-level specs then map each UTF-8 byte through the fixed 256-entry
 byte-to-unicode table (space becomes "Ġ"), so any byte sequence round-trips
@@ -29,6 +33,7 @@ token costs one unk step.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,71 +67,64 @@ def _build_byte_maps() -> tuple[dict[int, str], dict[str, int]]:
 
 
 BYTE_TO_UNICODE, UNICODE_TO_BYTE = _build_byte_maps()
+# The 256 symbols of the byte alphabet, which map_bytes writes.
+BYTE_ALPHABET = frozenset(UNICODE_TO_BYTE)
+# str.translate tables: the Latin-1 character of each byte -> its symbol,
+# and back.
+_TO_SYMBOLS = str.maketrans({chr(b): c for b, c in BYTE_TO_UNICODE.items()})
+_TO_LATIN1 = str.maketrans({c: chr(b) for c, b in UNICODE_TO_BYTE.items()})
 
 
-def _char_class(c: str) -> str:
-    if c.isspace():
-        return "space"
-    if c.isalpha():
-        return "letter"
-    if c.isnumeric():
-        return "numeric"
-    return "other"
+class _CharClasses(dict):
+    """Code point -> class letter, for str.translate.
+
+    P is a plain space, S other whitespace, L a letter (isalpha), N a
+    numeric (isnumeric) and O anything else. Entries are cached below
+    0x10000 only, so the table never exceeds 65,536 of them.
+    """
+
+    def __missing__(self, cp: int) -> str:
+        c = chr(cp)
+        if c.isspace():
+            cls = "P" if c == " " else "S"
+        elif c.isalpha():
+            cls = "L"
+        elif c.isnumeric():
+            cls = "N"
+        else:
+            cls = "O"
+        if cp < 0x10000:
+            self[cp] = cls
+        return cls
+
+
+_CHAR_CLASSES = _CharClasses()
+# The boundary rule over class letters: one alternative per case, in the
+# order of the module docstring.
+_PRETOKEN = re.compile(r"P?(?:L+|N+|O+)|[PS]+\Z|[PS]+(?=[PS])|S")
 
 
 def split_pretokens(text: str) -> list[str]:
     """Split text by the documented boundary rule, without byte mapping."""
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == " " and i + 1 < n and not text[i + 1].isspace():
-            cls = _char_class(text[i + 1])
-            j = i + 1
-            while j < n and _char_class(text[j]) == cls:
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif c.isspace():
-            j = i
-            while j < n and text[j].isspace():
-                j += 1
-            if j == n:
-                out.append(text[i:j])
-                i = j
-            else:
-                # Split off the run's last char; a plain space folds into
-                # the next pretoken, any other whitespace stands alone.
-                if j - 1 > i:
-                    out.append(text[i : j - 1])
-                if text[j - 1] == " ":
-                    i = j - 1
-                else:
-                    out.append(text[j - 1 : j])
-                    i = j
-        else:
-            cls = _char_class(c)
-            j = i
-            while j < n and _char_class(text[j]) == cls:
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
+    classes = text.translate(_CHAR_CLASSES)
+    return [text[m.start() : m.end()] for m in _PRETOKEN.finditer(classes)]
 
 
 def map_bytes(s: str) -> str:
     """Encode a string's UTF-8 bytes through the byte-to-unicode table."""
-    return "".join(BYTE_TO_UNICODE[b] for b in s.encode("utf-8"))
+    return s.encode("utf-8").decode("latin-1").translate(_TO_SYMBOLS)
 
 
 def unmap_bytes(s: str) -> str:
-    """Invert map_bytes; raises on symbols outside the byte alphabet."""
-    try:
-        raw = bytes(UNICODE_TO_BYTE[c] for c in s)
-    except KeyError as e:
-        raise ValidationError(f"symbol {e.args[0]!r} is not in the byte alphabet") from e
-    return raw.decode("utf-8")
+    """Invert map_bytes.
+
+    Raises ValidationError on a symbol outside the byte alphabet, and
+    UnicodeDecodeError when the symbols spell bytes that are not UTF-8.
+    """
+    if not BYTE_ALPHABET.issuperset(s):
+        bad = next(c for c in s if c not in BYTE_ALPHABET)
+        raise ValidationError(f"symbol {bad!r} is not in the byte alphabet")
+    return s.translate(_TO_LATIN1).encode("latin-1").decode("utf-8")
 
 
 def byte_level_pretokenize(text: str) -> list[str]:

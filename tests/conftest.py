@@ -25,9 +25,9 @@ from vocabport.embedding_store import (
     _split_lines,
     save_matrix,
 )
-from vocabport.errors import FormatError
+from vocabport.errors import FormatError, ValidationError
 from vocabport.script_groups import GroupStats
-from vocabport.tokenizers import BYTE_TO_UNICODE, BpeSpec, UnigramSpec
+from vocabport.tokenizers import BYTE_TO_UNICODE, UNICODE_TO_BYTE, BpeSpec, UnigramSpec
 
 G = BYTE_TO_UNICODE[ord(" ")]  # "Ġ"
 
@@ -67,6 +67,70 @@ def bpe_merge_oracle(symbols, ranks):
             return symbols
         _, i = min(applicable)
         symbols = symbols[:i] + [symbols[i] + symbols[i + 1]] + symbols[i + 2 :]
+
+
+def _char_class(c: str) -> str:
+    if c.isspace():
+        return "space"
+    if c.isalpha():
+        return "letter"
+    if c.isnumeric():
+        return "numeric"
+    return "other"
+
+
+def pretokenize_oracle(text: str) -> list[str]:
+    """The boundary rule as a state machine over characters, one class
+    lookup per character."""
+    out: list[str] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == " " and i + 1 < n and not text[i + 1].isspace():
+            cls = _char_class(text[i + 1])
+            j = i + 1
+            while j < n and _char_class(text[j]) == cls:
+                j += 1
+            out.append(text[i:j])
+            i = j
+        elif c.isspace():
+            j = i
+            while j < n and text[j].isspace():
+                j += 1
+            if j == n:
+                out.append(text[i:j])
+                i = j
+            else:
+                # Split off the run's last char; a plain space folds into
+                # the next pretoken, any other whitespace stands alone.
+                if j - 1 > i:
+                    out.append(text[i : j - 1])
+                if text[j - 1] == " ":
+                    i = j - 1
+                else:
+                    out.append(text[j - 1 : j])
+                    i = j
+        else:
+            cls = _char_class(c)
+            j = i
+            while j < n and _char_class(text[j]) == cls:
+                j += 1
+            out.append(text[i:j])
+            i = j
+    return out
+
+
+def map_bytes_oracle(s: str) -> str:
+    return "".join(BYTE_TO_UNICODE[b] for b in s.encode("utf-8"))
+
+
+def unmap_bytes_oracle(s: str) -> str:
+    try:
+        raw = bytes(UNICODE_TO_BYTE[c] for c in s)
+    except KeyError as e:
+        raise ValidationError(f"symbol {e.args[0]!r} is not in the byte alphabet") from e
+    return raw.decode("utf-8")
 
 
 def bpe_oracle_encode(spec, text):

@@ -77,6 +77,13 @@ class TestTokenizeCommand:
         assert code == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    def test_bpe_without_merges_rejected_before_the_vocab_loads(self, tmp_path, capsys):
+        # Loading the missing vocab first would exit 2 with an i/o error.
+        vocab = str(tmp_path / "absent.json")
+        code = run(["tokenize", "--spec-kind", "bpe", "--vocab", vocab, "--text", "ab"])
+        assert code == 1
+        assert "--merges is required for --spec-kind bpe" in capsys.readouterr().err
+
     def test_missing_text_and_file(self, tmp_path, capsys):
         vocab, merges = _write_tiny_bpe(tmp_path)
         code = run(["tokenize", "--spec-kind", "bpe", "--vocab", vocab, "--merges", merges])

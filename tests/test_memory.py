@@ -7,6 +7,7 @@ one whole-matrix temporary.
 """
 
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -175,6 +176,23 @@ def test_line_files_are_read_by_blocks(tmp_path, load):
     # What the result keeps, the list of line references it is built from
     # (9 bytes a line with list growth) and a few reads in flight.
     assert peak < kept + 9 * n + 4 * embedding_store._READ_BYTES
+
+
+def test_corpus_sample_overhead(tmp_path):
+    n = 20000
+    path = tmp_path / "corpus.txt"
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(f"sample {i:06d} " + "x" * (i % 50) + "\n" for i in range(n))
+    tracemalloc.start()
+    try:
+        samples = load_corpus(str(path), "txt")
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    strings = sum(sys.getsizeof(s.text) + sys.getsizeof(s.id) for s in samples)
+    # Beyond its two strings a sample keeps its list reference (8 bytes)
+    # and a slotted instance (48); an instance __dict__ would add 40 more.
+    assert kept - strings < 64 * n
 
 
 # Traced peak over the VEMB inputs (source, and the aux model for clp-plus)

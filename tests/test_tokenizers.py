@@ -9,15 +9,21 @@ from conftest import (
     bpe_oracle_encode,
     make_bpe_spec,
     make_unigram_spec,
+    map_bytes_oracle,
+    pretokenize_oracle,
     unigram_oracle,
     unigram_score,
+    unmap_bytes_oracle,
     viterbi_full_window_oracle,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vocabport import tokenizers
 from vocabport.errors import FormatError, MalformedSpecError, ValidationError
 from vocabport.tokenizers import (
+    BYTE_ALPHABET,
+    BYTE_TO_UNICODE,
     BpeSpec,
     _merge_symbols,
     _viterbi,
@@ -31,6 +37,7 @@ from vocabport.tokenizers import (
     map_bytes,
     split_pretokens,
     unigram_encode,
+    unmap_bytes,
 )
 from vocabport.embedding_store import Vocabulary, load_vocab
 
@@ -63,6 +70,58 @@ class TestPretokenize:
     @given(st.text(max_size=40))
     def test_lossless_split(self, text):
         assert "".join(split_pretokens(text)) == text
+
+    # Each whitespace kind, "_", numerics that are not decimal, a character
+    # both alpha and numeric, Arabic letters, and an astral letter and
+    # digit, whose classes are looked up but never cached.
+    @settings(max_examples=600, deadline=None)
+    @given(st.text(alphabet=" \t\r\n\x85\u3000_²½Ⅷ一aZ7!بتا\U00010400\U0001D7CE", max_size=30))
+    def test_matches_state_machine_oracle(self, text):
+        assert split_pretokens(text) == pretokenize_oracle(text)
+
+    def test_class_table_caches_only_the_bmp(self):
+        text = "".join(map(chr, range(0xFF00, 0x30000)))
+        assert "".join(split_pretokens(text)) == text
+        assert len(tokenizers._CHAR_CLASSES) <= 0x10000
+
+
+class TestByteMap:
+    def test_single_bytes_match_oracle(self):
+        for b in range(256):
+            assert map_bytes(chr(b)) == map_bytes_oracle(chr(b))
+            symbol = BYTE_TO_UNICODE[b]
+            if b < 0x80:
+                assert unmap_bytes(symbol) == unmap_bytes_oracle(symbol) == chr(b)
+            else:  # a lone byte of a multi-byte sequence
+                with pytest.raises(UnicodeDecodeError):
+                    unmap_bytes(symbol)
+                with pytest.raises(UnicodeDecodeError):
+                    unmap_bytes_oracle(symbol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=24))
+    def test_text_matches_oracle(self, text):
+        mapped = map_bytes(text)
+        assert mapped == map_bytes_oracle(text)
+        assert BYTE_ALPHABET.issuperset(mapped)
+        assert unmap_bytes(mapped) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(sorted(BYTE_ALPHABET) + [" ", "\n", "語"]),
+                   max_size=8))
+    def test_unmap_outcome_matches_oracle(self, symbols):
+        def outcome(fn):
+            try:
+                return fn(symbols)
+            except (ValidationError, UnicodeDecodeError) as e:
+                return type(e), str(e)
+
+        assert outcome(unmap_bytes) == outcome(unmap_bytes_oracle)
+
+    def test_symbol_outside_alphabet_message(self):
+        with pytest.raises(ValidationError) as e:
+            unmap_bytes("ab cd")
+        assert str(e.value) == "symbol ' ' is not in the byte alphabet"
 
 
 class TestBpe:
