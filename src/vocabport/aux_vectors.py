@@ -29,7 +29,7 @@ from .embedding_store import (
     sniff_vocab_format,
 )
 from .errors import FormatError, ValidationError
-from .overlap import WORD_MARKERS
+from .tokenizers import WORD_MARKERS
 
 AUX_MODEL = "aux-model"
 WORD_VECTORS = "word-vectors"

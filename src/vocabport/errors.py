@@ -14,4 +14,12 @@ class FormatError(ValidationError):
 
 
 class MalformedSpecError(ValidationError):
-    """A tokenizer spec is internally inconsistent or incomplete."""
+    """A tokenizer spec is internally inconsistent or incomplete.
+
+    `item` is the index of the merge or token at fault, when there is one;
+    the spec loaders turn it into a file line.
+    """
+
+    def __init__(self, message: str, item: int | None = None):
+        super().__init__(message)
+        self.item = item

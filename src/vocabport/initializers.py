@@ -96,6 +96,10 @@ class InitConfig:
             raise ValidationError("seed must be an unsigned 64-bit integer")
         if not self.sparsemax_temperature > 0:
             raise ValidationError("sparsemax temperature must be > 0")
+        if self.sparsemax_temperature < 2**-53:
+            # Keeps |cosine / T| <= 2**53, where sparsemax's top entry
+            # always stays in its support.
+            raise ValidationError("sparsemax temperature must be >= 2**-53")
         if self.min_group_size < 1:
             raise ValidationError("min group size must be >= 1")
         if self.missing_aux_policy not in MISSING_AUX_POLICIES:
@@ -188,13 +192,6 @@ def _check_source(source: ModelBundle) -> None:
         raise ValidationError("invalid source bundle: " + "; ".join(problems))
 
 
-def _check_overlap(overlap: OverlapMap, n: int) -> None:
-    in_pairs = set(overlap.pairs)
-    in_rest = set(overlap.non_overlap)
-    if in_pairs & in_rest or (in_pairs | in_rest) != set(range(n)):
-        raise ValidationError("overlap map does not partition the target ids")
-
-
 def _require_kind(aux: AuxEmbeddings | None, kind: str, method: str) -> None:
     if aux is None:
         raise ValidationError(f"method {method!r} requires {kind} auxiliary vectors")
@@ -223,20 +220,15 @@ class _TargetRows:
     ):
         _check_source(source)
         n = len(target_vocab)
+        pairs = {} if overlap is None else overlap.pairs
+        t_ids = np.fromiter(pairs.keys(), dtype=np.int64, count=len(pairs))
+        s_ids = np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs))
         if overlap is not None:
-            _check_overlap(overlap, n)
-        self.source = source
-        self.target_vocab = target_vocab
-        self.seed = cfg.seed
-        self.sources = [m for m in (source.input_emb, source.output_emb) if m is not None]
-        self.stats = [_element_stats(m) for m in self.sources]
-        self.outs = [np.empty((n, m.cols), dtype=np.float32) for m in self.sources]
-        self.report = InitReport(method=method)
-        if overlap is not None:
-            self.report.copied = len(overlap.pairs)
-            self.report.warnings.extend(overlap.warnings)
-            t_ids = np.fromiter(overlap.pairs.keys(), dtype=np.int64, count=len(overlap.pairs))
-            s_ids = np.fromiter(overlap.pairs.values(), dtype=np.int64, count=len(overlap.pairs))
+            # Sorted, the paired and the non-overlap ids must be 0..n-1 once
+            # each: no id missing, repeated, in both parts or out of range.
+            ids = np.concatenate([t_ids, np.array(overlap.non_overlap, dtype=np.int64)])
+            if not np.array_equal(np.sort(ids), np.arange(n)):
+                raise ValidationError("overlap map does not partition the target ids")
             outside = (s_ids < 0) | (s_ids >= source.input_emb.rows)
             if outside.any():
                 i = int(np.argmax(outside))
@@ -244,10 +236,19 @@ class _TargetRows:
                     f"overlap map pairs target id {t_ids[i]} with source id {s_ids[i]}, "
                     f"outside the source's {source.input_emb.rows} rows"
                 )
-            for start in range(0, len(t_ids), _COPY_ROWS):
-                part = slice(start, start + _COPY_ROWS)
-                for out, m in zip(self.outs, self.sources):
-                    out[t_ids[part]] = m.data[s_ids[part]]
+        self.source = source
+        self.target_vocab = target_vocab
+        self.seed = cfg.seed
+        self.sources = [m for m in (source.input_emb, source.output_emb) if m is not None]
+        self.stats = [_element_stats(m) for m in self.sources]
+        self.outs = [np.empty((n, m.cols), dtype=np.float32) for m in self.sources]
+        self.report = InitReport(method=method, copied=len(pairs))
+        if overlap is not None:
+            self.report.warnings.extend(overlap.warnings)
+        for start in range(0, len(t_ids), _COPY_ROWS):
+            part = slice(start, start + _COPY_ROWS)
+            for out, m in zip(self.outs, self.sources):
+                out[t_ids[part]] = m.data[s_ids[part]]
 
     def sample(self, ids: list[int], params: list[tuple]) -> None:
         """Fill rows `ids` of each target matrix with float32(mean + std * z).
@@ -300,34 +301,26 @@ def init_random(
     return rows.result()
 
 
-def _clp_weights(sims: np.ndarray, cfg: InitConfig) -> tuple[np.ndarray, ...]:
-    if cfg.clp_raw_weights:
-        # Normalized raw cosines may be negative, so the result is not
-        # always a convex combination.
-        totals = sims.sum(axis=1)
-        uniform = np.abs(totals) < 1e-12
-        weights = sims / np.where(uniform, 1.0, totals)[:, None]
-        convex = uniform | np.all(weights >= 0.0, axis=1)
-    else:
-        weights = np.maximum(sims, 0.0)
-        totals = weights.sum(axis=1)
-        uniform = ~(totals > 0.0)
-        weights /= np.where(uniform, 1.0, totals)[:, None]
-        convex = np.ones(len(sims), dtype=bool)
+def _clp_weights(sims: np.ndarray, cfg: InitConfig) -> tuple[np.ndarray, np.ndarray]:
+    # Raw cosines (cfg.clp_raw_weights) are not clamped, so their weights
+    # may be negative and a row's combination not convex.
+    weights = sims if cfg.clp_raw_weights else np.maximum(sims, 0.0, out=sims)
+    totals = weights.sum(axis=1)
+    uniform = np.abs(totals) < 1e-12 if cfg.clp_raw_weights else ~(totals > 0.0)
+    weights /= np.where(uniform, 1.0, totals)[:, None]
     weights[uniform] = 1.0 / sims.shape[1]
-    return weights, convex, uniform
+    return weights, uniform
 
 
-def _sparsemax_weights(sims: np.ndarray, cfg: InitConfig) -> tuple[np.ndarray, ...]:
-    n = len(sims)
-    weights = sparsemax(sims / cfg.sparsemax_temperature)
-    return weights, np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+def _sparsemax_weights(sims: np.ndarray, cfg: InitConfig) -> tuple[np.ndarray, np.ndarray]:
+    return sparsemax(sims / cfg.sparsemax_temperature), np.zeros(len(sims), dtype=bool)
 
 
 # Similarity methods: the auxiliary-vector kind each needs (the only record
 # of it; the CLI picks aux flags by it), and its rule turning a (rows,
-# support) block of cosines into (weights, convex, uniform): the weights,
-# and per row whether they are convex and whether they fell back to uniform.
+# support) block of cosines, which it may overwrite, into (weights,
+# uniform): the weights, and per row whether they fell back to uniform.
+# Every rule maps all-zero cosines, a zero-norm query's, to 1/n weights.
 _SIMILARITY_METHODS = {
     "clp": (AUX_MODEL, _clp_weights),
     "focus": (WORD_VECTORS, _sparsemax_weights),
@@ -347,12 +340,25 @@ def _similarity_init(
     _require_kind(aux, kind, method)
     rows = _TargetRows(method, source, target_vocab, cfg, overlap)
     report = rows.report
+    align = aux.vocab_alignment
 
     # Support = overlap tokens that actually have an auxiliary vector;
     # fabricating zero similarities for the rest would still let them
-    # compete inside sparsemax.
-    support = [(t, s) for t, s in sorted(overlap.pairs.items()) if t in aux.vocab_alignment]
+    # compete inside sparsemax. Non-overlap tokens with a vector are
+    # queries, weighted in blocks below; the rest are sampled.
+    support = [(t, s) for t, s in sorted(overlap.pairs.items()) if t in align]
+    query_t = [t for t in overlap.non_overlap if t in align]
+    missing = [t for t in overlap.non_overlap if t not in align]
     n_supp = report.support_size = len(support)
+    if query_t and not n_supp:
+        raise ValidationError(
+            "no overlapping token has an auxiliary vector; cannot form a "
+            "similarity support"
+        )
+    if missing and cfg.missing_aux_policy == "error":
+        raise ValidationError(
+            f"token {target_vocab.tokens[missing[0]]!r} (id {missing[0]}) has no auxiliary vector"
+        )
     report.support_dropped = len(overlap.pairs) - n_supp
     if report.support_dropped:
         report.warnings.append(
@@ -361,7 +367,7 @@ def _similarity_init(
         )
     supp_src = np.array([s for _, s in support], dtype=np.int64)
     if n_supp:
-        aux_ids = np.array([aux.vocab_alignment[t] for t, _ in support], dtype=np.int64)
+        aux_ids = np.array([align[t] for t, _ in support], dtype=np.int64)
         cosines = SupportCosines(aux.matrix.data, aux_ids)
         zero_support = int(np.count_nonzero(cosines.zero_rows))
         if zero_support:
@@ -369,58 +375,31 @@ def _similarity_init(
                 f"{zero_support} support vectors have zero norm and contribute "
                 "zero similarity"
             )
-
-    needs_support = any(t in aux.vocab_alignment for t in overlap.non_overlap)
-    if needs_support and n_supp == 0:
-        raise ValidationError(
-            "no overlapping token has an auxiliary vector; cannot form a "
-            "similarity support"
-        )
-
-    # Tokens without an auxiliary vector are sampled; the rest are queries,
-    # weighted in blocks below.
-    missing: list[int] = []
-    query_t: list[int] = []
-    query_aux: list[int] = []
-    for t in overlap.non_overlap:
-        aux_id = aux.vocab_alignment.get(t)
-        if aux_id is None:
-            if cfg.missing_aux_policy == "error":
-                raise ValidationError(
-                    f"token {target_vocab.tokens[t]!r} (id {t}) has no auxiliary vector"
-                )
-            missing.append(t)
-        else:
-            query_t.append(t)
-            query_aux.append(aux_id)
     rows.sample_random(missing)
 
-    zero_ids: list[int] = []
+    zero_ids: list[int] = []  # the first _ZERO_NORM_SAMPLE zero-norm queries
     nonzero: list[int] = []  # nonzero weights per query row
     uniform_rows = None  # the uniform-weight combination, made at most once
     block_rows = max(1, _BLOCK_BYTES // (8 * max(n_supp, 1)))
     for start in range(0, len(query_t), block_rows):
         block = query_t[start : start + block_rows]
-        sims, zero = cosines(aux.matrix.data[query_aux[start : start + block_rows]])
-        weights, convex, uniform = weigh(sims, cfg)
+        sims, zero = cosines(aux.matrix.data[[align[t] for t in block]])
+        weights, uniform = weigh(sims, cfg)
         del sims
+        report.zero_norm_queries += int(np.count_nonzero(zero))
+        report.uniform_fallbacks += int(np.count_nonzero(uniform & ~zero))
+        zero_ids += [block[i] for i in np.flatnonzero(zero)[: _ZERO_NORM_SAMPLE - len(zero_ids)]]
+        nonzero += np.count_nonzero(weights, axis=1).tolist()
+        convex = np.all(weights >= 0.0, axis=1)
         uniform |= zero
-        for t, w, is_convex, is_uniform, is_zero in zip(block, weights, convex, uniform, zero):
-            if is_zero:
-                report.zero_norm_queries += 1
-                if len(zero_ids) < _ZERO_NORM_SAMPLE:
-                    zero_ids.append(t)
-            elif is_uniform:
-                report.uniform_fallbacks += 1
+        for t, w, is_convex, is_uniform in zip(block, weights, convex, uniform):
             if is_uniform:
                 if uniform_rows is None:
                     flat = WeightVector(supp_src, np.full(n_supp, 1.0 / n_supp))
                     uniform_rows = [convex_combine(flat, m) for m in rows.sources]
                 mixed = uniform_rows
-                nonzero.append(n_supp)
             else:
                 nz = np.flatnonzero(w)
-                nonzero.append(len(nz))
                 sparse = WeightVector(supp_src[nz], w[nz], convex=bool(is_convex))
                 combine = convex_combine if is_convex else weighted_sum
                 mixed = [combine(sparse, m) for m in rows.sources]

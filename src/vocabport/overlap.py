@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .embedding_store import Vocabulary
-
-# GPT-2-style and SentencePiece-style word-boundary markers.
-WORD_MARKERS = ("Ġ", "▁")  # "Ġ", "▁"
+from .tokenizers import WORD_MARKERS
 
 CANON_MODES = ("exact", "marker-normalized")
 
@@ -37,7 +35,7 @@ class OverlapMap:
 
 def _canon(token: str) -> str:
     if token[:1] in WORD_MARKERS:
-        return "▁" + token[1:]
+        return WORD_MARKERS[1] + token[1:]
     return token
 
 

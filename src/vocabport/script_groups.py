@@ -17,8 +17,7 @@ import numpy as np
 from .embedding_store import EmbeddingMatrix, Vocabulary
 from .errors import ValidationError
 from .kernels import mean_std
-from .overlap import WORD_MARKERS
-from .tokenizers import BYTE_ALPHABET, unmap_bytes
+from .tokenizers import BYTE_ALPHABET, WORD_MARKERS, unmap_bytes
 
 SCRIPT_LABELS = (
     "Latin",

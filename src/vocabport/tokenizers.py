@@ -35,6 +35,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -115,6 +116,10 @@ def map_bytes(s: str) -> str:
     return s.encode("utf-8").decode("latin-1").translate(_TO_SYMBOLS)
 
 
+# Word-boundary markers: GPT-2-style (a mapped space) and SentencePiece-style.
+WORD_MARKERS = (map_bytes(" "), "▁")
+
+
 def unmap_bytes(s: str) -> str:
     """Invert map_bytes.
 
@@ -151,7 +156,7 @@ class BpeSpec:
         for i, (left, right) in enumerate(self.merges):
             if left + right not in index:
                 raise MalformedSpecError(
-                    f"merge #{i} result {left + right!r} is not in the vocabulary"
+                    f"merge #{i} result {left + right!r} is not in the vocabulary", i
                 )
             ranks.setdefault((left, right), i)
         self.ranks = ranks
@@ -172,7 +177,7 @@ class UnigramSpec:
     log_probs: np.ndarray
     unk_token: str
     unk_penalty: float
-    space_marker: str | None = "▁"
+    space_marker: str | None = WORD_MARKERS[1]
     unk_id: int = field(init=False, repr=False)
     _longest: dict[str, int] = field(init=False, repr=False)
 
@@ -182,8 +187,9 @@ class UnigramSpec:
             raise MalformedSpecError(
                 f"{self.log_probs.size} log-probs for {len(self.vocab)} tokens"
             )
-        if not np.all(np.isfinite(self.log_probs)):
-            raise MalformedSpecError("log-probs must be finite")
+        bad = np.flatnonzero(~np.isfinite(self.log_probs))
+        if bad.size:
+            raise MalformedSpecError("log-probs must be finite", int(bad[0]))
         if not np.isfinite(self.unk_penalty):
             raise MalformedSpecError("unk penalty must be finite")
         if self.unk_token not in self.vocab:
@@ -340,11 +346,19 @@ def count_tokens(spec: TokenizerSpec, text: str) -> int:
     return len(encode(spec, text))
 
 
+def _located(err: MalformedSpecError, path: str, linenos: Sequence[int]) -> MalformedSpecError:
+    """`err` prefixed with its place in `path`: the line of its item, which
+    is `linenos[err.item]`, or the file alone when no item is at fault."""
+    where = path if err.item is None else f"{path}:{linenos[err.item]}"
+    return MalformedSpecError(f"{where}: {err}", err.item)
+
+
 def load_bpe_spec(vocab_path: str, merges_path: str) -> BpeSpec:
     """Load a byte-level BPE spec from a JSON vocab map and a merges text file.
 
     Merges format: one "left right" pair per line, space-separated; a
-    first line starting with "#" is a header and is skipped.
+    first line starting with "#" is a header and is skipped. A merge whose
+    result is not a vocabulary token is reported at its merges-file line.
     """
     vocab = load_vocab(vocab_path, "json-map")
     merges: list[tuple[str, str]] = []
@@ -359,7 +373,12 @@ def load_bpe_spec(vocab_path: str, merges_path: str) -> BpeSpec:
                 f"{merges_path}:{lineno}: expected 'left right', got {len(parts)} fields"
             )
         merges.append((parts[0], parts[1]))
-    return BpeSpec(vocab=vocab, merges=merges)
+    try:
+        return BpeSpec(vocab=vocab, merges=merges)
+    except MalformedSpecError as err:
+        # Merge i is on the i-th nonblank line after the header.
+        linenos = [n for n, line in enumerate(lines[start:], start + 1) if line]
+        raise _located(err, merges_path, linenos) from None
 
 
 def load_unigram_spec(path: str) -> UnigramSpec:
@@ -367,12 +386,16 @@ def load_unigram_spec(path: str) -> UnigramSpec:
 
     Ids follow line order and the unk token is "<unk>". Unknown characters
     cost the lowest log-prob in the file minus 10, so unk is always a last
-    resort.
+    resort. A non-finite score is reported at its line, a missing "<unk>"
+    at the file.
     """
     vocab, scores = load_scored_tsv(path)
-    return UnigramSpec(
-        vocab=vocab,
-        log_probs=np.array(scores, dtype=np.float64),
-        unk_token="<unk>",
-        unk_penalty=(min(scores) if scores else 0.0) - 10.0,
-    )
+    try:
+        return UnigramSpec(
+            vocab=vocab,
+            log_probs=np.array(scores, dtype=np.float64),
+            unk_token="<unk>",
+            unk_penalty=(min(scores) if scores else 0.0) - 10.0,
+        )
+    except MalformedSpecError as err:
+        raise _located(err, path, range(1, len(scores) + 1)) from None

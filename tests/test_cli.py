@@ -147,8 +147,9 @@ class TestInitCommand:
         "option,message",
         [(["--seed", "-1"], "seed must be an unsigned 64-bit integer"),
          (["--temperature", "0"], "sparsemax temperature must be > 0"),
+         (["--temperature", "1e-300"], "sparsemax temperature must be >= 2**-53"),
          (["--min-group-size", "0"], "min group size must be >= 1")],
-        ids=["seed", "temperature", "min-group-size"],
+        ids=["seed", "temperature", "temperature-floor", "min-group-size"],
     )
     def test_options_checked_before_inputs_load(self, tmp_path, capsys, option, message):
         inst = build_instance(tmp_path, n_source=10, n_target=8, n_overlap=4, dim=4, untied=False)

@@ -208,7 +208,8 @@ class TestVocabularyIndex:
         (tmp_path / "m.txt").write_text("a b\nb a\n")
         with pytest.raises(MalformedSpecError) as e:
             load_bpe_spec(str(tmp_path / "v.json"), str(tmp_path / "m.txt"))
-        assert str(e.value) == "merge #1 result 'ba' is not in the vocabulary"
+        merges = tmp_path / "m.txt"
+        assert str(e.value) == f"{merges}:2: merge #1 result 'ba' is not in the vocabulary"
 
 
 # Separators str.splitlines() breaks at besides "\n" and "\r".

@@ -1,9 +1,10 @@
 """Static checks on the package source: no unused imports, no dead private
-names, method names spelled only where the methods are defined.
+names, method names and word-boundary markers spelled only where they are
+defined.
 
 Deleting code tends to leave an import or a `_helper` behind, and a method
-name written out in another module is a second record of which methods
-exist; these checks read the modules with `ast` and fail on such leftovers.
+name or a marker written out in another module is a second record of it;
+these checks read the modules with `ast` and fail on such leftovers.
 """
 
 import ast
@@ -14,6 +15,7 @@ import pytest
 
 import vocabport
 from vocabport.initializers import METHODS
+from vocabport.tokenizers import WORD_MARKERS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vocabport"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -74,6 +76,25 @@ def _method_literals(tree: ast.AST) -> list[str]:
     ]
 
 
+def _marker_literals(tree: ast.AST) -> list[str]:
+    """String constants, docstrings aside, that contain a word-boundary marker."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+    }
+    return [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in docstrings
+        and any(marker in node.value for marker in WORD_MARKERS)
+    ]
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
@@ -102,6 +123,16 @@ def test_method_names_only_in_initializers():
     }
     found = {name: lines for name, lines in found.items() if lines}
     assert not found, f"method names written outside initializers.py: {found}"
+
+
+def test_word_markers_only_in_tokenizers():
+    found = {
+        path.name: _marker_literals(_tree(path))
+        for path in MODULES
+        if path.name != "tokenizers.py"
+    }
+    found = {name: lines for name, lines in found.items() if lines}
+    assert not found, f"word-boundary markers written outside tokenizers.py: {found}"
 
 
 def _assigned(tree: ast.AST, name: str) -> list[ast.expr]:
@@ -147,3 +178,8 @@ def test_checks_catch_leftovers():
     assert "_LIVE" in used and "_dead" not in used and "_ALSO_DEAD" not in used
     tree = ast.parse('if args.method in ("clp", "clp-plus"):\n    x = f"{y}focus"\nz = "clp+"\n')
     assert _method_literals(tree) == ["line 1: 'clp'", "line 1: 'clp-plus'", "line 2: 'focus'"]
+    tree = ast.parse(
+        '"""A leading \u0120."""\n\ndef f(t):\n    """Drops \u2581."""\n'
+        '    return "\\u2581" + t[1:], f"\u0120{t}", "x"\n'
+    )
+    assert _marker_literals(tree) == ["line 5: '\u2581'", "line 5: '\u0120'"]

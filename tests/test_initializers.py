@@ -490,6 +490,9 @@ class TestBlockEngine:
     @pytest.mark.parametrize("method,kind,extra,mode", _BLOCK_CASES)
     def test_three_row_blocks_match_one_block(self, monkeypatch, method, kind, extra, mode):
         source, target, overlap, alignment, matrix, n_supp = _block_instance()
+        # q2 and q10..q16 are zero-norm: in 3-row blocks they sit in blocks
+        # 1, 4, 5 and 6, and the capped sample fills up inside block 5.
+        matrix[[alignment[_N_OVERLAP + i] for i in range(10, 17)]] = 0.0
         aux = _aux(kind, alignment, matrix, len(target))
         cfg = _cfg(method, **extra)
         # Record the cosine blocks the weight rule sees: output rows are
@@ -517,7 +520,14 @@ class TestBlockEngine:
         assert one_report.similarity_initialized == 29
         assert one_report.random_fallback == 1
         assert (one_report.support_size, one_report.support_dropped) == (n_supp, 1)
-        assert one_report.zero_norm_queries == 1
+        assert split_report.zero_norm_queries == one_report.zero_norm_queries == 8
+        assert split_report.uniform_fallbacks == one_report.uniform_fallbacks
+        assert (
+            "8 queries have zero-norm auxiliary vectors (target ids 302, 310, 311, 312, "
+            "313, ...); their weights fall back to uniform"
+        ) in split_report.warnings
+        assert split_report.nonzero_weights == one_report.nonzero_weights
+        assert one_report.nonzero_weights["max"] == n_supp
         for t in overlap.non_overlap:
             if t not in aux.vocab_alignment:
                 continue
@@ -632,9 +642,9 @@ class TestReportDiagnostics:
         rule_kind, rule = initializers._SIMILARITY_METHODS["clp-plus"]
 
         def recording_rule(sims, cfg):
-            weights, convex, uniform = rule(sims, cfg)
+            weights, uniform = rule(sims, cfg)
             counts.extend(np.count_nonzero(weights, axis=1).tolist())
-            return weights, convex, uniform
+            return weights, uniform
 
         monkeypatch.setitem(
             initializers._SIMILARITY_METHODS, "clp-plus", (rule_kind, recording_rule)
@@ -885,6 +895,32 @@ class TestEdgeCases:
         with pytest.raises(ValidationError, match="partition"):
             init_heuristics(source, target, bad, _cfg("heuristics"))
 
+    @pytest.mark.parametrize(
+        "pairs,non_overlap",
+        [
+            ({0: 0}, [1, 2, 2]),  # 2 repeated: counters would sum to 4 for 3 tokens
+            ({0: 0, 1: 1}, [1, 2]),  # 1 both paired and non-overlap
+            ({0: 0}, [2]),  # 1 missing
+            ({0: 0, 3: 1}, [1, 2]),  # target id 3 outside the 3 target ids
+            ({0: 0}, [-1, 1, 2]),  # a negative target id
+        ],
+        ids=["repeated", "paired-and-non-overlap", "missing", "out-of-range", "negative"],
+    )
+    @pytest.mark.parametrize("method", ["heuristics", "clp"])
+    def test_overlap_map_must_partition_the_target_ids(self, method, pairs, non_overlap):
+        from vocabport.overlap import OverlapMap
+
+        source = _bundle(["a", "b"], [[1.0], [2.0]])
+        target = Vocabulary(["a", "b", "c"])
+        bad = OverlapMap(pairs=pairs, non_overlap=non_overlap)
+        with pytest.raises(ValidationError) as err:
+            if method == "heuristics":
+                init_heuristics(source, target, bad, _cfg(method))
+            else:
+                aux = _aux(AUX_MODEL, {0: 0, 1: 1, 2: 2}, [[1.0], [1.0], [1.0]], 3)
+                init_clp(source, target, bad, aux, _cfg(method))
+        assert str(err.value) == "overlap map does not partition the target ids"
+
     @pytest.mark.parametrize("source_id", [-1, 2])
     @pytest.mark.parametrize("method", ["heuristics", "clp"])
     def test_overlap_source_id_outside_source_rejected(self, source_id, method):
@@ -934,6 +970,19 @@ class TestConfigValidation:
     def test_bad_temperature(self):
         with pytest.raises(ValidationError):
             InitConfig(method="focus", seed=1, sparsemax_temperature=0.0)
+
+    def test_temperature_floor(self):
+        # Below 2**-53 a cosine over T can pass 2**53, and sparsemax can then
+        # round every weight of a row to 0.
+        for t in (2**-54, 1e-300, 1e-310):
+            with pytest.raises(ValidationError) as err:
+                InitConfig(method="focus", seed=1, sparsemax_temperature=t)
+            assert str(err.value) == "sparsemax temperature must be >= 2**-53"
+        source, target, overlap, alignment, matrix, _ = _block_instance()
+        aux = _aux(WORD_VECTORS, alignment, matrix, len(target))
+        cfg = _cfg("focus", sparsemax_temperature=2**-53)
+        _, report = init_focus(source, target, overlap, aux, cfg)
+        assert report.similarity_initialized == 29 and report.nonzero_weights["min"] >= 1
 
     def test_negative_seed(self):
         with pytest.raises(ValidationError):

@@ -349,3 +349,29 @@ class TestSpecLoading:
         (tmp_path / "u.tsv").write_text("a\t-1.0\n")
         with pytest.raises(MalformedSpecError, match="unk"):
             load_unigram_spec(str(tmp_path / "u.tsv"))
+
+    def test_bad_merge_names_its_file_line(self, tmp_path):
+        vocab = {c: i for i, c in enumerate("abc")}
+        vocab["ab"] = 3
+        (tmp_path / "v.json").write_text(json.dumps(vocab))
+        merges = tmp_path / "m.txt"
+        merges.write_text("#version: toy\n\na b\nb c\n")
+        with pytest.raises(MalformedSpecError) as err:
+            load_bpe_spec(str(tmp_path / "v.json"), str(merges))
+        assert str(err.value) == f"{merges}:4: merge #1 result 'bc' is not in the vocabulary"
+
+    @pytest.mark.parametrize(
+        "text,where,message",
+        [
+            ("a\t-1.0\n", "", "unk token '<unk>' is not in the vocabulary"),
+            ("a\t-1\nb\tnan\n<unk>\t-5\nc\t-inf\n", ":2", "log-probs must be finite"),
+            ("a\t-1\n<unk>\t-5\nc\t-inf\n", ":3", "log-probs must be finite"),
+        ],
+        ids=["missing-unk", "nan", "minus-inf"],
+    )
+    def test_unigram_spec_errors_name_the_file(self, tmp_path, text, where, message):
+        path = tmp_path / "u.tsv"
+        path.write_text(text)
+        with pytest.raises(MalformedSpecError) as err:
+            load_unigram_spec(str(path))
+        assert str(err.value) == f"{path}{where}: {message}"
