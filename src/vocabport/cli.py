@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import fields
 from functools import partial
 
 from . import efficiency, initializers, tokenizers
@@ -64,15 +65,21 @@ def _build_parser() -> _Parser:
     p_init.add_argument("--aux-emb", help="auxiliary model VEMB matrix (clp, clp-plus)")
     p_init.add_argument("--word-vecs", help="static word-vector text file (focus)")
     p_init.add_argument("--seed", type=int, required=True)
-    p_init.add_argument("--temperature", type=float, default=1.0)
-    p_init.add_argument("--min-group-size", type=int, default=10)
+    # InitConfig holds the defaults of these options; an option not given
+    # is absent from the namespace.
     p_init.add_argument(
-        "--missing-aux-policy",
-        choices=initializers.MISSING_AUX_POLICIES,
-        default="random-fallback",
+        "--temperature", type=float, dest="sparsemax_temperature", metavar="TEMPERATURE",
+        default=argparse.SUPPRESS,
     )
-    p_init.add_argument("--clp-raw-weights", action="store_true")
-    p_init.add_argument("--canon", choices=CANON_MODES, default="exact")
+    p_init.add_argument("--min-group-size", type=int, default=argparse.SUPPRESS)
+    p_init.add_argument(
+        "--missing-aux-policy", choices=initializers.MISSING_AUX_POLICIES,
+        default=argparse.SUPPRESS,
+    )
+    p_init.add_argument("--clp-raw-weights", action="store_true", default=argparse.SUPPRESS)
+    p_init.add_argument(
+        "--canon", choices=CANON_MODES, dest="overlap_canon", default=argparse.SUPPRESS
+    )
     p_init.add_argument("--out-emb", required=True)
     p_init.add_argument("--out-out-emb", help="target output matrix path (untied models)")
     p_init.add_argument("--report", help="write the init report JSON here")
@@ -207,13 +214,8 @@ _AUX_INPUTS = {
 def _cmd_init(args) -> int:
     # Options first, then flag combinations, then paths; files load last.
     cfg = initializers.InitConfig(
-        method=args.method,
-        seed=args.seed,
-        sparsemax_temperature=args.temperature,
-        min_group_size=args.min_group_size,
-        missing_aux_policy=args.missing_aux_policy,
-        clp_raw_weights=args.clp_raw_weights,
-        overlap_canon=args.canon,
+        **{f.name: getattr(args, f.name) for f in fields(initializers.InitConfig)
+           if hasattr(args, f.name)}
     )
     similarity = initializers._SIMILARITY_METHODS.get(cfg.method)
     aux_flags, load_aux = _AUX_INPUTS[similarity[0]] if similarity else ((), None)

@@ -99,9 +99,6 @@ class EmbeddingMatrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
     def __eq__(self, other: object) -> bool:
         # Bitwise equality; matrices are the unit of round-trip contracts.
         return (

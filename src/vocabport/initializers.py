@@ -33,6 +33,7 @@ the block size, on `--threads` or on the number of BLAS threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -49,7 +50,7 @@ from .kernels import (
     weighted_sum,
 )
 from .overlap import CANON_MODES, OverlapMap, compute_overlap
-from .script_groups import ScriptGroup, classify_token, group_members, member_statistics
+from .script_groups import ScriptGroup, classify_token, group_members
 
 METHODS = ("random", "clp", "heuristics", "focus", "clp-plus")
 MISSING_AUX_POLICIES = ("random-fallback", "error")
@@ -186,6 +187,33 @@ def _element_stats(m: EmbeddingMatrix) -> tuple[float, float]:
     return float(mean), float(std)
 
 
+def _int64_ids(values, count: int) -> np.ndarray | None:
+    """`values` as an int64 array, each read with operator.index so that no
+    float or str is coerced; None if one is not an integer or overflows."""
+    try:
+        return np.fromiter(map(operator.index, values), dtype=np.int64, count=count)
+    except (TypeError, OverflowError):
+        return None
+
+
+def _checked_rows(mapping: dict, rows: int, message) -> np.ndarray:
+    """The values of `mapping` as an int64 array of row indices. Raises
+    ValidationError(message(key, value)) at the first value that is not an
+    integer in 0..rows-1; an integer value is passed as a Python int."""
+    ids = _int64_ids(mapping.values(), len(mapping))
+    if ids is not None and not ((ids < 0) | (ids >= rows)).any():
+        return ids
+    for key, value in mapping.items():
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if 0 <= value < rows:
+                continue
+        raise ValidationError(message(key, value))
+
+
 def _check_source(source: ModelBundle) -> None:
     problems = validate_bundle(source)
     if problems:
@@ -220,31 +248,30 @@ class _TargetRows:
     ):
         _check_source(source)
         n = len(target_vocab)
-        pairs = {} if overlap is None else overlap.pairs
-        t_ids = np.fromiter(pairs.keys(), dtype=np.int64, count=len(pairs))
-        s_ids = np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs))
-        if overlap is not None:
-            # Sorted, the paired and the non-overlap ids must be 0..n-1 once
-            # each: no id missing, repeated, in both parts or out of range.
-            ids = np.concatenate([t_ids, np.array(overlap.non_overlap, dtype=np.int64)])
-            if not np.array_equal(np.sort(ids), np.arange(n)):
-                raise ValidationError("overlap map does not partition the target ids")
-            outside = (s_ids < 0) | (s_ids >= source.input_emb.rows)
-            if outside.any():
-                i = int(np.argmax(outside))
-                raise ValidationError(
-                    f"overlap map pairs target id {t_ids[i]} with source id {s_ids[i]}, "
-                    f"outside the source's {source.input_emb.rows} rows"
-                )
+        overlap = OverlapMap(pairs={}, non_overlap=list(range(n))) if overlap is None else overlap
+        pairs = overlap.pairs
+        t_ids = _int64_ids(pairs, len(pairs))
+        free = _int64_ids(overlap.non_overlap, len(overlap.non_overlap))
+        # Sorted, the paired and the non-overlap ids must be 0..n-1 once
+        # each: no id missing, repeated, in both parts, out of range or not
+        # an integer.
+        if t_ids is None or free is None or not np.array_equal(
+            np.sort(np.concatenate([t_ids, free])), np.arange(n)
+        ):
+            raise ValidationError("overlap map does not partition the target ids")
+        s_ids = _checked_rows(
+            pairs,
+            source.input_emb.rows,
+            lambda t, s: f"overlap map pairs target id {t} with source id {s!r}, "
+            f"outside the source's {source.input_emb.rows} rows",
+        )
         self.source = source
         self.target_vocab = target_vocab
         self.seed = cfg.seed
         self.sources = [m for m in (source.input_emb, source.output_emb) if m is not None]
         self.stats = [_element_stats(m) for m in self.sources]
         self.outs = [np.empty((n, m.cols), dtype=np.float32) for m in self.sources]
-        self.report = InitReport(method=method, copied=len(pairs))
-        if overlap is not None:
-            self.report.warnings.extend(overlap.warnings)
+        self.report = InitReport(method=method, copied=len(pairs), warnings=list(overlap.warnings))
         for start in range(0, len(t_ids), _COPY_ROWS):
             part = slice(start, start + _COPY_ROWS)
             for out, m in zip(self.outs, self.sources):
@@ -338,9 +365,15 @@ def _similarity_init(
 ) -> tuple[ModelBundle, InitReport]:
     kind, weigh = _SIMILARITY_METHODS[method]
     _require_kind(aux, kind, method)
+    align = aux.vocab_alignment
+    _checked_rows(
+        align,
+        aux.matrix.rows,
+        lambda t, r: f"auxiliary vectors align target id {t} with row {r!r}, "
+        f"outside the {aux.matrix.rows} auxiliary rows",
+    )
     rows = _TargetRows(method, source, target_vocab, cfg, overlap)
     report = rows.report
-    align = aux.vocab_alignment
 
     # Support = overlap tokens that actually have an auxiliary vector;
     # fabricating zero similarities for the rest would still let them
@@ -467,25 +500,26 @@ def init_heuristics(
 
     Groups with fewer than `cfg.min_group_size` source members, and tokens
     classified Unknown, fall back to whole-matrix statistics (counted as
-    random-fallback).
+    random-fallback). Group statistics are computed only for the groups
+    that sample rows, all before the first row is drawn; Unknown groups
+    and groups too small to sample never get any.
     """
     rows = _TargetRows("heuristics", source, target_vocab, cfg, overlap)
     report = rows.report
     # Both source matrices share the vocabulary, so it is classified once.
     members = group_members(source.vocab)
-    group_stats = [member_statistics(m, members) for m in rows.sources]
     fallback: list[int] = []
     by_group: dict[ScriptGroup, list[int]] = {}
     for t in overlap.non_overlap:
         group = classify_token(target_vocab.tokens[t])
-        st = group_stats[0].get(group)
-        if group.script == "Unknown" or st is None or st.count < cfg.min_group_size:
+        if group.script == "Unknown" or len(members.get(group, ())) < cfg.min_group_size:
             fallback.append(t)
         else:
             by_group.setdefault(group, []).append(t)
+    params = {g: [mean_std(m.data, members[g], axis=0) for m in rows.sources] for g in by_group}
     rows.sample_random(fallback)
     for group, ids in by_group.items():
-        rows.sample(ids, [(stats[group].mean, stats[group].std) for stats in group_stats])
+        rows.sample(ids, params[group])
         report.group_sampled += len(ids)
     largest = sorted(by_group.items(), key=lambda kv: (-len(kv[1]), kv[0].label()))
     report.group_sampled_by_group = dict(

@@ -19,21 +19,6 @@ from .errors import ValidationError
 from .kernels import mean_std
 from .tokenizers import BYTE_ALPHABET, WORD_MARKERS, unmap_bytes
 
-SCRIPT_LABELS = (
-    "Latin",
-    "Cyrillic",
-    "Greek",
-    "Arabic",
-    "Hebrew",
-    "Devanagari",
-    "Hiragana",
-    "Katakana",
-    "Han",
-    "Hangul",
-    "Common",
-    "Unknown",
-)
-
 WORD_INITIAL = "word-initial"
 WORD_INTERNAL = "word-internal"
 

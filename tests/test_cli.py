@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ from vocabport import cli
 from vocabport.cli import emit_report, run
 from vocabport.efficiency import EfficiencyReport
 from vocabport.embedding_store import EmbeddingMatrix, load_matrix, save_matrix
-from vocabport.initializers import InitReport
+from vocabport.initializers import InitConfig, InitReport
 
 
 def _write_tiny_bpe(tmp_path):
@@ -167,6 +167,27 @@ class TestInitCommand:
         assert code == 1
         assert capsys.readouterr().err == f"vocabport: error: {message}\n"
         assert not out.exists()
+
+    def test_init_options_left_out_keep_init_config_defaults(self):
+        # An option not given is absent from the namespace, so InitConfig's
+        # own default applies; a given one lands on its field name.
+        parser = cli._build_parser()
+        argv = ["init", "--method", "random", "--source-vocab", "v", "--source-emb", "e",
+                "--target-vocab", "t", "--seed", "1", "--out-emb", "o"]
+        optional = [f.name for f in fields(InitConfig) if f.default is not MISSING]
+        args = parser.parse_args(argv)
+        assert [name for name in optional if hasattr(args, name)] == []
+        args = parser.parse_args(argv + [
+            "--temperature", "0.5", "--min-group-size", "3", "--missing-aux-policy", "error",
+            "--clp-raw-weights", "--canon", "marker-normalized",
+        ])
+        assert {name: getattr(args, name) for name in optional} == {
+            "sparsemax_temperature": 0.5,
+            "min_group_size": 3,
+            "missing_aux_policy": "error",
+            "clp_raw_weights": True,
+            "overlap_canon": "marker-normalized",
+        }
 
     def test_full_run_writes_outputs(self, tmp_path):
         inst = build_instance(tmp_path, n_source=40, n_target=30, n_overlap=15, dim=4)

@@ -1,6 +1,6 @@
 """Static checks on the package source: no unused imports, no dead private
-names, method names and word-boundary markers spelled only where they are
-defined.
+or public names, method names and word-boundary markers spelled only where
+they are defined.
 
 Deleting code tends to leave an import or a `_helper` behind, and a method
 name or a marker written out in another module is a second record of it;
@@ -19,6 +19,7 @@ from vocabport.tokenizers import WORD_MARKERS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vocabport"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -43,7 +44,9 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def _private_definitions(tree: ast.Module) -> list[str]:
+def _definitions(tree: ast.Module) -> list[str]:
+    """The names a module defines at top level: functions, classes and
+    assigned names."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -51,7 +54,15 @@ def _private_definitions(tree: ast.Module) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.extend(t.id for t in targets if isinstance(t, ast.Name))
-    return [name for name in names if _is_private(name)]
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    return [name for name in _definitions(tree) if _is_private(name)]
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    return [name for name in _definitions(tree) if not name.startswith("_")]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -115,6 +126,20 @@ def test_every_private_definition_is_used():
     assert not dead, f"private names referenced nowhere in the package: {dead}"
 
 
+def test_every_public_definition_is_read():
+    # A public name is read somewhere in the package, its tests or the
+    # benchmark; one read nowhere is dead code with a public face.
+    readers = [*MODULES, *sorted(TESTS.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]
+    used = set().union(*(_loaded_names(_tree(path)) for path in readers))
+    dead = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in _public_definitions(_tree(path))
+        if name not in used
+    ]
+    assert not dead, f"public names read nowhere: {dead}"
+
+
 def test_method_names_only_in_initializers():
     found = {
         path.name: _method_literals(_tree(path))
@@ -176,6 +201,10 @@ def test_checks_catch_leftovers():
     assert _private_definitions(tree) == ["_dead", "_LIVE", "_ALSO_DEAD"]
     used = _loaded_names(tree)
     assert "_LIVE" in used and "_dead" not in used and "_ALSO_DEAD" not in used
+    tree = ast.parse(
+        "__all__ = []\nLABELS = ()\n_HIDDEN = 1\n\nclass Spec:\n    def row(self):\n        pass\n"
+    )
+    assert _public_definitions(tree) == ["LABELS", "Spec"]
     tree = ast.parse('if args.method in ("clp", "clp-plus"):\n    x = f"{y}focus"\nz = "clp+"\n')
     assert _method_literals(tree) == ["line 1: 'clp'", "line 1: 'clp-plus'", "line 2: 'focus'"]
     tree = ast.parse(

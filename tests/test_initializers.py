@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import build_instance, sparsemax_oracle
@@ -252,6 +254,54 @@ class TestHeuristics:
             source, target, overlap, _cfg("heuristics", min_group_size=10)
         )
         assert report.random_fallback == 1 and report.group_sampled == 0
+
+    def test_min_group_size_boundary(self):
+        # A group with exactly min_group_size members samples; one with a
+        # member fewer falls back.
+        source = _bundle(["Ġaa", "Ġbb", "Ġcc", "Ġдд", "Ġее"], np.eye(5))
+        target = Vocabulary(["Ġzz", "Ġжж"])
+        overlap = compute_overlap(source.vocab, target)
+        _, report = init_heuristics(source, target, overlap, _cfg("heuristics", min_group_size=3))
+        assert report.group_sampled_by_group == {"Latin/word-initial": 1}
+        assert (report.group_sampled, report.random_fallback) == (1, 1)
+
+    def test_statistics_only_for_sampled_groups(self, monkeypatch):
+        # Group statistics are taken per source matrix for the groups that
+        # sample rows only: not for the Unknown digit and punctuation groups
+        # of the source, whose rows nothing reads. All of them come before
+        # the first row is drawn, so no group's float64 temporaries stack
+        # on the draw buffer.
+        calls = []
+        real_stats, real_rng = kernels.mean_std, initializers._token_rng
+
+        def recording_stats(data, ids=None, axis=None):
+            if ids is not None:
+                calls.append((data, ids))
+            return real_stats(data, ids, axis)
+
+        def recording_rng(seed, target_id):
+            calls.append("draw")
+            return real_rng(seed, target_id)
+
+        monkeypatch.setattr(initializers, "mean_std", recording_stats)
+        monkeypatch.setattr(script_groups, "mean_std", recording_stats)
+        monkeypatch.setattr(initializers, "_token_rng", recording_rng)
+        source, target, overlap = _sampling_instance(3, untied=True)
+        _, report = init_heuristics(
+            source, target, overlap, _cfg("heuristics", min_group_size=2)
+        )
+        sampled = {"Latin/word-initial", "Latin/word-internal", "Cyrillic/word-initial",
+                   "Cyrillic/word-internal", "Arabic/word-initial", "Arabic/word-internal",
+                   "Han/word-initial"}
+        assert set(report.group_sampled_by_group) == sampled
+        first_draw = calls.index("draw")
+        assert calls[first_draw:] == ["draw"] * 24  # 21 group-sampled, 3 fallback rows
+        matrices = [source.input_emb.data, source.output_emb.data]
+        got = []
+        for data, ids in calls[:first_draw]:
+            (label,) = {script_groups.classify_token(source.vocab.tokens[i]).label() for i in ids}
+            got.append((next(k for k, m in enumerate(matrices) if m is data), label))
+        assert sorted(got) == sorted((k, label) for label in sampled for k in (0, 1))
 
 
 class TestFocus:
@@ -903,8 +953,13 @@ class TestEdgeCases:
             ({0: 0}, [2]),  # 1 missing
             ({0: 0, 3: 1}, [1, 2]),  # target id 3 outside the 3 target ids
             ({0: 0}, [-1, 1, 2]),  # a negative target id
+            ({0: 0}, [1.5, 2]),  # a float target id
+            ({0: 0}, ["1", 2]),  # a str target id
+            ({0: 0, 1.0: 1}, [2]),  # a float paired target id
+            ({0: 0}, [1, 2, 2**70]),  # a target id past int64
         ],
-        ids=["repeated", "paired-and-non-overlap", "missing", "out-of-range", "negative"],
+        ids=["repeated", "paired-and-non-overlap", "missing", "out-of-range", "negative",
+             "float", "str", "float-paired", "huge"],
     )
     @pytest.mark.parametrize("method", ["heuristics", "clp"])
     def test_overlap_map_must_partition_the_target_ids(self, method, pairs, non_overlap):
@@ -921,22 +976,43 @@ class TestEdgeCases:
                 init_clp(source, target, bad, aux, _cfg(method))
         assert str(err.value) == "overlap map does not partition the target ids"
 
-    @pytest.mark.parametrize("source_id", [-1, 2])
+    @pytest.mark.parametrize("source_id", [-1, 2, 1.9, "1", 2**70])
     @pytest.mark.parametrize("method", ["heuristics", "clp"])
     def test_overlap_source_id_outside_source_rejected(self, source_id, method):
-        # -1 would copy the last source row, 2 would raise a bare IndexError.
+        # -1 would copy the last source row, 2 would raise a bare IndexError;
+        # 1.9 and "1" would be coerced to row 1, 2**70 would overflow int64.
         from vocabport.overlap import OverlapMap
 
         source = _bundle(["a", "b"], [[1.0], [2.0]])
         target = Vocabulary(["a", "q"])
         bad = OverlapMap(pairs={0: source_id}, non_overlap=[1])
-        message = f"target id 0 with source id {source_id}, outside the source's 2 rows"
-        with pytest.raises(ValidationError, match=message):
+        message = f"target id 0 with source id {source_id!r}, outside the source's 2 rows"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             if method == "heuristics":
                 init_heuristics(source, target, bad, _cfg(method))
             else:
                 aux = _aux(AUX_MODEL, {0: 0, 1: 1}, [[1.0], [1.0]], 2)
                 init_clp(source, target, bad, aux, _cfg(method))
+
+    @pytest.mark.parametrize("row", [5, -1, 1.0, "1"])
+    def test_aux_alignment_outside_aux_rows_rejected(self, monkeypatch, row):
+        # Every aligned row is checked before any cosine: 5 would raise a
+        # bare IndexError inside the gather, -1 would read the last row.
+        def no_cosines(*args):
+            raise AssertionError("cosines computed before the alignment check")
+
+        monkeypatch.setattr(initializers, "SupportCosines", no_cosines)
+        source = _bundle(["a", "b"], [[1.0], [2.0]])
+        target = Vocabulary(["a", "q", "r"])
+        overlap = compute_overlap(source.vocab, target)
+        aux = AuxEmbeddings(
+            AUX_MODEL, {0: 0, 1: row, 2: 1}, EmbeddingMatrix(np.eye(2, dtype=np.float32)), set()
+        )
+        with pytest.raises(ValidationError) as err:
+            init_clp_plus(source, target, overlap, aux, _cfg("clp-plus"))
+        assert str(err.value) == (
+            f"auxiliary vectors align target id 1 with row {row!r}, outside the 2 auxiliary rows"
+        )
 
     def test_invalid_source_bundle_rejected(self):
         source = ModelBundle(
