@@ -46,8 +46,9 @@ _VEMB_HEADER = struct.Struct("<4sIQQI")
 VOCAB_FORMATS = ("json-map", "line-per-token", "tsv-scored")
 # Largest dimension numpy can give a float32 array, even an empty one.
 _MAX_DIM = np.iinfo(np.intp).max // 4
-# Rows per step of the finiteness scan; bounds its rows x cols bool temporary.
-_SCAN_ROWS = 1024
+# Rows per step of every pass over matrix rows (_row_blocks). Statistics and
+# combines sum block by block, so the size is part of their result.
+_BLOCK_ROWS = 1024
 # Bytes per read of a line-based text file (see _line_blocks).
 _READ_BYTES = 1 << 16
 
@@ -133,15 +134,21 @@ def _first_repeat(items: Sequence) -> tuple[int, int]:
             return seen[item], i
 
 
+def _row_blocks(n: int) -> Iterator[slice]:
+    """Slices of _BLOCK_ROWS consecutive rows that cover rows 0..n-1."""
+    for start in range(0, n, _BLOCK_ROWS):
+        yield slice(start, start + _BLOCK_ROWS)
+
+
 def _first_nonfinite(arr: np.ndarray) -> tuple[int, int] | None:
     """(row, col) of the first NaN or infinity in row-major order, or None."""
     if arr.size == 0:  # a header may declare 2**40 rows of 0 columns
         return None
-    for start in range(0, arr.shape[0], _SCAN_ROWS):
-        finite = np.isfinite(arr[start : start + _SCAN_ROWS])
+    for part in _row_blocks(arr.shape[0]):
+        finite = np.isfinite(arr[part])
         if not finite.all():
             flat = int(np.argmin(finite))
-            return start + flat // arr.shape[1], flat % arr.shape[1]
+            return part.start + flat // arr.shape[1], flat % arr.shape[1]
     return None
 
 

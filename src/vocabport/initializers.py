@@ -39,7 +39,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .aux_vectors import AUX_MODEL, WORD_VECTORS, AuxEmbeddings
-from .embedding_store import EmbeddingMatrix, ModelBundle, Vocabulary, validate_bundle
+from .embedding_store import (
+    EmbeddingMatrix, ModelBundle, Vocabulary, _row_blocks, validate_bundle,
+)
 from .errors import ValidationError, VocabportError
 from .kernels import (
     SupportCosines,
@@ -60,8 +62,6 @@ MISSING_AUX_POLICIES = ("random-fallback", "error")
 # least one. The weight rule and the cosine product each hold a few such
 # blocks at once.
 _BLOCK_BYTES = 16 << 20
-# Overlap pairs copied per step; bounds the gather of source rows.
-_COPY_ROWS = 1024
 # Byte budget of the reused float64 buffer that sampled rows are drawn
 # into: _DRAW_BYTES // (8 * columns of all target matrices) rows, at least
 # one.
@@ -196,6 +196,31 @@ def _int64_ids(values, count: int) -> np.ndarray | None:
         return None
 
 
+def _partition_fault(pairs, non_overlap, n: int) -> str:
+    """Why the target ids of an overlap map are not 0..n-1 once each: the
+    first id that is not an integer, else the first place where the sorted
+    ids leave 0..n-1. For failure paths only."""
+    parts = {"pairs": pairs, "non_overlap": non_overlap}
+    for name, part in parts.items():
+        for t in part:
+            try:
+                operator.index(t)
+            except TypeError:
+                return f"{name} holds {t!r}, not an integer"
+    ids = sorted((operator.index(t), name) for name, part in parts.items() for t in part)
+    i = next((i for i, (t, _) in enumerate(ids) if i >= n or t != i), len(ids))
+    if i == len(ids):  # the ids are 0..i-1, and i < n
+        return f"id {i} is missing"
+    t, name = ids[i]
+    if not 0 <= t < n:
+        return f"{name} holds id {t}, out of range 0..{n - 1}"
+    if t > i:
+        return f"id {i} is missing"
+    if ids[i - 1][1] != name:  # t == i - 1, the id before it
+        return f"id {t} is in both pairs and non_overlap"
+    return f"{name} repeats id {t}"
+
+
 def _checked_rows(mapping: dict, rows: int, message) -> np.ndarray:
     """The values of `mapping` as an int64 array of row indices. Raises
     ValidationError(message(key, value)) at the first value that is not an
@@ -258,7 +283,8 @@ class _TargetRows:
         if t_ids is None or free is None or not np.array_equal(
             np.sort(np.concatenate([t_ids, free])), np.arange(n)
         ):
-            raise ValidationError("overlap map does not partition the target ids")
+            fault = _partition_fault(pairs, overlap.non_overlap, n)
+            raise ValidationError(f"overlap map does not partition the target ids: {fault}")
         s_ids = _checked_rows(
             pairs,
             source.input_emb.rows,
@@ -272,8 +298,7 @@ class _TargetRows:
         self.stats = [_element_stats(m) for m in self.sources]
         self.outs = [np.empty((n, m.cols), dtype=np.float32) for m in self.sources]
         self.report = InitReport(method=method, copied=len(pairs), warnings=list(overlap.warnings))
-        for start in range(0, len(t_ids), _COPY_ROWS):
-            part = slice(start, start + _COPY_ROWS)
+        for part in _row_blocks(len(t_ids)):
             for out, m in zip(self.outs, self.sources):
                 out[t_ids[part]] = m.data[s_ids[part]]
 

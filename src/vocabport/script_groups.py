@@ -135,26 +135,18 @@ def group_members(vocab: Vocabulary) -> dict[ScriptGroup, np.ndarray]:
     return {group: np.array(ids, dtype=np.int64) for group, ids in members.items()}
 
 
-def member_statistics(
-    emb: EmbeddingMatrix, members: dict[ScriptGroup, np.ndarray]
-) -> dict[ScriptGroup, GroupStats]:
-    """Population mean/std per group over the matrix rows of its member ids.
+def group_statistics(vocab: Vocabulary, emb: EmbeddingMatrix) -> dict[ScriptGroup, GroupStats]:
+    """Population mean/std per group over the matrix rows of its members.
 
-    Each group's ids are gathered and upcast one block at a time, in
+    Each group's rows are gathered and upcast one row block at a time, in
     kernels.mean_std's fixed order, so a group holding most of the
     vocabulary needs no float64 copy of all its rows.
     """
-    stats: dict[ScriptGroup, GroupStats] = {}
-    for group, ids in members.items():
-        mean, std = mean_std(emb.data, ids, axis=0)
-        stats[group] = GroupStats(group, len(ids), mean, std)
-    return stats
-
-
-def group_statistics(vocab: Vocabulary, emb: EmbeddingMatrix) -> dict[ScriptGroup, GroupStats]:
-    """Population mean/std per group over the matrix rows of its members."""
     if emb.rows != len(vocab):
         raise ValidationError(
             f"matrix has {emb.rows} rows for {len(vocab)} tokens"
         )
-    return member_statistics(emb, group_members(vocab))
+    return {
+        group: GroupStats(group, len(ids), *mean_std(emb.data, ids, axis=0))
+        for group, ids in group_members(vocab).items()
+    }

@@ -1,6 +1,6 @@
 """Static checks on the package source: no unused imports, no dead private
-or public names, method names and word-boundary markers spelled only where
-they are defined.
+or public names, method names, word-boundary markers and the row-block size
+spelled only where they are defined.
 
 Deleting code tends to leave an import or a `_helper` behind, and a method
 name or a marker written out in another module is a second record of it;
@@ -158,6 +158,18 @@ def test_word_markers_only_in_tokenizers():
     }
     found = {name: lines for name, lines in found.items() if lines}
     assert not found, f"word-boundary markers written outside tokenizers.py: {found}"
+
+
+def test_row_block_size_defined_once():
+    # Every pass over matrix rows steps by embedding_store._row_blocks; a
+    # second rows-per-step constant would be a second record of that size.
+    found = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in _definitions(_tree(path))
+        if name.endswith("_ROWS")
+    ]
+    assert found == ["embedding_store._BLOCK_ROWS"], f"module-level row-block sizes: {found}"
 
 
 def _assigned(tree: ast.AST, name: str) -> list[ast.expr]:

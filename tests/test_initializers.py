@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import build_instance, sparsemax_oracle
 
-from vocabport import initializers, kernels, script_groups
+from vocabport import embedding_store, initializers, kernels, script_groups
 from vocabport.aux_vectors import AUX_MODEL, WORD_VECTORS, AuxEmbeddings
 from vocabport.embedding_store import EmbeddingMatrix, ModelBundle, Vocabulary
 from vocabport.errors import ValidationError
@@ -617,7 +617,7 @@ class TestBlockEngine:
             return weighted_sum(w, rows)
 
         monkeypatch.setattr(initializers, "weighted_sum", recording_sum)
-        monkeypatch.setattr(kernels, "_COMBINE_ROWS", 7)
+        monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", 7)
         chunked, _ = init_clp(source, target, overlap, aux, cfg)
         assert sums and all(not convex and size > 7 for convex, size in sums)
         for t in overlap.non_overlap:
@@ -751,8 +751,7 @@ def _sampled_rows_oracle(seed, ids, params, widths):
 def _heuristics_oracle(source, target, overlap, cfg):
     """Non-overlap rows of init_heuristics by the old per-token loop."""
     sources = [m for m in (source.input_emb, source.output_emb) if m is not None]
-    members = script_groups.group_members(source.vocab)
-    stats = [script_groups.member_statistics(m, members) for m in sources]
+    stats = [script_groups.group_statistics(source.vocab, m) for m in sources]
     element = [initializers._element_stats(m) for m in sources]
     rows = []
     for t in overlap.non_overlap:
@@ -946,23 +945,29 @@ class TestEdgeCases:
             init_heuristics(source, target, bad, _cfg("heuristics"))
 
     @pytest.mark.parametrize(
-        "pairs,non_overlap",
+        "pairs,non_overlap,fault",
         [
-            ({0: 0}, [1, 2, 2]),  # 2 repeated: counters would sum to 4 for 3 tokens
-            ({0: 0, 1: 1}, [1, 2]),  # 1 both paired and non-overlap
-            ({0: 0}, [2]),  # 1 missing
-            ({0: 0, 3: 1}, [1, 2]),  # target id 3 outside the 3 target ids
-            ({0: 0}, [-1, 1, 2]),  # a negative target id
-            ({0: 0}, [1.5, 2]),  # a float target id
-            ({0: 0}, ["1", 2]),  # a str target id
-            ({0: 0, 1.0: 1}, [2]),  # a float paired target id
-            ({0: 0}, [1, 2, 2**70]),  # a target id past int64
+            # 2 repeated: counters would sum to 4 for 3 tokens
+            ({0: 0}, [1, 2, 2], "non_overlap repeats id 2"),
+            ({0: 0, 1: 1}, [1, 2], "id 1 is in both pairs and non_overlap"),
+            ({0: 0}, [2], "id 1 is missing"),
+            ({0: 0, 3: 1}, [1, 2], "pairs holds id 3, out of range 0..2"),
+            ({0: 0}, [-1, 1, 2], "non_overlap holds id -1, out of range 0..2"),
+            ({0: 0}, [1.5, 2], "non_overlap holds 1.5, not an integer"),
+            ({0: 0}, ["1", 2], "non_overlap holds '1', not an integer"),
+            ({0: 0, 1.0: 1}, [2], "pairs holds 1.0, not an integer"),
+            ({0: 0}, [1, 2, 2**70], f"non_overlap holds id {2**70}, out of range 0..2"),
+            ({0: 0}, [1, 1], "non_overlap repeats id 1"),
+            ({0: 0}, [1], "id 2 is missing"),
+            ({0: 0}, [1, 5], "non_overlap holds id 5, out of range 0..2"),
+            ({0: 0}, [1, 2.0], "non_overlap holds 2.0, not an integer"),
         ],
         ids=["repeated", "paired-and-non-overlap", "missing", "out-of-range", "negative",
-             "float", "str", "float-paired", "huge"],
+             "float", "str", "float-paired", "huge", "repeated-in-place-of-last",
+             "last-missing", "last-out-of-range", "float-equal-to-its-id"],
     )
     @pytest.mark.parametrize("method", ["heuristics", "clp"])
-    def test_overlap_map_must_partition_the_target_ids(self, method, pairs, non_overlap):
+    def test_overlap_map_must_partition_the_target_ids(self, method, pairs, non_overlap, fault):
         from vocabport.overlap import OverlapMap
 
         source = _bundle(["a", "b"], [[1.0], [2.0]])
@@ -974,7 +979,7 @@ class TestEdgeCases:
             else:
                 aux = _aux(AUX_MODEL, {0: 0, 1: 1, 2: 2}, [[1.0], [1.0], [1.0]], 3)
                 init_clp(source, target, bad, aux, _cfg(method))
-        assert str(err.value) == "overlap map does not partition the target ids"
+        assert str(err.value) == f"overlap map does not partition the target ids: {fault}"
 
     @pytest.mark.parametrize("source_id", [-1, 2, 1.9, "1", 2**70])
     @pytest.mark.parametrize("method", ["heuristics", "clp"])

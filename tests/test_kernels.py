@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import sparsemax_oracle
 
-from vocabport import kernels
+from vocabport import embedding_store
 from vocabport.embedding_store import EmbeddingMatrix
 from vocabport.errors import ValidationError
 from vocabport.kernels import (
@@ -42,6 +44,23 @@ class TestCosine:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             cosine_similarity([1.0], [1.0, 2.0])
+
+    def test_huge_finite_vectors_do_not_overflow(self):
+        # The squared norm 2e400 overflows float64; a.b / (|a| |b|) gave nan.
+        assert cosine_similarity([1e200, 1e200], [1e200, 1e200]) == 1.0
+
+    def test_tiny_nonzero_vectors_are_not_zero_norm(self):
+        # The squared norms underflow to 0; the quotient gave 0.0 and warned.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cosine_similarity([1e-300, 3e-310], [2e-300, 1e-310]) == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            cosine_similarity([bad, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            cosine_similarity([1.0, 1.0], [1.0, bad])
 
 
 class TestSparsemax:
@@ -230,21 +249,24 @@ class TestSupportCosines:
         np.testing.assert_allclose(cos[1], [1.0, 0.0, -np.sqrt(0.5)], atol=1e-15)
 
     @pytest.mark.parametrize("dim", [1, 3, 8, 9, 12, 300, 768])
-    @pytest.mark.parametrize("split_rows,tile_rows", [(1, 7), (7, 1), (None, None)])
+    @pytest.mark.parametrize("build_rows,call_rows", [(1, 7), (7, 1), (None, None)])
     def test_bitwise_equal_to_whole_float64_oracle(
-        self, monkeypatch, dim, split_rows, tile_rows
+        self, monkeypatch, dim, build_rows, call_rows
     ):
-        # 1,100 support rows: more than one block and one tile at the defaults.
+        # 1,100 support rows: more than one row block at the default size. The
+        # support is split at one block size and tiled at another.
         rng = np.random.default_rng(dim)
         data = _extreme_rows(rng, 1200, dim)
         ids = rng.permutation(1200)[:1100]
         ids[:10] = np.arange(10)  # every extreme row is in the support
         queries = _extreme_rows(rng, 9, dim)
-        if split_rows is not None:
-            monkeypatch.setattr(kernels, "_SPLIT_ROWS", split_rows)
-            monkeypatch.setattr(kernels, "_TILE_ROWS", tile_rows)
         expected, expected_zero, zero_rows = support_cosines_oracle(data[ids], queries)
-        for cosines in (SupportCosines(data, ids), SupportCosines(data[ids])):
+        if build_rows is not None:
+            monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", build_rows)
+        built = (SupportCosines(data, ids), SupportCosines(data[ids]))
+        if call_rows is not None:
+            monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", call_rows)
+        for cosines in built:
             assert cosines.hi.dtype == cosines.lo.dtype == np.int32
             cos, zero = cosines(queries)
             np.testing.assert_array_equal(cos, expected)
@@ -340,7 +362,7 @@ class TestConvexCombine:
 # One row, one row past a block, and a count that is not a multiple of it.
 ROW_COUNTS = pytest.mark.parametrize(
     "rows",
-    [1, kernels._STAT_ROWS + 1, 3 * kernels._STAT_ROWS + 37],
+    [1, embedding_store._BLOCK_ROWS + 1, 3 * embedding_store._BLOCK_ROWS + 37],
     ids=["one", "block+1", "ragged"],
 )
 

@@ -2,7 +2,7 @@
 
 numpy reports its array allocations to tracemalloc, so the traced peak of
 a call is the most it held at once beyond what existed before the call.
-Block constants are set small, so a bound of a few blocks is far below
+The row-block size is set small, so a bound of a few blocks is far below
 one whole-matrix temporary.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import build_instance
 
-from vocabport import cli, embedding_store, initializers, kernels
+from vocabport import cli, embedding_store, initializers
 from vocabport.aux_vectors import load_word_vectors
 from vocabport.efficiency import load_corpus
 from vocabport.embedding_store import (
@@ -25,9 +25,8 @@ from vocabport.embedding_store import (
     load_vocab,
 )
 from vocabport.initializers import InitConfig, _element_stats, _TargetRows
-from vocabport.kernels import SupportCosines
+from vocabport.kernels import SupportCosines, mean_std
 from vocabport.overlap import compute_overlap
-from vocabport.script_groups import ScriptGroup, member_statistics
 
 BLOCK = 64
 ROWS, COLS = 4000, 256  # 4 MB of float32; one float64 block is 128 KB
@@ -35,11 +34,7 @@ ROWS, COLS = 4000, 256  # 4 MB of float32; one float64 block is 128 KB
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    monkeypatch.setattr(kernels, "_STAT_ROWS", BLOCK)
-    monkeypatch.setattr(kernels, "_SPLIT_ROWS", BLOCK)
-    monkeypatch.setattr(kernels, "_TILE_ROWS", BLOCK)
-    monkeypatch.setattr(embedding_store, "_SCAN_ROWS", BLOCK)
-    monkeypatch.setattr(initializers, "_COPY_ROWS", BLOCK)
+    monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", BLOCK)
 
 
 @pytest.fixture
@@ -64,9 +59,9 @@ def test_element_stats_hold_one_block(small_blocks, matrix):
 
 
 def test_group_of_every_row_is_gathered_by_blocks(small_blocks, matrix):
-    members = {ScriptGroup("Latin", "word-initial"): np.arange(ROWS)[::-1].copy()}
-    stats, peak = _traced_peak(member_statistics, matrix, members)
-    assert stats[ScriptGroup("Latin", "word-initial")].count == ROWS
+    ids = np.arange(ROWS)[::-1].copy()
+    (mean, std), peak = _traced_peak(mean_std, matrix.data, ids, 0)
+    assert mean.shape == std.shape == (COLS,)
     assert peak < 4 * BLOCK * COLS * 8
 
 

@@ -7,16 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import member_statistics_oracle
 
-from vocabport import kernels, script_groups
+from vocabport import embedding_store, script_groups
 from vocabport.embedding_store import EmbeddingMatrix, Vocabulary
 from vocabport.errors import ValidationError
-from vocabport.script_groups import (
-    ScriptGroup,
-    classify_token,
-    group_members,
-    group_statistics,
-    member_statistics,
-)
+from vocabport.kernels import mean_std
+from vocabport.script_groups import ScriptGroup, classify_token, group_members, group_statistics
 from vocabport.tokenizers import UNICODE_TO_BYTE, map_bytes
 
 
@@ -180,20 +175,20 @@ class TestGroupStatistics:
         members = group_members(vocab)
         assert list(members[ScriptGroup("Latin", "word-initial")]) == [0, 6, 9]
         assert sorted(i for ids in members.values() for i in ids) == list(range(len(tokens)))
-        split = member_statistics(emb, members)
         whole = group_statistics(vocab, emb)
-        assert list(split) == list(whole)
+        assert list(members) == list(whole)
         for group, st_ in whole.items():
-            assert split[group].count == st_.count
-            assert split[group].mean.tobytes() == st_.mean.tobytes()
-            assert split[group].std.tobytes() == st_.std.tobytes()
+            mean, std = mean_std(emb.data, members[group], axis=0)
+            assert len(members[group]) == st_.count
+            assert mean.tobytes() == st_.mean.tobytes()
+            assert std.tobytes() == st_.std.tobytes()
 
 
 def test_member_statistics_match_per_group_oracle(monkeypatch):
     # A group holding most rows, one holding a few, a one-row group and an
     # empty one (nan statistics), summed over 16-row blocks; the oracle
     # upcasts each group in one piece.
-    monkeypatch.setattr(kernels, "_STAT_ROWS", 16)
+    monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", 16)
     rng = np.random.default_rng(13)
     emb = EmbeddingMatrix(rng.normal(0.2, 1.1, (300, 9)).astype(np.float32))
     order = rng.permutation(300)
@@ -204,11 +199,10 @@ def test_member_statistics_match_per_group_oracle(monkeypatch):
         ScriptGroup("Han", "word-initial"): order[:0],
     }
     with pytest.warns(RuntimeWarning):
-        got = member_statistics(emb, members)
+        got = {group: mean_std(emb.data, ids, axis=0) for group, ids in members.items()}
     with pytest.warns(RuntimeWarning):
         want = member_statistics_oracle(emb, members)
-    assert list(got) == list(want)
     for group, st_ in want.items():
-        assert got[group].count == st_.count
-        np.testing.assert_allclose(got[group].mean, st_.mean, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(got[group].std, st_.std, rtol=1e-12, atol=1e-15)
+        mean, std = got[group]
+        np.testing.assert_allclose(mean, st_.mean, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(std, st_.std, rtol=1e-12, atol=1e-15)
