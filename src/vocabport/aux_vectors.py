@@ -10,6 +10,7 @@ initializer decides the fallback.
 
 from __future__ import annotations
 
+import operator
 import os
 import stat
 import warnings
@@ -29,7 +30,7 @@ from .embedding_store import (
     sniff_vocab_format,
 )
 from .errors import FormatError, ValidationError
-from .tokenizers import WORD_MARKERS
+from .tokenizers import split_marker
 
 AUX_MODEL = "aux-model"
 WORD_VECTORS = "word-vectors"
@@ -57,7 +58,7 @@ class AuxEmbeddings:
         if not 0 <= target_id < len(self.vocab_alignment) + len(self.missing):
             raise IndexError(f"target id {target_id} out of range")
         aux_id = self.vocab_alignment.get(target_id)
-        return None if aux_id is None else self.matrix.data[aux_id]
+        return None if aux_id is None else self.matrix.data[operator.index(aux_id)]
 
 
 def _align(
@@ -67,8 +68,8 @@ def _align(
     missing: set[int] = set()
     for tid, token in enumerate(target.tokens):
         row = lookup.get(token)
-        if row is None and marker_fallback and token[:1] in WORD_MARKERS:
-            row = lookup.get(token[1:])
+        if row is None and marker_fallback:  # a token with no marker misses again
+            row = lookup.get(split_marker(token)[1])
         if row is None:
             missing.add(tid)
         else:
@@ -177,7 +178,7 @@ def load_word_vectors(
     """
     usable = target.index
     if marker_fallback:
-        usable = set(usable).union(t[1:] for t in target.tokens if t[:1] in WORD_MARKERS)
+        usable = set(usable).union(split_marker(t)[1] for t in target.tokens)
     with open(path, "rb") as f, np.errstate(over="ignore"):
         blocks = _line_blocks(f, path)
         lines = next(blocks, None)

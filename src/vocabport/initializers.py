@@ -187,56 +187,27 @@ def _element_stats(m: EmbeddingMatrix) -> tuple[float, float]:
     return float(mean), float(std)
 
 
-def _int64_ids(values, count: int) -> np.ndarray | None:
-    """`values` as an int64 array, each read with operator.index so that no
-    float or str is coerced; None if one is not an integer or overflows."""
+def _id_array(values, bound: int, fault) -> np.ndarray:
+    """`values` as an int64 array of ids in 0..bound-1, each read with
+    operator.index, so that no float or str is coerced and a bool is 0 or 1.
+    Raises ValidationError(fault(i, value)) at the first value, the i-th,
+    that is not such an id; `value` is passed as a Python int if it is an
+    integer, as it is otherwise."""
     try:
-        return np.fromiter(map(operator.index, values), dtype=np.int64, count=count)
+        ids = np.fromiter(map(operator.index, values), dtype=np.int64, count=len(values))
     except (TypeError, OverflowError):
-        return None
-
-
-def _partition_fault(pairs, non_overlap, n: int) -> str:
-    """Why the target ids of an overlap map are not 0..n-1 once each: the
-    first id that is not an integer, else the first place where the sorted
-    ids leave 0..n-1. For failure paths only."""
-    parts = {"pairs": pairs, "non_overlap": non_overlap}
-    for name, part in parts.items():
-        for t in part:
-            try:
-                operator.index(t)
-            except TypeError:
-                return f"{name} holds {t!r}, not an integer"
-    ids = sorted((operator.index(t), name) for name, part in parts.items() for t in part)
-    i = next((i for i, (t, _) in enumerate(ids) if i >= n or t != i), len(ids))
-    if i == len(ids):  # the ids are 0..i-1, and i < n
-        return f"id {i} is missing"
-    t, name = ids[i]
-    if not 0 <= t < n:
-        return f"{name} holds id {t}, out of range 0..{n - 1}"
-    if t > i:
-        return f"id {i} is missing"
-    if ids[i - 1][1] != name:  # t == i - 1, the id before it
-        return f"id {t} is in both pairs and non_overlap"
-    return f"{name} repeats id {t}"
-
-
-def _checked_rows(mapping: dict, rows: int, message) -> np.ndarray:
-    """The values of `mapping` as an int64 array of row indices. Raises
-    ValidationError(message(key, value)) at the first value that is not an
-    integer in 0..rows-1; an integer value is passed as a Python int."""
-    ids = _int64_ids(mapping.values(), len(mapping))
-    if ids is not None and not ((ids < 0) | (ids >= rows)).any():
+        ids = None
+    if ids is not None and not ((ids < 0) | (ids >= bound)).any():
         return ids
-    for key, value in mapping.items():
+    for i, value in enumerate(values):
         try:
             value = operator.index(value)
         except TypeError:
             pass
         else:
-            if 0 <= value < rows:
+            if 0 <= value < bound:
                 continue
-        raise ValidationError(message(key, value))
+        raise ValidationError(fault(i, value))
 
 
 def _check_source(source: ModelBundle) -> None:
@@ -257,10 +228,13 @@ def _require_kind(aux: AuxEmbeddings | None, kind: str, method: str) -> None:
 class _TargetRows:
     """The validated inputs and target matrices of one initialization call.
 
-    `sources` holds the source input matrix and, for untied models, the
-    output matrix; `outs` holds one target matrix for each, and `stats` the
-    element (mean, std) of each source matrix. Every per-token decision is
-    applied to all matrices alike.
+    The overlap map is checked once and kept as three int64 arrays, the
+    only form any method reads: `paired`, the copied target ids ascending,
+    `paired_src`, the source row of each, and `free`, the other target ids
+    in the map's order. `sources` holds the source input matrix and, for
+    untied models, the output matrix; `outs` holds one target matrix for
+    each, and `stats` the element (mean, std) of each source matrix. Every
+    per-token decision is applied to all matrices alike.
     """
 
     def __init__(
@@ -274,35 +248,50 @@ class _TargetRows:
         _check_source(source)
         n = len(target_vocab)
         overlap = OverlapMap(pairs={}, non_overlap=list(range(n))) if overlap is None else overlap
-        pairs = overlap.pairs
-        t_ids = _int64_ids(pairs, len(pairs))
-        free = _int64_ids(overlap.non_overlap, len(overlap.non_overlap))
-        # Sorted, the paired and the non-overlap ids must be 0..n-1 once
-        # each: no id missing, repeated, in both parts, out of range or not
-        # an integer.
-        if t_ids is None or free is None or not np.array_equal(
-            np.sort(np.concatenate([t_ids, free])), np.arange(n)
-        ):
-            fault = _partition_fault(pairs, overlap.non_overlap, n)
-            raise ValidationError(f"overlap map does not partition the target ids: {fault}")
-        s_ids = _checked_rows(
-            pairs,
-            source.input_emb.rows,
-            lambda t, s: f"overlap map pairs target id {t} with source id {s!r}, "
-            f"outside the source's {source.input_emb.rows} rows",
+        partition = "overlap map does not partition the target ids: "
+
+        def bad_id(part):
+            return lambda i, t: partition + (
+                f"{part} holds id {t}, out of range 0..{n - 1}"
+                if isinstance(t, int)
+                else f"{part} holds {t!r}, not an integer"
+            )
+
+        t_ids = _id_array(overlap.pairs, n, bad_id("pairs"))
+        self.free = _id_array(overlap.non_overlap, n, bad_id("non_overlap"))
+        # Every id in 0..n-1 must be in exactly one place; a dict holds
+        # each pairs key once.
+        in_free = np.bincount(self.free, minlength=n)
+        counts = in_free + np.bincount(t_ids, minlength=n)
+        if (counts != 1).any():
+            t = int(np.argmax(counts != 1))
+            fault = (
+                f"id {t} is missing" if not counts[t]
+                else f"non_overlap repeats id {t}" if in_free[t] > 1
+                else f"id {t} is in both pairs and non_overlap"
+            )
+            raise ValidationError(partition + fault)
+        rows = source.input_emb.rows
+        s_ids = _id_array(
+            overlap.pairs.values(),
+            rows,
+            lambda i, s: f"overlap map pairs target id {t_ids[i]} with source id {s!r}, "
+            f"outside the source's {rows} rows",
         )
+        order = np.argsort(t_ids)
+        self.paired, self.paired_src = t_ids[order], s_ids[order]
         self.source = source
         self.target_vocab = target_vocab
         self.seed = cfg.seed
         self.sources = [m for m in (source.input_emb, source.output_emb) if m is not None]
         self.stats = [_element_stats(m) for m in self.sources]
         self.outs = [np.empty((n, m.cols), dtype=np.float32) for m in self.sources]
-        self.report = InitReport(method=method, copied=len(pairs), warnings=list(overlap.warnings))
+        self.report = InitReport(method=method, copied=len(t_ids), warnings=list(overlap.warnings))
         for part in _row_blocks(len(t_ids)):
             for out, m in zip(self.outs, self.sources):
-                out[t_ids[part]] = m.data[s_ids[part]]
+                out[self.paired[part]] = m.data[self.paired_src[part]]
 
-    def sample(self, ids: list[int], params: list[tuple]) -> None:
+    def sample(self, ids: np.ndarray | list[int], params: list[tuple]) -> None:
         """Fill rows `ids` of each target matrix with float32(mean + std * z).
 
         `params` holds one (mean, std) per matrix, scalars or per-column
@@ -328,7 +317,7 @@ class _TargetRows:
                 out[block] = draws[:, col : col + width]
                 col += width
 
-    def sample_random(self, ids: list[int]) -> None:
+    def sample_random(self, ids: np.ndarray | list[int]) -> None:
         """Fill rows `ids` from the whole-matrix element statistics."""
         self.sample(ids, self.stats)
         self.report.random_fallback += len(ids)
@@ -349,7 +338,7 @@ def init_random(
 ) -> tuple[ModelBundle, InitReport]:
     """Sample every target row from the source matrix's element statistics."""
     rows = _TargetRows("random", source, target_vocab, cfg)
-    rows.sample_random(list(range(len(target_vocab))))
+    rows.sample_random(rows.free)
     return rows.result()
 
 
@@ -391,12 +380,16 @@ def _similarity_init(
     kind, weigh = _SIMILARITY_METHODS[method]
     _require_kind(aux, kind, method)
     align = aux.vocab_alignment
-    _checked_rows(
-        align,
+    aux_rows = _id_array(
+        align.values(),
         aux.matrix.rows,
-        lambda t, r: f"auxiliary vectors align target id {t} with row {r!r}, "
+        lambda i, r: f"auxiliary vectors align target id {list(align)[i]} with row {r!r}, "
         f"outside the {aux.matrix.rows} auxiliary rows",
     )
+    # The aux row of every target id, -1 where it has none; alignment keys
+    # that are no target id are never read.
+    row_of = dict(zip(align, aux_rows.tolist()))
+    aux_of = np.array([row_of.get(t, -1) for t in range(len(target_vocab))], dtype=np.int64)
     rows = _TargetRows(method, source, target_vocab, cfg, overlap)
     report = rows.report
 
@@ -404,29 +397,28 @@ def _similarity_init(
     # fabricating zero similarities for the rest would still let them
     # compete inside sparsemax. Non-overlap tokens with a vector are
     # queries, weighted in blocks below; the rest are sampled.
-    support = [(t, s) for t, s in sorted(overlap.pairs.items()) if t in align]
-    query_t = [t for t in overlap.non_overlap if t in align]
-    missing = [t for t in overlap.non_overlap if t not in align]
-    n_supp = report.support_size = len(support)
-    if query_t and not n_supp:
+    in_support = aux_of[rows.paired] >= 0
+    supp_src = rows.paired_src[in_support]
+    has_aux = aux_of[rows.free] >= 0
+    query_t, missing = rows.free[has_aux], rows.free[~has_aux]
+    n_supp = report.support_size = len(supp_src)
+    if len(query_t) and not n_supp:
         raise ValidationError(
             "no overlapping token has an auxiliary vector; cannot form a "
             "similarity support"
         )
-    if missing and cfg.missing_aux_policy == "error":
+    if len(missing) and cfg.missing_aux_policy == "error":
         raise ValidationError(
             f"token {target_vocab.tokens[missing[0]]!r} (id {missing[0]}) has no auxiliary vector"
         )
-    report.support_dropped = len(overlap.pairs) - n_supp
+    report.support_dropped = len(rows.paired) - n_supp
     if report.support_dropped:
         report.warnings.append(
             f"{report.support_dropped} overlapping tokens lack auxiliary vectors "
             "and are excluded from the similarity support"
         )
-    supp_src = np.array([s for _, s in support], dtype=np.int64)
     if n_supp:
-        aux_ids = np.array([align[t] for t, _ in support], dtype=np.int64)
-        cosines = SupportCosines(aux.matrix.data, aux_ids)
+        cosines = SupportCosines(aux.matrix.data, aux_of[rows.paired[in_support]])
         zero_support = int(np.count_nonzero(cosines.zero_rows))
         if zero_support:
             report.warnings.append(
@@ -441,12 +433,12 @@ def _similarity_init(
     block_rows = max(1, _BLOCK_BYTES // (8 * max(n_supp, 1)))
     for start in range(0, len(query_t), block_rows):
         block = query_t[start : start + block_rows]
-        sims, zero = cosines(aux.matrix.data[[align[t] for t in block]])
+        sims, zero = cosines(aux.matrix.data[aux_of[block]])
         weights, uniform = weigh(sims, cfg)
         del sims
         report.zero_norm_queries += int(np.count_nonzero(zero))
         report.uniform_fallbacks += int(np.count_nonzero(uniform & ~zero))
-        zero_ids += [block[i] for i in np.flatnonzero(zero)[: _ZERO_NORM_SAMPLE - len(zero_ids)]]
+        zero_ids += block[np.flatnonzero(zero)[: _ZERO_NORM_SAMPLE - len(zero_ids)]].tolist()
         nonzero += np.count_nonzero(weights, axis=1).tolist()
         convex = np.all(weights >= 0.0, axis=1)
         uniform |= zero
@@ -535,7 +527,7 @@ def init_heuristics(
     members = group_members(source.vocab)
     fallback: list[int] = []
     by_group: dict[ScriptGroup, list[int]] = {}
-    for t in overlap.non_overlap:
+    for t in rows.free.tolist():
         group = classify_token(target_vocab.tokens[t])
         if group.script == "Unknown" or len(members.get(group, ())) < cfg.min_group_size:
             fallback.append(t)

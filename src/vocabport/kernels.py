@@ -21,20 +21,22 @@ from typing import Iterator
 
 import numpy as np
 
+from . import embedding_store
 from .embedding_store import EmbeddingMatrix, _row_blocks
 from .errors import ValidationError
 
 CONVEX_TOL = 1e-6
 
 
-def _float64_blocks(data: np.ndarray, ids: np.ndarray | None = None) -> Iterator[tuple]:
+def _float64_blocks(
+    data: np.ndarray, ids: np.ndarray | None = None, buf: np.ndarray | None = None
+) -> Iterator[tuple]:
     """(part, block) for each row block of `data`, or of the rows `ids` in
     that order: `part` is the block's slice of those rows and `block` the
-    rows upcast to float64. Every block is a view of one buffer the size of
-    the first, so it is overwritten by the next and callers may write to it.
+    rows upcast to float64, a view of `buf` or else of a buffer the size of
+    the first block, so the next overwrites it and callers may write to it.
     """
     n = data.shape[0] if ids is None else len(ids)
-    buf = None
     for part in _row_blocks(n):
         rows = data[part] if ids is None else data[ids[part]]
         if buf is None:  # the first block is the largest
@@ -82,10 +84,10 @@ def mean_std(
     n = data.shape[0] if ids is None else len(ids)
     count = n * data.shape[1] if axis is None else n
     zero = np.zeros(() if axis is None else data.shape[1])  # no rows: nan statistics
-    # A generator expression, so no view of the first pass's buffer outlives it.
-    mean = sum((block.sum(axis=axis) for _, block in _float64_blocks(data, ids)), zero) / count
+    buf = np.empty((min(n, embedding_store._BLOCK_ROWS), data.shape[1]))  # both passes fill it
+    mean = sum((b.sum(axis=axis) for _, b in _float64_blocks(data, ids, buf)), zero) / count
     squares = np.zeros_like(zero)
-    for _, block in _float64_blocks(data, ids):
+    for _, block in _float64_blocks(data, ids, buf):
         block -= mean
         block *= block
         squares += block.sum(axis=axis)

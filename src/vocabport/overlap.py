@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .embedding_store import Vocabulary
-from .tokenizers import WORD_MARKERS
+from .tokenizers import split_marker
 
 CANON_MODES = ("exact", "marker-normalized")
 
@@ -33,10 +33,9 @@ class OverlapMap:
         return len(self.pairs) + len(self.non_overlap)
 
 
-def _canon(token: str) -> str:
-    if token[:1] in WORD_MARKERS:
-        return WORD_MARKERS[1] + token[1:]
-    return token
+def _canon(token: str) -> tuple[bool, str]:
+    marker, rest = split_marker(token)
+    return bool(marker), rest
 
 
 def compute_overlap(
@@ -56,7 +55,7 @@ def compute_overlap(
     non_overlap: list[int] = []
     warnings: list[str] = []
 
-    canon_map: dict[str, list[int]] = {}
+    canon_map: dict[tuple[bool, str], list[int]] = {}
     if canon == "marker-normalized":
         for sid, tok in enumerate(source.tokens):
             canon_map.setdefault(_canon(tok), []).append(sid)

@@ -17,7 +17,7 @@ import numpy as np
 from .embedding_store import EmbeddingMatrix, Vocabulary
 from .errors import ValidationError
 from .kernels import mean_std
-from .tokenizers import BYTE_ALPHABET, WORD_MARKERS, unmap_bytes
+from .tokenizers import BYTE_ALPHABET, split_marker, unmap_bytes
 
 WORD_INITIAL = "word-initial"
 WORD_INTERNAL = "word-internal"
@@ -115,10 +115,8 @@ def classify_token(token: str) -> ScriptGroup:
     symbols only is decoded to its UTF-8 text first; if those bytes are not
     valid UTF-8 it is Unknown. Other tokens are read as they are.
     """
-    position = WORD_INTERNAL
-    if token[:1] in WORD_MARKERS:
-        position = WORD_INITIAL
-        token = token[1:]
+    marker, token = split_marker(token)
+    position = WORD_INITIAL if marker else WORD_INTERNAL
     if BYTE_ALPHABET.issuperset(token):
         try:
             token = unmap_bytes(token)

@@ -120,6 +120,13 @@ def map_bytes(s: str) -> str:
 WORD_MARKERS = (map_bytes(" "), "▁")
 
 
+def split_marker(token: str) -> tuple[str, str]:
+    """(marker, rest): the token's leading word-boundary marker, or "" if it
+    has none, and the token without it."""
+    marker = token[:1] if token[:1] in WORD_MARKERS else ""
+    return marker, token[len(marker) :]
+
+
 def unmap_bytes(s: str) -> str:
     """Invert map_bytes.
 

@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vocabport import embedding_store
-from vocabport.aux_vectors import aux_row, load_aux_model, load_word_vectors
+from vocabport.aux_vectors import (
+    AUX_MODEL, AuxEmbeddings, aux_row, load_aux_model, load_word_vectors,
+)
 from vocabport.embedding_store import EmbeddingMatrix, Vocabulary, save_matrix
 from vocabport.errors import FormatError, ValidationError, VocabportError
 
@@ -428,3 +430,11 @@ class TestAuxRow:
         for target_id in (99, -1):
             with pytest.raises(IndexError):
                 vecs.row(target_id)
+
+    def test_bool_row_is_a_row_id(self):
+        # True is row 1; as an index it would be a new axis over the matrix.
+        matrix = EmbeddingMatrix(np.eye(2, dtype=np.float32))
+        aux = AuxEmbeddings(AUX_MODEL, {0: True}, matrix, {1})
+        row = aux_row(aux, 0)
+        assert row.shape == (2,)
+        np.testing.assert_array_equal(row, [0, 1])

@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused imports, no dead private
 or public names, method names, word-boundary markers and the row-block size
-spelled only where they are defined.
+spelled only where they are defined, and the initializers' input ids read
+in one place.
 
 Deleting code tends to leave an import or a `_helper` behind, and a method
 name or a marker written out in another module is a second record of it;
@@ -106,6 +107,37 @@ def _marker_literals(tree: ast.AST) -> list[str]:
     ]
 
 
+def _holders(tree: ast.Module, wanted) -> set[str]:
+    """The dotted names, like `_TargetRows.__init__`, of the innermost
+    functions or classes that hold a node `wanted` accepts; "<module>" for
+    a node outside all of them. A lambda belongs to the function around it."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if wanted(child):
+                found.add(scope or "<module>")
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def _reads_attr(node: ast.AST, *attrs: str) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr in attrs
+
+
+def _is_operator_index(node: ast.AST) -> bool:
+    return (
+        _reads_attr(node, "index")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "operator"
+    )
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
@@ -151,13 +183,30 @@ def test_method_names_only_in_initializers():
 
 
 def test_word_markers_only_in_tokenizers():
-    found = {
-        path.name: _marker_literals(_tree(path))
-        for path in MODULES
-        if path.name != "tokenizers.py"
-    }
-    found = {name: lines for name, lines in found.items() if lines}
+    # Other modules split a marker off with tokenizers.split_marker, so
+    # none spells a marker or reads the WORD_MARKERS table.
+    found = {}
+    for path in MODULES:
+        if path.name == "tokenizers.py":
+            continue
+        tree = _tree(path)
+        lines = _marker_literals(tree)
+        if "WORD_MARKERS" in _loaded_names(tree):
+            lines.append("reads WORD_MARKERS")
+        if lines:
+            found[path.name] = lines
     assert not found, f"word-boundary markers written outside tokenizers.py: {found}"
+
+
+def test_init_inputs_read_once():
+    # initializers checks every id of the overlap map once, in
+    # _TargetRows.__init__, with _id_array, and every method reads the
+    # checked arrays; a second read of the raw map could use ids no check
+    # has seen.
+    tree = _tree(PACKAGE / "initializers.py")
+    assert _holders(tree, _is_operator_index) == {"_id_array"}
+    raw_reads = _holders(tree, lambda node: _reads_attr(node, "pairs", "non_overlap"))
+    assert raw_reads == {"_TargetRows.__init__"}
 
 
 def test_row_block_size_defined_once():
@@ -224,3 +273,10 @@ def test_checks_catch_leftovers():
         '    return "\\u2581" + t[1:], f"\u0120{t}", "x"\n'
     )
     assert _marker_literals(tree) == ["line 5: '\u2581'", "line 5: '\u0120'"]
+    tree = ast.parse(
+        "import operator\nf = operator.index\n\nclass A:\n    def g(self, m):\n"
+        "        return lambda: m.pairs\n\n    def h(self):\n        def k(x):\n"
+        "            return operator.index(x)\n        return k\n"
+    )
+    assert _holders(tree, _is_operator_index) == {"<module>", "A.h.k"}
+    assert _holders(tree, lambda node: _reads_attr(node, "pairs")) == {"A.g"}

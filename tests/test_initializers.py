@@ -961,10 +961,13 @@ class TestEdgeCases:
             ({0: 0}, [1], "id 2 is missing"),
             ({0: 0}, [1, 5], "non_overlap holds id 5, out of range 0..2"),
             ({0: 0}, [1, 2.0], "non_overlap holds 2.0, not an integer"),
+            # Integer and range faults first, pairs before non_overlap; then
+            # the lowest repeated or missing id.
+            ({0: 0, 5: 1}, [1, 1], "pairs holds id 5, out of range 0..2"),
         ],
         ids=["repeated", "paired-and-non-overlap", "missing", "out-of-range", "negative",
              "float", "str", "float-paired", "huge", "repeated-in-place-of-last",
-             "last-missing", "last-out-of-range", "float-equal-to-its-id"],
+             "last-missing", "last-out-of-range", "float-equal-to-its-id", "several-faults"],
     )
     @pytest.mark.parametrize("method", ["heuristics", "clp"])
     def test_overlap_map_must_partition_the_target_ids(self, method, pairs, non_overlap, fault):
@@ -1018,6 +1021,38 @@ class TestEdgeCases:
         assert str(err.value) == (
             f"auxiliary vectors align target id 1 with row {row!r}, outside the 2 auxiliary rows"
         )
+
+    @pytest.mark.parametrize("method", ["clp", "focus", "clp-plus"])
+    def test_bool_alignment_rows_are_row_ids(self, method):
+        # True is row 1 and False row 0 wherever a row is read; gathered as
+        # a list, [True, False] would be a boolean mask over the aux rows.
+        init = {"clp": init_clp, "focus": init_focus, "clp-plus": init_clp_plus}[method]
+        kind = WORD_VECTORS if method == "focus" else AUX_MODEL
+        source = _bundle(["a", "b"], [[1.0, 0.0], [0.0, 2.0]])
+        target = Vocabulary(["a", "b", "q", "r"])
+        overlap = compute_overlap(source.vocab, target)
+        matrix = [[1.0, 0.2], [0.3, 1.0]]
+        outputs = [
+            init(source, target, overlap, _aux(kind, align, matrix, 4), _cfg(method))[0]
+            .input_emb.data
+            for align in ({0: 0, 1: 1, 2: 1, 3: 0}, {0: 0, 1: 1, 2: True, 3: False})
+        ]
+        assert outputs[1].tobytes() == outputs[0].tobytes()
+
+    def test_bool_non_overlap_id_is_a_target_id(self):
+        from vocabport.overlap import OverlapMap
+
+        source = _bundle(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
+        target = Vocabulary(["a", "x", "b", "c"])
+        filled = [
+            init_heuristics(
+                source, target, OverlapMap(pairs={0: 0, 2: 1, 3: 1}, non_overlap=[t]),
+                _cfg("heuristics"),
+            )
+            for t in (1, True)
+        ]
+        assert filled[1][1].random_fallback == 1
+        assert filled[1][0].input_emb.data.tobytes() == filled[0][0].input_emb.data.tobytes()
 
     def test_invalid_source_bundle_rejected(self):
         source = ModelBundle(
