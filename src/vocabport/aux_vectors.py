@@ -50,15 +50,16 @@ class AuxEmbeddings:
     missing: set[int] = field(default_factory=set)
 
     def row(self, target_id: int) -> np.ndarray | None:
-        """The aligned vector for a target id, or None if it has none.
+        """The aligned vector for a target id, or None for a missing one.
 
-        Raises IndexError for an id outside the target vocabulary, so an
-        out-of-range id is never mistaken for a missing vector.
+        Any other id raises IndexError: it is never taken for a missing one.
         """
-        if not 0 <= target_id < len(self.vocab_alignment) + len(self.missing):
-            raise IndexError(f"target id {target_id} out of range")
-        aux_id = self.vocab_alignment.get(target_id)
-        return None if aux_id is None else self.matrix.data[operator.index(aux_id)]
+        target_id = operator.index(target_id)
+        if target_id in self.vocab_alignment:
+            return self.matrix.data[operator.index(self.vocab_alignment[target_id])]
+        if target_id in self.missing:
+            return None
+        raise IndexError(f"target id {target_id} out of range")
 
 
 def _align(

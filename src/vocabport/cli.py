@@ -22,7 +22,7 @@ from . import efficiency, initializers, tokenizers
 from .aux_vectors import AUX_MODEL, WORD_VECTORS, load_aux_model, load_word_vectors
 from .embedding_store import (
     ModelBundle,
-    _read_lines,
+    _numbered_lines,
     _read_utf8,
     load_matrix,
     load_vocab,
@@ -110,7 +110,7 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--per-sample", action="store_true", help="include per-sample counts")
     p_an.add_argument("--out", help="report path (default: stdout)")
 
-    p_stats = sub.add_parser("stats", parents=[common], help="analysis statistics")
+    p_stats = sub.add_parser("stats", help="analysis statistics")
     stats_sub = p_stats.add_subparsers(dest="stat", required=True)
     p_kendall = stats_sub.add_parser("kendall", parents=[common])
     p_kendall.add_argument("--x", required=True, help="file with one number per line")
@@ -350,7 +350,7 @@ def _cmd_analyze(args) -> int:
 
 def _read_numbers(path: str) -> list[float]:
     values = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in _numbered_lines(path):
         line = line.strip()
         if not line:
             continue

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .embedding_store import _read_lines
+from .embedding_store import _numbered_lines
 from .errors import FormatError, ValidationError
 from .tokenizers import TokenizerSpec, count_tokens
 
@@ -171,13 +171,10 @@ def load_corpus(path: str, fmt: str = "txt") -> list[CorpusSample]:
     "text" field (and an optional "id")."""
     if fmt not in CORPUS_FORMATS:
         raise ValidationError(f"unknown corpus format {fmt!r}")
-    lines = _read_lines(path)
-    samples: list[CorpusSample] = []
     if fmt == "txt":
-        for i, line in enumerate(lines):
-            samples.append(CorpusSample(id=str(i), text=line))
-        return samples
-    for lineno, line in enumerate(lines, start=1):
+        return [CorpusSample(id=str(n - 1), text=line) for n, line in _numbered_lines(path)]
+    samples: list[CorpusSample] = []
+    for lineno, line in _numbered_lines(path):
         if not line.strip():
             continue
         try:

@@ -20,7 +20,7 @@ Vocabularies come in three text formats:
                     through load_scored_tsv and keep them
 
 The line formats, and every other line-based input of the package, are
-read in 64 KiB blocks of whole lines (_line_blocks) and never held whole.
+read a line at a time from 64 KiB blocks (_numbered_lines), never whole.
 
 Values are stored as 32-bit floats; arithmetic elsewhere in the package
 accumulates in 64-bit.
@@ -28,6 +28,7 @@ accumulates in 64-bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
@@ -213,15 +214,15 @@ def _line_blocks(f, path: str) -> Iterator[list[str]]:
         offset += len(block)
         del block
         yield lines
+        del lines  # the caller holds what it keeps of them
 
 
-def _read_lines(path: str) -> list[str]:
-    """The lines of a UTF-8 text file (see _split_lines), read a block at a time."""
-    lines: list[str] = []
+def _numbered_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number from 1, line) for each line of a UTF-8 text file (see
+    _split_lines), in file order, read a block at a time by _line_blocks;
+    invalid UTF-8 raises FormatError where the reader meets it."""
     with open(path, "rb") as f:
-        for block in _line_blocks(f, path):
-            lines += block
-    return lines
+        yield from enumerate(itertools.chain.from_iterable(_line_blocks(f, path)), start=1)
 
 
 def _check_dims(where: str, *dims: int) -> None:
@@ -243,14 +244,14 @@ def load_vocab(path: str, fmt: str) -> Vocabulary:
         return load_scored_tsv(path)[0]
     if fmt == "json-map":
         return _vocab_from_json_map(_read_utf8(path), path)
-    return _vocab_from_lines(_read_lines(path), path)
+    return _vocab_from_lines([line for _, line in _numbered_lines(path)], path)
 
 
 def load_scored_tsv(path: str) -> tuple[Vocabulary, list[float]]:
     """Read a "token<TAB>score" file: its tokens in line order, and their scores."""
     tokens: list[str] = []
     scores: list[float] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in _numbered_lines(path):
         fields = line.split("\t")
         if len(fields) != 2:
             raise FormatError(

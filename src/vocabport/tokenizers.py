@@ -41,7 +41,7 @@ import numpy as np
 
 from .embedding_store import (
     Vocabulary,
-    _read_lines,
+    _numbered_lines,
     load_scored_tsv,
     load_vocab,
 )
@@ -175,9 +175,9 @@ class UnigramSpec:
 
     `unk_penalty` is the log-score charged per unknown character; when the
     text cannot be covered by vocabulary tokens the encoder emits the unk
-    token one character at a time instead of aborting. A leading space in
-    a pretoken is rewritten to `space_marker` before segmentation (set it
-    to None to disable).
+    token one character at a time instead of aborting. Every plain space
+    in a pretoken is rewritten to `space_marker` before segmentation (set
+    it to None to disable).
     """
 
     vocab: Vocabulary
@@ -368,12 +368,13 @@ def load_bpe_spec(vocab_path: str, merges_path: str) -> BpeSpec:
     result is not a vocabulary token is reported at its merges-file line.
     """
     vocab = load_vocab(vocab_path, "json-map")
+
+    def merge_lines():  # (line number, line) of each merge, in merge order
+        return ((n, line) for n, line in _numbered_lines(merges_path)
+                if line and not (n == 1 and line.startswith("#")))
+
     merges: list[tuple[str, str]] = []
-    lines = _read_lines(merges_path)
-    start = 1 if lines and lines[0].startswith("#") else 0
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        if not line:
-            continue
+    for lineno, line in merge_lines():
         parts = line.split(" ")
         if len(parts) != 2:
             raise FormatError(
@@ -383,9 +384,8 @@ def load_bpe_spec(vocab_path: str, merges_path: str) -> BpeSpec:
     try:
         return BpeSpec(vocab=vocab, merges=merges)
     except MalformedSpecError as err:
-        # Merge i is on the i-th nonblank line after the header.
-        linenos = [n for n, line in enumerate(lines[start:], start + 1) if line]
-        raise _located(err, merges_path, linenos) from None
+        # Only a failure reads the line numbers, so they are read again, not kept.
+        raise _located(err, merges_path, [n for n, _ in merge_lines()]) from None
 
 
 def load_unigram_spec(path: str) -> UnigramSpec:

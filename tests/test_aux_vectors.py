@@ -438,3 +438,16 @@ class TestAuxRow:
         row = aux_row(aux, 0)
         assert row.shape == (2,)
         np.testing.assert_array_equal(row, [0, 1])
+
+    def test_range_is_the_aligned_and_missing_ids(self):
+        # An alignment key that is no target id does not shift the ids the
+        # row accepts: every aligned id has its row, every missing id none.
+        matrix = EmbeddingMatrix(np.eye(2, dtype=np.float32))
+        aux = AuxEmbeddings(AUX_MODEL, {0: 0, 7: 1}, matrix, set())
+        np.testing.assert_array_equal(aux_row(aux, 7), [0, 1])
+        for target_id in (1, 2, -1):
+            with pytest.raises(IndexError):
+                aux_row(aux, target_id)
+        aux.missing = {1}
+        assert aux_row(aux, 1) is None
+        np.testing.assert_array_equal(aux_row(aux, np.int64(0)), [1, 0])

@@ -645,6 +645,18 @@ class TestStatsCommand:
         assert run(["stats", "kendall", "--x", str(x), "--y", str(y)]) == 1
         assert "bad.txt: invalid UTF-8 at byte offset 2" in capsys.readouterr().err
 
+    def test_flags_go_after_kendall(self, tmp_path, capsys):
+        # `stats` takes no flags of its own, so none given before `kendall`
+        # can be dropped in favour of kendall's defaults.
+        x = tmp_path / "x.txt"
+        x.write_text("1\n2\n")
+        files = ["--x", str(x), "--y", str(x)]
+        assert run(["stats", "--threads", "0", "kendall", *files]) == 1
+        assert run(["stats", "--verbose", "kendall", *files]) == 1
+        assert run(["stats", "kendall", "--threads", "0", *files]) == 1
+        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert run(["stats", "kendall", "--threads", "2", "--verbose", *files]) == 0
+
 
 class TestEmitReport:
     def test_init_report_totals(self, tmp_path):

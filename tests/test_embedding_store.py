@@ -238,6 +238,18 @@ LINE_LOADERS = {
 }
 
 
+# A bad first line, then bytes that are not UTF-8: (file bytes, loader, the
+# first line's fault).
+FILE_ORDER_CASES = {
+    "tsv-scored": (b"a\tx\n\xff\n", load_scored_tsv, "score 'x' is not a number"),
+    "merges": (b"a b c\n\xff\n", _bpe_merges, "expected 'left right', got 3 fields"),
+    "corpus-jsonl": (
+        b"[]\n\xff\n", lambda p: load_corpus(p, "jsonl"), "expected an object with a string 'text'"
+    ),
+    "numbers": (b"x\n\xff\n", _read_numbers, "'x' is not a number"),
+}
+
+
 class TestLineSplitting:
     @pytest.mark.parametrize("sep", UNICODE_SEPARATORS)
     def test_unicode_separator_stays_in_token(self, tmp_path, sep):
@@ -277,6 +289,17 @@ class TestLineSplitting:
         # newline ends the last line.
         assert embedding_store._split_lines(text) == lines
 
+    @pytest.mark.parametrize("name", list(FILE_ORDER_CASES))
+    def test_faults_are_reported_in_file_order(self, tmp_path, name):
+        # A line is parsed as the reader reaches it, so its fault comes
+        # before invalid UTF-8 further down.
+        data, load, fault = FILE_ORDER_CASES[name]
+        p = tmp_path / "bad.txt"
+        p.write_bytes(data)
+        with pytest.raises(ValidationError) as e:
+            load(str(p))
+        assert str(e.value) == f"{p}:1: {fault}"
+
 
 # Line breaks, separators that stay inside a line, multi-byte characters (a
 # small read cuts them) and invalid sequences: a stray continuation byte,
@@ -315,12 +338,15 @@ class TestBlockReader:
                 except FormatError as e:
                     got_error = str(e)
             assert (got, got_error) == (want, error)
-            if error is None:
-                assert embedding_store._read_lines(str(path)) == want
-            else:
-                with pytest.raises(FormatError) as e:
-                    embedding_store._read_lines(str(path))
-                assert str(e.value) == error
+            # The numbered reader yields the same lines, numbered from 1,
+            # then raises the same error.
+            got, got_error = [], None
+            try:
+                for numbered in embedding_store._numbered_lines(str(path)):
+                    got.append(numbered)
+            except FormatError as e:
+                got_error = str(e)
+            assert (got, got_error) == (list(enumerate(want, start=1)), error)
 
 
 class TestVembRoundTrip:

@@ -1,7 +1,7 @@
 """Static checks on the package source: no unused imports, no dead private
 or public names, method names, word-boundary markers and the row-block size
-spelled only where they are defined, and the initializers' input ids read
-in one place.
+spelled only where they are defined, the initializers' input ids read in
+one place, and line files read through one reader.
 
 Deleting code tends to leave an import or a `_helper` behind, and a method
 name or a marker written out in another module is a second record of it;
@@ -130,6 +130,14 @@ def _reads_attr(node: ast.AST, *attrs: str) -> bool:
     return isinstance(node, ast.Attribute) and node.attr in attrs
 
 
+def _calls(node: ast.AST, name: str) -> bool:
+    """Whether the node calls `name`, bare or as an attribute."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+
+
 def _is_operator_index(node: ast.AST) -> bool:
     return (
         _reads_attr(node, "index")
@@ -209,6 +217,19 @@ def test_init_inputs_read_once():
     assert raw_reads == {"_TargetRows.__init__"}
 
 
+def test_one_line_reader():
+    # Every line-based loader reads embedding_store._numbered_lines; only the
+    # word-vector loader, whose blocks feed a batched conversion, reads the
+    # blocks under it. A loader that gathered the blocks itself could hold
+    # a whole file again.
+    callers = {
+        f"{path.stem}.{holder}"
+        for path in MODULES
+        for holder in _holders(_tree(path), lambda node: _calls(node, "_line_blocks"))
+    }
+    assert callers == {"embedding_store._numbered_lines", "aux_vectors.load_word_vectors"}
+
+
 def test_row_block_size_defined_once():
     # Every pass over matrix rows steps by embedding_store._row_blocks; a
     # second rows-per-step constant would be a second record of that size.
@@ -280,3 +301,6 @@ def test_checks_catch_leftovers():
     )
     assert _holders(tree, _is_operator_index) == {"<module>", "A.h.k"}
     assert _holders(tree, lambda node: _reads_attr(node, "pairs")) == {"A.g"}
+    tree = ast.parse("def f(m):\n    return m.read(g(read))\n")
+    assert [_calls(node, "read") for node in ast.walk(tree) if isinstance(node, ast.Call)] == [
+        True, False]

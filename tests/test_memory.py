@@ -6,6 +6,7 @@ The row-block size is set small, so a bound of a few blocks is far below
 one whole-matrix temporary.
 """
 
+import json
 import os
 import sys
 import tracemalloc
@@ -22,11 +23,13 @@ from vocabport.embedding_store import (
     ModelBundle,
     Vocabulary,
     _first_nonfinite,
+    load_scored_tsv,
     load_vocab,
 )
 from vocabport.initializers import InitConfig, _element_stats, _TargetRows
 from vocabport.kernels import SupportCosines, mean_std
 from vocabport.overlap import compute_overlap
+from vocabport.tokenizers import load_bpe_spec, load_unigram_spec
 
 BLOCK = 64
 ROWS, COLS = 4000, 256  # 4 MB of float32; one float64 block is 128 KB
@@ -149,28 +152,82 @@ def test_word_vector_blocks_are_bounded_in_bytes(tmp_path):
     assert peak < kept + 8 * line + 2 * embedding_store._READ_BYTES
 
 
-@pytest.mark.parametrize("load", [
-    lambda path: load_corpus(path, "txt"),
-    lambda path: load_vocab(path, "line-per-token"),
-], ids=["load_corpus", "load_vocab"])
-def test_line_files_are_read_by_blocks(tmp_path, load):
-    # 4,000 lines of 200 to 1,400 characters, one in three of them CJK: 5 MB
-    # of UTF-8 that whole would be held again as bytes and as text.
+def _text_line(i):
+    # 200 to 1,400 characters, one line in three CJK.
+    return f"{i} " + ("語" if i % 3 == 0 else "x") * (200 + i * 37 % 1200)
+
+
+def _scored_line(i):
+    return "<unk>\t-20" if i == 0 else f"{_text_line(i)}\t-{i % 50 + 1}.5"
+
+
+def _number_line(i):
+    return str(i / 7).ljust(200 + i * 37 % 1200, "0")
+
+
+# One result token, 600 Latin and 600 CJK characters; merge i splits it
+# after character 1 + i % 1199, so every merge line is 1,201 characters.
+_MERGED = "x" * 600 + "語" * 600
+
+
+def _merge_line(i):
+    k = 1 + i % 1199
+    return f"{_MERGED[:k]} {_MERGED[k:]}"
+
+
+def _load_bpe(path):
+    vocab = os.path.join(os.path.dirname(path), "v.json")
+    with open(vocab, "w", encoding="utf-8") as f:
+        json.dump({_MERGED: 0}, f)
+    return load_bpe_spec(vocab, path)
+
+
+# loader -> (line i of its file, load, the lines its result holds, bytes a
+# line it may hold beyond its result and the reads in flight). Nine bytes a
+# line is a list of line or token references (with list growth) that the
+# result is built from and drops; 33 more is a list of float scores that it
+# drops. load_bpe_spec keeps no line numbers beside its merges: it reads
+# them again only to place a merge the spec rejects.
+_LINE_FILES = {
+    "load_corpus": (_text_line, lambda path: load_corpus(path, "txt"), len, 0),
+    "load_vocab": (_text_line, lambda path: load_vocab(path, "line-per-token"), len, 9),
+    "load_corpus-jsonl": (
+        lambda i: json.dumps({"text": _text_line(i)}, ensure_ascii=False),
+        lambda path: load_corpus(path, "jsonl"),
+        len,
+        0,
+    ),
+    "load_vocab-tsv-scored": (
+        _scored_line, lambda path: load_vocab(path, "tsv-scored"), len, 9 + 33
+    ),
+    "load_scored_tsv": (_scored_line, load_scored_tsv, lambda vs: len(vs[1]), 9),
+    "load_unigram_spec": (
+        _scored_line, load_unigram_spec, lambda spec: len(spec.log_probs), 9 + 33
+    ),
+    "load_bpe_spec": (_merge_line, _load_bpe, lambda spec: len(spec.merges), 0),
+    "read_numbers": (_number_line, cli._read_numbers, len, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_LINE_FILES))
+def test_line_files_are_read_by_blocks(tmp_path, name):
+    # 4,000 lines of about 200 to 1,400 characters: 3 to 10 MB of UTF-8
+    # that whole would be held again as bytes and as text.
+    line, load, lines_held, per_line = _LINE_FILES[name]
     n = 4000
     path = tmp_path / "lines.txt"
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(f"{i} " + ("語" if i % 3 == 0 else "x") * (200 + i * 37 % 1200) + "\n"
-                     for i in range(n))
+        f.writelines(line(i) + "\n" for i in range(n))
     tracemalloc.start()
     try:
         result = load(str(path))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(result) == n
-    # What the result keeps, the list of line references it is built from
-    # (9 bytes a line with list growth) and a few reads in flight.
-    assert peak < kept + 9 * n + 4 * embedding_store._READ_BYTES
+    assert lines_held(result) == n
+    # What the result keeps, what the loader drops on the way (per_line) and
+    # a few reads in flight.
+    assert peak < kept + per_line * n + 4 * embedding_store._READ_BYTES
 
 
 def test_corpus_sample_overhead(tmp_path):
