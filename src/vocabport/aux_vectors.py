@@ -30,7 +30,6 @@ from .embedding_store import (
     sniff_vocab_format,
 )
 from .errors import FormatError, ValidationError
-from .tokenizers import split_marker
 
 AUX_MODEL = "aux-model"
 WORD_VECTORS = "word-vectors"
@@ -63,14 +62,12 @@ class AuxEmbeddings:
 
 
 def _align(
-    target: Vocabulary, lookup: Mapping[str, int | None], marker_fallback: bool
+    target: Vocabulary, lookup: Mapping[str, int | None]
 ) -> tuple[dict[int, int], set[int]]:
     alignment: dict[int, int] = {}
     missing: set[int] = set()
     for tid, token in enumerate(target.tokens):
         row = lookup.get(token)
-        if row is None and marker_fallback:  # a token with no marker misses again
-            row = lookup.get(split_marker(token)[1])
         if row is None:
             missing.add(tid)
         else:
@@ -87,7 +84,7 @@ def load_aux_model(vocab_path: str, matrix_path: str, target: Vocabulary) -> Aux
         raise ValidationError(
             f"aux matrix has {matrix.rows} rows for {len(aux_vocab)} tokens"
         )
-    alignment, missing = _align(target, aux_vocab.index, marker_fallback=False)
+    alignment, missing = _align(target, aux_vocab.index)
     return AuxEmbeddings(
         source_kind=AUX_MODEL,
         vocab_alignment=alignment,
@@ -155,13 +152,12 @@ def _convert_block(
     return vecs, None
 
 
-def load_word_vectors(
-    path: str, target: Vocabulary, marker_fallback: bool = False
-) -> AuxEmbeddings:
+def load_word_vectors(path: str, target: Vocabulary) -> AuxEmbeddings:
     """Load static word vectors and align them to the target vocabulary.
 
-    Lookup uses the raw token string; with `marker_fallback` a token that
-    misses is retried with its leading word-boundary marker stripped.
+    Lookup uses the exact token string, word-boundary marker included:
+    FOCUS trains its vectors on text split by the target tokenizer, so
+    their tokens are spelled as the target's are.
 
     The file is read a block of whole lines at a time (one 64 KiB read,
     see embedding_store._line_blocks), never whole, and every line is
@@ -178,8 +174,6 @@ def load_word_vectors(
     are those of converting one line at a time.
     """
     usable = target.index
-    if marker_fallback:
-        usable = set(usable).union(split_marker(t)[1] for t in target.tokens)
     with open(path, "rb") as f, np.errstate(over="ignore"):
         blocks = _line_blocks(f, path)
         lines = next(blocks, None)
@@ -254,7 +248,7 @@ def load_word_vectors(
             RuntimeWarning,
         )
     kept.resize((n_kept, dim), refcheck=False)
-    alignment, missing = _align(target, lookup, marker_fallback)
+    alignment, missing = _align(target, lookup)
     return AuxEmbeddings(
         source_kind=WORD_VECTORS,
         vocab_alignment=alignment,

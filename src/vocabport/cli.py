@@ -233,14 +233,10 @@ def _cmd_init(args) -> int:
         ("--out-emb", "--out-out-emb", "--report"),
     )
 
-    source_vocab = _load_any_vocab(args.source_vocab)
-    input_emb = load_matrix(args.source_emb)
-    output_emb = load_matrix(args.source_out_emb) if args.source_out_emb else None
     source = ModelBundle(
-        vocab=source_vocab,
-        input_emb=input_emb,
-        output_emb=output_emb,
-        tied=output_emb is None,
+        vocab=_load_any_vocab(args.source_vocab),
+        input_emb=load_matrix(args.source_emb),
+        output_emb=load_matrix(args.source_out_emb) if args.source_out_emb else None,
     )
     # Checked again inside init_target_bundle; this copy fails before the
     # target vocabulary and the aux files load.
@@ -287,16 +283,25 @@ def _build_spec(kind: str, vocab: str | None, merges: str | None, scores: str | 
     return tokenizers.load_unigram_spec(scores)
 
 
-def _infer_kind(vocab: str | None, merges: str | None, scores: str | None, side: str) -> str:
-    if merges and scores:
-        raise ValidationError(f"give either --{side}-merges or --{side}-scores, not both")
-    if scores:
-        return "unigram"
-    if not merges:
-        raise ValidationError(f"--{side}-merges (bpe) or --{side}-scores (unigram) is required")
-    if not vocab:
-        raise ValidationError(f"--{side}-vocab and --{side}-merges are required for a BPE spec")
-    return "bpe"
+def _spec_kind(args, kind: str | None, vocab: str, merges: str, scores: str) -> str:
+    """`kind`, or if None the kind the given flags choose, of the spec whose
+    files the flags name. A BPE spec reads `vocab` and `merges`, a Unigram
+    spec `scores`; a flag the kind does not read is an error, not ignored."""
+    given = {flag for flag in (vocab, merges, scores) if _flag_value(args, flag) is not None}
+    if kind is None:
+        if scores in given:
+            kind = "unigram"
+        elif merges in given:
+            kind = "bpe"
+        else:
+            raise ValidationError(f"{merges} (bpe) or {scores} (unigram) is required")
+    reads = (vocab, merges) if kind == "bpe" else (scores,)
+    for flag in (vocab, merges, scores):
+        if flag in given and flag not in reads:
+            raise ValidationError(f"{flag} is not read by a {kind} spec")
+    if kind == "bpe" and vocab not in given:
+        raise ValidationError(f"{vocab} and {merges} are required for a BPE spec")
+    return kind
 
 
 def _cmd_tokenize(args) -> int:
@@ -305,6 +310,7 @@ def _cmd_tokenize(args) -> int:
     if args.spec_kind == "bpe" and not args.merges:
         raise ValidationError("--merges is required for --spec-kind bpe")
     # --vocab names the JSON map of a BPE spec or the TSV of a Unigram one.
+    _spec_kind(args, args.spec_kind, "--vocab", "--merges", "--vocab")
     spec = _build_spec(args.spec_kind, args.vocab, args.merges, args.vocab)
     if args.text is not None:
         text = args.text
@@ -316,8 +322,8 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    source_kind = _infer_kind(args.source_vocab, args.source_merges, args.source_scores, "source")
-    target_kind = _infer_kind(args.target_vocab, args.target_merges, args.target_scores, "target")
+    source_kind = _spec_kind(args, None, "--source-vocab", "--source-merges", "--source-scores")
+    target_kind = _spec_kind(args, None, "--target-vocab", "--target-merges", "--target-scores")
     _check_paths(
         args,
         ("--source-vocab", "--source-merges", "--source-scores", "--target-vocab",

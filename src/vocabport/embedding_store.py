@@ -33,7 +33,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,17 +54,25 @@ _BLOCK_ROWS = 1024
 _READ_BYTES = 1 << 16
 
 
+class _DuplicateToken(ValidationError):
+    """A vocabulary's token at ids `first` and `again`, first < again."""
+
+    def __init__(self, token: str, first: int, again: int):
+        super().__init__(f"duplicate token {token!r} (ids {first} and {again})")
+        self.token, self.first, self.again = token, first, again
+
+
 class Vocabulary:
     """Ordered token strings with a dense 0-based token -> id index."""
 
     __slots__ = ("tokens", "index")
 
-    def __init__(self, tokens: Sequence[str]):
+    def __init__(self, tokens: Iterable[str]):
         self.tokens = toks = tuple(tokens)
         self.index = dict(zip(toks, range(len(toks))))
         if len(self.index) != len(toks):
             first, again = _first_repeat(toks)
-            raise ValidationError(f"duplicate token {toks[again]!r} (ids {first} and {again})")
+            raise _DuplicateToken(toks[again], first, again)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -117,14 +125,18 @@ class EmbeddingMatrix:
 class ModelBundle:
     """A vocabulary plus its input embedding and optional output matrix.
 
-    `tied` means the output projection reuses the input matrix, in which
-    case `output_emb` must be absent.
+    A bundle without `output_emb` is tied: its output projection reuses
+    the input matrix.
     """
 
     vocab: Vocabulary
     input_emb: EmbeddingMatrix
     output_emb: EmbeddingMatrix | None = None
-    tied: bool = True
+
+    @property
+    def tied(self) -> bool:
+        """Whether the output projection reuses the input matrix."""
+        return self.output_emb is None
 
 
 def _first_repeat(items: Sequence) -> tuple[int, int]:
@@ -244,36 +256,35 @@ def load_vocab(path: str, fmt: str) -> Vocabulary:
         return load_scored_tsv(path)[0]
     if fmt == "json-map":
         return _vocab_from_json_map(_read_utf8(path), path)
-    return _vocab_from_lines([line for _, line in _numbered_lines(path)], path)
+    return _vocab_from_lines((line for _, line in _numbered_lines(path)), path)
 
 
 def load_scored_tsv(path: str) -> tuple[Vocabulary, list[float]]:
     """Read a "token<TAB>score" file: its tokens in line order, and their scores."""
-    tokens: list[str] = []
     scores: list[float] = []
-    for lineno, line in _numbered_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise FormatError(
-                f"{path}:{lineno}: expected 'token<TAB>score', got {len(fields)} fields"
-            )
-        try:
-            scores.append(float(fields[1]))
-        except ValueError:
-            raise FormatError(
-                f"{path}:{lineno}: score {fields[1]!r} is not a number"
-            ) from None
-        tokens.append(fields[0])
-    return _vocab_from_lines(tokens, path), scores
+
+    def tokens():  # each line's token, its score appended to `scores`
+        for lineno, line in _numbered_lines(path):
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise FormatError(
+                    f"{path}:{lineno}: expected 'token<TAB>score', got {len(fields)} fields"
+                )
+            try:
+                scores.append(float(fields[1]))
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: score {fields[1]!r} is not a number") from None
+            yield fields[0]
+
+    return _vocab_from_lines(tokens(), path), scores
 
 
-def _vocab_from_lines(tokens: list[str], path: str) -> Vocabulary:
+def _vocab_from_lines(tokens: Iterable[str], path: str) -> Vocabulary:
     try:
         return Vocabulary(tokens)
-    except ValidationError:
-        first, again = _first_repeat(tokens)  # token i is on line i + 1
+    except _DuplicateToken as e:  # token i is on line i + 1
         raise FormatError(
-            f"{path}:{again + 1}: duplicate token {tokens[again]!r} (first at line {first + 1})"
+            f"{path}:{e.again + 1}: duplicate token {e.token!r} (first at line {e.first + 1})"
         ) from None
 
 
@@ -391,10 +402,6 @@ def validate_bundle(b: ModelBundle) -> list[str]:
         problems.append(
             f"input matrix has {b.input_emb.rows} rows for {len(b.vocab)} tokens"
         )
-    if b.tied and b.output_emb is not None:
-        problems.append("bundle marked tied but an output matrix is present")
-    if not b.tied and b.output_emb is None:
-        problems.append("bundle marked untied but the output matrix is absent")
     if b.output_emb is not None:
         if (b.output_emb.rows, b.output_emb.cols) != (b.input_emb.rows, b.input_emb.cols):
             problems.append(

@@ -328,7 +328,6 @@ class _TargetRows:
             vocab=self.target_vocab,
             input_emb=input_emb,
             output_emb=output_emb[0] if output_emb else None,
-            tied=self.source.tied,
         )
         return bundle, self.report
 
@@ -450,7 +449,7 @@ def _similarity_init(
                 mixed = uniform_rows
             else:
                 nz = np.flatnonzero(w)
-                sparse = WeightVector(supp_src[nz], w[nz], convex=bool(is_convex))
+                sparse = WeightVector(supp_src[nz], w[nz])
                 combine = convex_combine if is_convex else weighted_sum
                 mixed = [combine(sparse, m) for m in rows.sources]
             for out, row in zip(rows.outs, mixed):

@@ -206,13 +206,12 @@ class SupportCosines:
 class WeightVector:
     """Mixture weights over source rows, aligned id-by-id.
 
-    When `convex` is set the weights must be nonnegative and sum to
-    1 +- 1e-6; `validate_convex` enforces that before any combination.
+    The weights are convex when they are nonnegative and sum to 1 +-
+    CONVEX_TOL; `validate_convex` checks that before a convex combination.
     """
 
     ids: np.ndarray
     weights: np.ndarray
-    convex: bool = True
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
@@ -222,15 +221,13 @@ class WeightVector:
         if not np.all(np.isfinite(self.weights)):
             raise ValidationError("weights must be finite")
 
-    def validate_convex(self, tol: float = CONVEX_TOL) -> None:
-        if not self.convex:
-            raise ValidationError("weight vector is not flagged convex")
+    def validate_convex(self) -> None:
         if self.weights.size == 0:
             raise ValidationError("empty weight vector")
         if np.any(self.weights < 0.0):
             raise ValidationError("convex weights must be nonnegative")
         total = float(self.weights.sum())
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > CONVEX_TOL:
             raise ValidationError(f"convex weights sum to {total}, not 1")
 
 

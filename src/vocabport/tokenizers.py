@@ -18,9 +18,10 @@ four cases, tried in this order:
   4. that last character, unless it is a plain space (which case 1 takes),
      stands alone.
 
-Byte-level specs then map each UTF-8 byte through the fixed 256-entry
+BPE then maps each UTF-8 byte of a pretoken through the fixed 256-entry
 byte-to-unicode table (space becomes "Ġ"), so any byte sequence round-trips
-losslessly through encode/decode.
+losslessly through encode/decode. Unigram rewrites every plain space of a
+pretoken as "▁".
 
 BPE applies, within each pretoken, the lowest-rank merge at its leftmost
 occurrence until none applies; a heap of candidate pairs over a linked list
@@ -146,15 +147,15 @@ def byte_level_pretokenize(text: str) -> list[str]:
 
 @dataclass
 class BpeSpec:
-    """Byte-level (or plain) BPE encoder definition.
+    """Byte-level BPE encoder definition.
 
-    Merge priority is list position: lower index merges first. Every merge
-    result (left+right) must already be a vocabulary token.
+    Tokens and merges are spelled in the symbols of the byte-to-unicode
+    table. Merge priority is list position: lower index merges first.
+    Every merge result (left+right) must already be a vocabulary token.
     """
 
     vocab: Vocabulary
     merges: list[tuple[str, str]]
-    byte_level: bool = True
     ranks: dict[tuple[str, str], int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -176,15 +177,13 @@ class UnigramSpec:
     `unk_penalty` is the log-score charged per unknown character; when the
     text cannot be covered by vocabulary tokens the encoder emits the unk
     token one character at a time instead of aborting. Every plain space
-    in a pretoken is rewritten to `space_marker` before segmentation (set
-    it to None to disable).
+    in a pretoken is rewritten to "▁" before segmentation, always.
     """
 
     vocab: Vocabulary
     log_probs: np.ndarray
     unk_token: str
     unk_penalty: float
-    space_marker: str | None = WORD_MARKERS[1]
     unk_id: int = field(init=False, repr=False)
     _longest: dict[str, int] = field(init=False, repr=False)
 
@@ -258,12 +257,9 @@ def bpe_encode(spec: BpeSpec, text: str) -> list[int]:
     character by character; a missing single-character symbol means the
     spec itself is broken (a byte-level vocab must cover its alphabet).
     """
-    pretokens = (
-        byte_level_pretokenize(text) if spec.byte_level else split_pretokens(text)
-    )
     index = spec.vocab.index
     ids: list[int] = []
-    for pre in pretokens:
+    for pre in byte_level_pretokenize(text):
         for sym in _merge_symbols(list(pre), spec.ranks):
             tid = index.get(sym)
             if tid is not None:
@@ -280,13 +276,12 @@ def bpe_encode(spec: BpeSpec, text: str) -> list[int]:
 
 
 def bpe_decode(spec: BpeSpec, ids: list[int]) -> str:
-    """Concatenate token strings and, for byte-level specs, invert the byte map."""
+    """Concatenate token strings and invert the byte map."""
     tokens = spec.vocab.tokens
     for tid in ids:
         if not 0 <= tid < len(tokens):
             raise ValidationError(f"token id {tid} out of range")
-    joined = "".join(tokens[tid] for tid in ids)
-    return unmap_bytes(joined) if spec.byte_level else joined
+    return unmap_bytes("".join(tokens[tid] for tid in ids))
 
 
 def _viterbi(spec: UnigramSpec, s: str) -> list[int]:
@@ -333,9 +328,7 @@ def unigram_encode(spec: UnigramSpec, text: str) -> list[int]:
     """
     ids: list[int] = []
     for pre in split_pretokens(text):
-        if spec.space_marker is not None:
-            pre = pre.replace(" ", spec.space_marker)
-        ids.extend(_viterbi(spec, pre))
+        ids.extend(_viterbi(spec, pre.replace(" ", WORD_MARKERS[1])))
     return ids
 
 

@@ -134,11 +134,10 @@ def unmap_bytes_oracle(s: str) -> str:
 
 
 def bpe_oracle_encode(spec, text):
-    from vocabport.tokenizers import byte_level_pretokenize, split_pretokens
+    from vocabport.tokenizers import byte_level_pretokenize
 
-    pretokens = byte_level_pretokenize(text) if spec.byte_level else split_pretokens(text)
     ids = []
-    for pre in pretokens:
+    for pre in byte_level_pretokenize(text):
         for sym in bpe_merge_oracle(list(pre), spec.ranks):
             if sym in spec.vocab.index:
                 ids.append(spec.vocab.index[sym])
@@ -216,7 +215,7 @@ def member_statistics_oracle(emb, members):
     return stats
 
 
-def load_word_vectors_oracle(path, target, marker_fallback=False):
+def load_word_vectors_oracle(path, target):
     """The whole-file word-vector loader: decode the file, split it into
     lines, parse every value with float() and keep every vector, then
     align. A value that is not finite as float32 is an error."""
@@ -270,7 +269,7 @@ def load_word_vectors_oracle(path, target, marker_fallback=False):
     matrix = EmbeddingMatrix(
         np.vstack(vectors) if vectors else np.empty((0, dim), dtype=np.float32)
     )
-    alignment, missing = _align(target, lookup, marker_fallback)
+    alignment, missing = _align(target, lookup)
     return AuxEmbeddings(WORD_VECTORS, alignment, matrix, missing)
 
 
@@ -282,14 +281,14 @@ def unigram_score(spec, ids):
     )
 
 
-def make_bpe_spec(extra_tokens, merges, byte_level=True, full_byte_vocab=False):
+def make_bpe_spec(extra_tokens, merges, full_byte_vocab=False):
     base = ASCII_BYTE_SYMBOLS if full_byte_vocab else sorted(
         {c for tok in extra_tokens for c in tok}
         | {c for pair in merges for c in pair[0] + pair[1]}
         | {G}
     )
     tokens = list(dict.fromkeys(list(base) + list(extra_tokens)))
-    return BpeSpec(vocab=Vocabulary(tokens), merges=list(merges), byte_level=byte_level)
+    return BpeSpec(vocab=Vocabulary(tokens), merges=list(merges))
 
 
 @pytest.fixture
@@ -298,8 +297,8 @@ def toy_bpe() -> BpeSpec:
     return make_bpe_spec(["ab", "abc"], [("a", "b"), ("ab", "c")])
 
 
-def make_unigram_spec(scored: dict[str, float], unk_token="<unk>", unk_penalty=-16.0,
-                      space_marker=None) -> UnigramSpec:
+def make_unigram_spec(scored: dict[str, float], unk_token="<unk>",
+                      unk_penalty=-16.0) -> UnigramSpec:
     tokens = list(scored)
     if unk_token not in scored:
         tokens.append(unk_token)
@@ -309,7 +308,6 @@ def make_unigram_spec(scored: dict[str, float], unk_token="<unk>", unk_penalty=-
         log_probs=log_probs,
         unk_token=unk_token,
         unk_penalty=unk_penalty,
-        space_marker=space_marker,
     )
 
 
@@ -360,9 +358,7 @@ def build_instance(
         if untied
         else None
     )
-    source = ModelBundle(
-        vocab=source_vocab, input_emb=input_emb, output_emb=output_emb, tied=not untied
-    )
+    source = ModelBundle(vocab=source_vocab, input_emb=input_emb, output_emb=output_emb)
 
     # Auxiliary model shares the target vocabulary (plus a few extras).
     aux_tokens = list(target_tokens) + [f"{G}extra{i}" for i in range(7)]

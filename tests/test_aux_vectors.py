@@ -87,14 +87,6 @@ class TestWordVectors:
         with pytest.warns(RuntimeWarning, match="declares 5"):
             load_word_vectors(str(p), Vocabulary(["a"]))
 
-    def test_marker_fallback_lookup(self, tmp_path):
-        p = tmp_path / "w.vec"
-        p.write_text("1 2\nthe 1 0\n")
-        target = Vocabulary(["Ġthe"])
-        assert load_word_vectors(str(p), target).missing == {0}
-        retried = load_word_vectors(str(p), target, marker_fallback=True)
-        assert retried.missing == set()
-
     def test_fasttext_trailing_space(self, tmp_path):
         # fastText writes a space after every value, the last one included.
         p = tmp_path / "t.vec"
@@ -186,10 +178,7 @@ class TestWordVectors:
         target = Vocabulary(["Ġthe", "Ġof", "and"])
         exact = load_word_vectors(str(p), target)
         assert exact.matrix.rows == 1 and exact.missing == {0, 2}
-        retried = load_word_vectors(str(p), target, marker_fallback=True)
-        assert retried.matrix.rows == 3  # "the", and both spellings of "of"
-        assert [aux_row(retried, t).tolist() for t in range(2)] == [[1], [3]]
-        assert retried.missing == {2}
+        assert aux_row(exact, 1).tolist() == [3]
 
     def test_header_dimension_allocates_no_rows_the_file_cannot_hold(self, tmp_path):
         # 3 usable tokens x 7e8 values would be 7.8 GiB; a 12-byte file
@@ -250,12 +239,12 @@ def _vec_lines(draw):
 _BAD_UTF8 = [b"\xff", b"\xe2\x80", b"\xed\xa0\x80", b"\x80"]
 
 
-def _outcome(load, path, target, fallback):
+def _outcome(load, path, target):
     """(per-target-id rows, or the error's type and text; warning texts)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            aux = load(path, target, fallback)
+            aux = load(path, target)
             result = [None if (r := aux.row(t)) is None else r.tolist() for t in range(len(target))]
         except VocabportError as e:
             result = (type(e), str(e))
@@ -269,7 +258,6 @@ _FUZZ = dict(
     target=st.lists(
         st.sampled_from(_TOKENS + ["Ġb", "Ġab", "zz"]), unique=True, min_size=1, max_size=8
     ),
-    fallback=st.booleans(),
     # Invalid UTF-8 in one file in four: (line index, byte offset, bytes).
     bad=st.one_of(
         st.none(), st.none(), st.none(),
@@ -285,22 +273,22 @@ class TestMatchesWholeFileLoader:
     @_FUZZ_SETTINGS
     @given(**_FUZZ)
     def test_same_rows_warnings_and_errors(
-        self, tmp_path, text, crlf, final_newline, target, fallback, bad
+        self, tmp_path, text, crlf, final_newline, target, bad
     ):
-        self._check(tmp_path, text, crlf, final_newline, target, fallback, bad)
+        self._check(tmp_path, text, crlf, final_newline, target, bad)
 
     @_FUZZ_SETTINGS
     @given(block_chars=st.sampled_from([1, 8]), **_FUZZ)
     def test_same_outcome_with_smallest_blocks(
-        self, tmp_path, block_chars, text, crlf, final_newline, target, fallback, bad
+        self, tmp_path, block_chars, text, crlf, final_newline, target, bad
     ):
         # One line per block, or a few: faults and duplicates fall in
         # blocks after the ones that converted the lines before them.
         with mock.patch.object(embedding_store, "_READ_BYTES", block_chars):
-            self._check(tmp_path, text, crlf, final_newline, target, fallback, bad)
+            self._check(tmp_path, text, crlf, final_newline, target, bad)
 
     @staticmethod
-    def _check(tmp_path, text, crlf, final_newline, target, fallback, bad):
+    def _check(tmp_path, text, crlf, final_newline, target, bad):
         lines = [(line + ("\r\n" if cr else "\n")).encode("utf-8") for line, cr in zip(text, crlf)]
         if not final_newline:
             lines[-1] = lines[-1].rstrip(b"\r\n")
@@ -314,8 +302,8 @@ class TestMatchesWholeFileLoader:
         vocab = Vocabulary(target)
         with open(path, "wb") as f:
             f.write(b"".join(lines))
-        got = _outcome(load_word_vectors, path, vocab, fallback)
-        want = _outcome(load_word_vectors_oracle, path, vocab, fallback)
+        got = _outcome(load_word_vectors, path, vocab)
+        want = _outcome(load_word_vectors_oracle, path, vocab)
         if bad_line:
             # The stream meets the bad bytes only after the lines before
             # them: a fault there comes first, otherwise the same UTF-8
@@ -323,7 +311,7 @@ class TestMatchesWholeFileLoader:
             assert re.search(r"invalid UTF-8 at byte offset \d+$", want[0][1])
             with open(path, "wb") as f:
                 f.write(b"".join(lines[:bad_line]))
-            before = _outcome(load_word_vectors_oracle, path, vocab, fallback)
+            before = _outcome(load_word_vectors_oracle, path, vocab)
             if isinstance(before[0], tuple):
                 want = before
             else:

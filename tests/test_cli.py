@@ -84,6 +84,18 @@ class TestTokenizeCommand:
         assert code == 1
         assert "--merges is required for --spec-kind bpe" in capsys.readouterr().err
 
+    def test_merges_with_a_unigram_spec_is_exit_1(self, tmp_path, capsys):
+        # A Unigram spec reads no merges file, so the flag is an error rather
+        # than ignored, whatever it names.
+        tsv = tmp_path / "u.tsv"
+        tsv.write_text("a\t-1.0\nb\t-1.0\n<unk>\t-9.0\n")
+        code = run(["tokenize", "--spec-kind", "unigram", "--vocab", str(tsv),
+                    "--merges", str(tmp_path / "nonexistent"), "--text", "ab ba"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "vocabport: error: --merges is not read by a unigram spec\n"
+        )
+
     def test_missing_text_and_file(self, tmp_path, capsys):
         vocab, merges = _write_tiny_bpe(tmp_path)
         code = run(["tokenize", "--spec-kind", "bpe", "--vocab", vocab, "--merges", merges])
@@ -586,6 +598,23 @@ class TestAnalyzeCommand:
              "--corpus", str(corpus)]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_vocab_with_a_unigram_spec_is_exit_1(self, tmp_path, capsys, side):
+        # The same rule as tokenize's: a Unigram side reads only its scores.
+        vocab, merges = _write_char_bpe(tmp_path)
+        scores = tmp_path / "u.tsv"
+        scores.write_text("a\t-1.0\n<unk>\t-9.0\n")
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a\n")
+        other = "target" if side == "source" else "source"
+        code = run(["analyze", f"--{side}-scores", str(scores), f"--{side}-vocab", vocab,
+                    f"--{other}-vocab", vocab, f"--{other}-merges", merges,
+                    "--corpus", str(corpus)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"vocabport: error: --{side}-vocab is not read by a unigram spec\n"
+        )
 
     @pytest.mark.parametrize("source", ["merges", "scores"])
     def test_bpe_side_without_vocab_rejected_before_any_spec_loads(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -499,17 +500,13 @@ class TestTypesAndBundle:
         v = Vocabulary(["a", "b"])
         m = EmbeddingMatrix(np.zeros((2, 4), dtype=np.float32))
         out = EmbeddingMatrix(np.zeros((3, 4), dtype=np.float32))
-        report = validate_bundle(ModelBundle(v, m, out, tied=False))
+        report = validate_bundle(ModelBundle(v, m, out))
         assert len(report) == 1
 
-    def test_tied_with_output_is_flagged(self):
+    def test_tied_is_the_absence_of_an_output_matrix(self):
+        # No tied flag to disagree with the matrices: a bundle is tied
+        # exactly when it has no output matrix.
         v = Vocabulary(["a", "b"])
         m = EmbeddingMatrix(np.zeros((2, 4), dtype=np.float32))
-        report = validate_bundle(ModelBundle(v, m, m, tied=True))
-        assert any("tied" in p for p in report)
-
-    def test_untied_without_output_is_flagged(self):
-        v = Vocabulary(["a", "b"])
-        m = EmbeddingMatrix(np.zeros((2, 4), dtype=np.float32))
-        report = validate_bundle(ModelBundle(v, m, None, tied=False))
-        assert any("untied" in p for p in report)
+        assert ModelBundle(v, m).tied and not ModelBundle(v, m, m).tied
+        assert "tied" not in {f.name for f in dataclasses.fields(ModelBundle)}

@@ -1,7 +1,8 @@
 """Static checks on the package source: no unused imports, no dead private
 or public names, method names, word-boundary markers and the row-block size
 spelled only where they are defined, the initializers' input ids read in
-one place, and line files read through one reader.
+one place, line files read through one reader, and no defaulted parameter
+that only tests pass.
 
 Deleting code tends to leave an import or a `_helper` behind, and a method
 name or a marker written out in another module is a second record of it;
@@ -10,6 +11,7 @@ these checks read the modules with `ast` and fail on such leftovers.
 
 import ast
 import importlib
+import itertools
 from pathlib import Path
 
 import pytest
@@ -138,6 +140,40 @@ def _calls(node: ast.AST, name: str) -> bool:
     return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
 
 
+def _defaulted_params(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(name, parameter, position) for each parameter with a default of the
+    module's public functions and of its public classes' public methods,
+    named like `Class.method`. The position counts the arguments a call
+    writes, so a method's skips self; it is None for a keyword-only one."""
+    found = []
+
+    def collect(fn, name, skip):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found.extend((name, arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first)
+        keyword = zip(args.kwonlyargs, args.kw_defaults)
+        found.extend((name, arg.arg, None) for arg, default in keyword if default is not None)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            collect(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    collect(method, f"{node.name}.{method.name}", 1)
+    return found
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether a call passes `param` by keyword, or at `position` by a
+    positional argument it writes before any starred one."""
+    written = itertools.takewhile(lambda arg: not isinstance(arg, ast.Starred), call.args)
+    return any(kw.arg == param for kw in call.keywords) or (
+        position is not None and len(list(written)) > position
+    )
+
+
 def _is_operator_index(node: ast.AST) -> bool:
     return (
         _reads_attr(node, "index")
@@ -230,6 +266,23 @@ def test_one_line_reader():
     assert callers == {"embedding_store._numbered_lines", "aux_vectors.load_word_vectors"}
 
 
+def test_every_default_is_passed_somewhere():
+    # A default that no call in the package overrides leaves its parameter
+    # one value in use: an option only tests set, or a second record of
+    # what the data already says. Dataclass fields are not parameters here.
+    trees = {path.stem: _tree(path) for path in MODULES}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unpassed = [
+        f"{module}.{name}: {param}"
+        for module, tree in trees.items()
+        for name, param, position in _defaulted_params(tree)
+        if not any(_calls(call, name.rsplit(".", 1)[-1]) and _passes(call, param, position)
+                   for call in calls)
+    ]
+    assert not unpassed, f"defaulted parameters no package call passes: {unpassed}"
+
+
 def test_row_block_size_defined_once():
     # Every pass over matrix rows steps by embedding_store._row_blocks; a
     # second rows-per-step constant would be a second record of that size.
@@ -301,6 +354,16 @@ def test_checks_catch_leftovers():
     )
     assert _holders(tree, _is_operator_index) == {"<module>", "A.h.k"}
     assert _holders(tree, lambda node: _reads_attr(node, "pairs")) == {"A.g"}
+    tree = ast.parse(
+        "def f(a, b=1, *, c=None, d=2, e):\n    pass\n\nclass K:\n    def m(self, x=0):\n"
+        "        pass\n\n    def _n(self, y=0):\n        pass\n\ndef _g(z=0):\n    pass\n"
+    )
+    assert _defaulted_params(tree) == [
+        ("f", "b", 1), ("f", "c", None), ("f", "d", None), ("K.m", "x", 0)]
+    call = ast.parse("f(*a, b, d=1)").body[0].value
+    assert [_passes(call, "b", 1), _passes(call, "d", None), _passes(call, "a", 0)] == [
+        False, True, False]
+    assert _passes(ast.parse("f(a, b)").body[0].value, "b", 1)
     tree = ast.parse("def f(m):\n    return m.read(g(read))\n")
     assert [_calls(node, "read") for node in ast.walk(tree) if isinstance(node, ast.Call)] == [
         True, False]

@@ -29,7 +29,6 @@ def _bundle(tokens, rows, out_rows=None):
         output_emb=EmbeddingMatrix(np.asarray(out_rows, dtype=np.float32))
         if out_rows is not None
         else None,
-        tied=out_rows is None,
     )
 
 
@@ -439,6 +438,7 @@ class TestTargetBundle:
         )
         expected_in = p @ source.input_emb.data.astype(np.float64)
         np.testing.assert_allclose(bundle.input_emb.data[2], expected_in, atol=1e-6)
+        assert not bundle.tied
 
     def test_focus_without_vectors_is_a_config_error(self):
         source = _bundle(["a"], [[1.0]])
@@ -613,7 +613,7 @@ class TestBlockEngine:
         sums = []
 
         def recording_sum(w, rows):
-            sums.append((w.convex, w.ids.size))
+            sums.append((bool((w.weights >= 0.0).all()), w.ids.size))
             return weighted_sum(w, rows)
 
         monkeypatch.setattr(initializers, "weighted_sum", recording_sum)

@@ -328,8 +328,6 @@ class TestConvexCombine:
             convex_combine(WeightVector([0, 1], [0.9, 0.2]), rows)
         with pytest.raises(ValidationError):
             convex_combine(WeightVector([0, 1], [-0.5, 1.5]), rows)
-        with pytest.raises(ValidationError):
-            convex_combine(WeightVector([0, 1], [0.5, 0.5], convex=False), rows)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), dim=st.integers(1, 5))

@@ -105,12 +105,10 @@ def test_load_unigram_spec(tmp_path, data):
 
 
 @FUZZ
-@given(data=CONTENTS, marker_fallback=st.booleans())
-def test_load_word_vectors(tmp_path, data, marker_fallback):
+@given(data=CONTENTS)
+def test_load_word_vectors(tmp_path, data):
     target = Vocabulary(["a", "Ġa", "1"])
-    _load_only_package_errors(
-        tmp_path, data, lambda p: load_word_vectors(p, target, marker_fallback)
-    )
+    _load_only_package_errors(tmp_path, data, lambda p: load_word_vectors(p, target))
 
 
 @FUZZ

@@ -99,7 +99,7 @@ def test_overlap_rows_are_copied_by_blocks(small_blocks, matrix):
 @pytest.mark.parametrize("block_rows", [1, 3, 64])
 def test_sampling_holds_one_draw_block(monkeypatch, matrix, block_rows):
     # An untied source: each draw row spans both matrices, 2 x COLS values.
-    source = ModelBundle(Vocabulary([f"s{i}" for i in range(ROWS)]), matrix, matrix, tied=False)
+    source = ModelBundle(Vocabulary([f"s{i}" for i in range(ROWS)]), matrix, matrix)
     block = block_rows * 8 * 2 * COLS
     monkeypatch.setattr(initializers, "_DRAW_BYTES", block)
     rows = _TargetRows("random", source, Vocabulary([f"t{i}" for i in range(ROWS)]),
@@ -183,14 +183,14 @@ def _load_bpe(path):
 
 
 # loader -> (line i of its file, load, the lines its result holds, bytes a
-# line it may hold beyond its result and the reads in flight). Nine bytes a
-# line is a list of line or token references (with list growth) that the
-# result is built from and drops; 33 more is a list of float scores that it
-# drops. load_bpe_spec keeps no line numbers beside its merges: it reads
-# them again only to place a merge the spec rejects.
+# line it may hold beyond its result and the reads in flight). Two bytes a
+# line is the growth of the token tuple a vocabulary reads from a stream of
+# tokens (a list of them beside it would be 9); 33 more is a list of float
+# scores that it drops. load_bpe_spec keeps no line numbers beside its
+# merges: it reads them again only to place a merge the spec rejects.
 _LINE_FILES = {
     "load_corpus": (_text_line, lambda path: load_corpus(path, "txt"), len, 0),
-    "load_vocab": (_text_line, lambda path: load_vocab(path, "line-per-token"), len, 9),
+    "load_vocab": (_text_line, lambda path: load_vocab(path, "line-per-token"), len, 2),
     "load_corpus-jsonl": (
         lambda i: json.dumps({"text": _text_line(i)}, ensure_ascii=False),
         lambda path: load_corpus(path, "jsonl"),
@@ -198,11 +198,11 @@ _LINE_FILES = {
         0,
     ),
     "load_vocab-tsv-scored": (
-        _scored_line, lambda path: load_vocab(path, "tsv-scored"), len, 9 + 33
+        _scored_line, lambda path: load_vocab(path, "tsv-scored"), len, 2 + 33
     ),
-    "load_scored_tsv": (_scored_line, load_scored_tsv, lambda vs: len(vs[1]), 9),
+    "load_scored_tsv": (_scored_line, load_scored_tsv, lambda vs: len(vs[1]), 2),
     "load_unigram_spec": (
-        _scored_line, load_unigram_spec, lambda spec: len(spec.log_probs), 9 + 33
+        _scored_line, load_unigram_spec, lambda spec: len(spec.log_probs), 2 + 33
     ),
     "load_bpe_spec": (_merge_line, _load_bpe, lambda spec: len(spec.merges), 0),
     "read_numbers": (_number_line, cli._read_numbers, len, 0),

@@ -189,17 +189,18 @@ class TestBpe:
         assert _merge_symbols(list(symbols), ranks) == bpe_merge_oracle(symbols, ranks)
 
     def test_long_cjk_pretoken_matches_oracle(self):
-        # A CJK clause has no spaces, so 2,000 characters are one pretoken.
-        # The merges are learnt from the text itself, most frequent pair first.
+        # A CJK clause has no spaces, so 2,000 characters are one pretoken of
+        # 6,000 byte symbols. The merges are learnt from those symbols, most
+        # frequent pair first; only the encoding is checked against the oracle.
         rng = np.random.default_rng(5)
         text = "".join(rng.choice(list("的一是不了人我在"), 2000))
-        symbols, merges = list(text), []
+        symbols, merges = list(map_bytes(text)), []
         for _ in range(80):
             pairs = Counter(zip(symbols, symbols[1:]))
             pair = max(pairs, key=lambda p: (pairs[p], p))
             merges.append(pair)
-            symbols = bpe_merge_oracle(symbols, {pair: 0})
-        spec = make_bpe_spec([a + b for a, b in merges], merges, byte_level=False)
+            symbols = _merge_symbols(symbols, {pair: 0})
+        spec = make_bpe_spec([a + b for a, b in merges], merges)
         assert split_pretokens(text) == [text]
         ids = bpe_encode(spec, text)
         assert ids == bpe_oracle_encode(spec, text)
@@ -250,9 +251,7 @@ class TestUnigram:
         assert [spec.vocab.tokens[i] for i in ids] == ["ba", "b"]
 
     def test_space_marker_rewrite(self):
-        spec = make_unigram_spec(
-            {"▁foo": -1.0, "x": -1.0}, space_marker="▁"
-        )
+        spec = make_unigram_spec({"▁foo": -1.0, "x": -1.0})
         ids = unigram_encode(spec, "x foo")
         assert [spec.vocab.tokens[i] for i in ids] == ["x", "▁foo"]
 
