@@ -6,6 +6,13 @@ The speedup convention is fixed as
 
 so positive values mean the target tokenizer needs fewer tokens and a
 negative value is a slowdown.
+
+Counting takes one pass over the corpus: each sample is split into
+pretokens once, and both specs count those same pretokens. A pretoken's
+count is a pure function of the pretoken, so each spec keeps a pretoken ->
+count table and encodes a distinct pretoken once while the table has room.
+The tables are made inside the call and dropped when it returns; each is
+bounded by _TABLE_CHARS and cleared whole when full, which changes no count.
 """
 
 from __future__ import annotations
@@ -13,12 +20,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 from .embedding_store import _numbered_lines
 from .errors import FormatError, ValidationError
-from .tokenizers import TokenizerSpec, count_tokens
+from .tokenizers import TokenizerSpec, _pretoken_encoder, split_pretokens
 
 CORPUS_FORMATS = ("txt", "jsonl")
+
+# Characters of pretokens one count table may hold. Each entry is charged
+# its length but at least _ENTRY_CHARS, which stands for the key's string
+# header and its dict slot, so the table also holds at most
+# _TABLE_CHARS // _ENTRY_CHARS entries.
+_TABLE_CHARS = 1 << 20
+_ENTRY_CHARS = 32
 
 
 @dataclass(slots=True)
@@ -45,11 +60,42 @@ class EfficiencyReport:
         return d
 
 
+def _pretoken_counter(spec: TokenizerSpec) -> Callable[[str], int]:
+    """Token count of one raw pretoken under `spec`, from a table that lives
+    as long as the returned function.
+
+    A pretoken not in the table is encoded and entered, charged
+    max(len(pretoken), _ENTRY_CHARS) characters. When the entry would take
+    the table past _TABLE_CHARS the whole table is cleared first; a pretoken
+    longer than that is counted but never kept.
+    """
+    encode_pretoken = _pretoken_encoder(spec)
+    counts: dict[str, int] = {}
+    charged = 0
+
+    def count(pre: str) -> int:
+        nonlocal charged
+        n = counts.get(pre)
+        if n is None:
+            n = len(encode_pretoken(pre))
+            cost = max(len(pre), _ENTRY_CHARS)
+            if charged + cost > _TABLE_CHARS:
+                counts.clear()
+                charged = 0
+            if cost <= _TABLE_CHARS:
+                counts[pre] = n
+                charged += cost
+        return n
+
+    return count
+
+
 def avg_tokens(spec: TokenizerSpec, corpus: list[CorpusSample]) -> float:
     """Mean token count per sample; every sample weighs the same."""
     if not corpus:
         raise ValidationError("cannot average over an empty corpus")
-    return sum(count_tokens(spec, s.text) for s in corpus) / len(corpus)
+    count = _pretoken_counter(spec)
+    return sum(count(pre) for s in corpus for pre in split_pretokens(s.text)) / len(corpus)
 
 
 def speedup_ratio(avg_source: float, avg_target: float) -> float:
@@ -66,11 +112,22 @@ def analyze_corpus(
     corpus_id: str = "",
     include_per_sample: bool = False,
 ) -> EfficiencyReport:
-    """Count tokens under both tokenizers and fill an EfficiencyReport."""
+    """Count tokens under both tokenizers and fill an EfficiencyReport.
+
+    Each sample is split once and counted under the source spec, then the
+    target spec; so a spec that cannot encode a sample fails at the first
+    such sample, the source's fault before the target's within it.
+    """
     if not corpus:
         raise ValidationError("cannot analyze an empty corpus")
-    source_counts = [count_tokens(source_spec, s.text) for s in corpus]
-    target_counts = [count_tokens(target_spec, s.text) for s in corpus]
+    count_source = _pretoken_counter(source_spec)
+    count_target = _pretoken_counter(target_spec)
+    source_counts: list[int] = []
+    target_counts: list[int] = []
+    for s in corpus:
+        pretokens = split_pretokens(s.text)
+        source_counts.append(sum(map(count_source, pretokens)))
+        target_counts.append(sum(map(count_target, pretokens)))
     n = len(corpus)
     avg_source = sum(source_counts) / n
     avg_target = sum(target_counts) / n

@@ -29,6 +29,10 @@ of symbols makes that O(n log n) for n symbols. Unigram runs a Viterbi pass
 whose window at each position is the longest vocabulary token starting with
 that character, O(n * L) for window length L; a character that starts no
 token costs one unk step.
+
+Each engine encodes one raw pretoken at a time, and a pretoken's ids depend
+on the pretoken alone, never on its neighbours: a text's ids are the ids of
+its pretokens, concatenated.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -178,6 +183,10 @@ class UnigramSpec:
     text cannot be covered by vocabulary tokens the encoder emits the unk
     token one character at a time instead of aborting. Every plain space
     in a pretoken is rewritten to "▁" before segmentation, always.
+
+    The encoder reads the log-probs once, at construction, into a list of
+    Python floats, as BpeSpec.ranks reads its merges: changing
+    `log_probs` afterwards does not change a segmentation.
     """
 
     vocab: Vocabulary
@@ -185,6 +194,7 @@ class UnigramSpec:
     unk_token: str
     unk_penalty: float
     unk_id: int = field(init=False, repr=False)
+    _log_probs: list[float] = field(init=False, repr=False)
     _longest: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -201,6 +211,7 @@ class UnigramSpec:
         if self.unk_token not in self.vocab:
             raise MalformedSpecError(f"unk token {self.unk_token!r} is not in the vocabulary")
         self.unk_id = self.vocab.index[self.unk_token]
+        self._log_probs = self.log_probs.tolist()
         # First character -> length of the longest token starting with it.
         longest: dict[str, int] = {}
         for t in self.vocab.tokens:
@@ -250,6 +261,26 @@ def _merge_symbols(symbols: list[str], ranks: dict[tuple[str, str], int]) -> lis
     return [sym for sym in symbols if sym]
 
 
+def _bpe_pretoken(spec: BpeSpec, pre: str) -> list[int]:
+    # One raw pretoken: map its bytes, merge, and emit each symbol left
+    # without an id character by character.
+    index = spec.vocab.index
+    ids: list[int] = []
+    for sym in _merge_symbols(list(map_bytes(pre)), spec.ranks):
+        tid = index.get(sym)
+        if tid is not None:
+            ids.append(tid)
+            continue
+        for ch in sym:
+            cid = index.get(ch)
+            if cid is None:
+                raise MalformedSpecError(
+                    f"symbol {ch!r} has no id and cannot be split further"
+                )
+            ids.append(cid)
+    return ids
+
+
 def bpe_encode(spec: BpeSpec, text: str) -> list[int]:
     """Encode text with iterative pair merging, one pretoken at a time.
 
@@ -257,22 +288,7 @@ def bpe_encode(spec: BpeSpec, text: str) -> list[int]:
     character by character; a missing single-character symbol means the
     spec itself is broken (a byte-level vocab must cover its alphabet).
     """
-    index = spec.vocab.index
-    ids: list[int] = []
-    for pre in byte_level_pretokenize(text):
-        for sym in _merge_symbols(list(pre), spec.ranks):
-            tid = index.get(sym)
-            if tid is not None:
-                ids.append(tid)
-                continue
-            for ch in sym:
-                cid = index.get(ch)
-                if cid is None:
-                    raise MalformedSpecError(
-                        f"symbol {ch!r} has no id and cannot be split further"
-                    )
-                ids.append(cid)
-    return ids
+    return _encode_pretokens(partial(_bpe_pretoken, spec), text)
 
 
 def bpe_decode(spec: BpeSpec, ids: list[int]) -> str:
@@ -293,7 +309,7 @@ def _viterbi(spec: UnigramSpec, s: str) -> list[int]:
     best_count = [0] * (n + 1)
     step: list[tuple[int, int]] = [(0, 0)] * (n + 1)  # (next position, token id)
     index = spec.vocab.index
-    log_probs = spec.log_probs
+    log_probs = spec._log_probs
     longest = spec._longest
     for i in range(n - 1, -1, -1):
         # Unknown characters are consumed one at a time at unk_penalty.
@@ -320,25 +336,39 @@ def _viterbi(spec: UnigramSpec, s: str) -> list[int]:
     return ids
 
 
+def _unigram_pretoken(spec: UnigramSpec, pre: str) -> list[int]:
+    # One raw pretoken: every plain space becomes the marker, then Viterbi.
+    return _viterbi(spec, pre.replace(" ", WORD_MARKERS[1]))
+
+
 def unigram_encode(spec: UnigramSpec, text: str) -> list[int]:
     """Segment each pretoken to maximize the summed token log-probability.
 
     Ties break toward fewer tokens, then leftmost-longest; a real token is
     preferred over an unk emission with an identical score.
     """
+    return _encode_pretokens(partial(_unigram_pretoken, spec), text)
+
+
+def _pretoken_encoder(spec: TokenizerSpec) -> Callable[[str], list[int]]:
+    """The per-pretoken encoder of the spec's engine, bound to the spec."""
+    if isinstance(spec, BpeSpec):
+        return partial(_bpe_pretoken, spec)
+    if isinstance(spec, UnigramSpec):
+        return partial(_unigram_pretoken, spec)
+    raise ValidationError(f"unknown tokenizer spec type {type(spec).__name__}")
+
+
+def _encode_pretokens(encode_pretoken: Callable[[str], list[int]], text: str) -> list[int]:
     ids: list[int] = []
     for pre in split_pretokens(text):
-        ids.extend(_viterbi(spec, pre.replace(" ", WORD_MARKERS[1])))
+        ids.extend(encode_pretoken(pre))
     return ids
 
 
 def encode(spec: TokenizerSpec, text: str) -> list[int]:
     """Token ids for the text under a BPE or a Unigram spec."""
-    if isinstance(spec, BpeSpec):
-        return bpe_encode(spec, text)
-    if isinstance(spec, UnigramSpec):
-        return unigram_encode(spec, text)
-    raise ValidationError(f"unknown tokenizer spec type {type(spec).__name__}")
+    return _encode_pretokens(_pretoken_encoder(spec), text)
 
 
 def count_tokens(spec: TokenizerSpec, text: str) -> int:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import make_bpe_spec, make_unigram_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vocabport import efficiency, tokenizers
 from vocabport.efficiency import (
     CorpusSample,
     analyze_corpus,
@@ -16,7 +18,8 @@ from vocabport.efficiency import (
     load_corpus,
     speedup_ratio,
 )
-from vocabport.errors import FormatError, ValidationError
+from vocabport.errors import FormatError, MalformedSpecError, ValidationError
+from vocabport.tokenizers import _merge_symbols, count_tokens, map_bytes, split_pretokens
 
 
 def kendall_oracle(x, y):
@@ -180,6 +183,133 @@ class TestAnalyzeCorpus:
         spec = make_unigram_spec({"a": -1.0, "b": -1.0, "ab": -1.5})
         report = analyze_corpus(char_level_spec(), spec, corpus)
         assert report.avg_tokens_target == 1.0
+
+
+def _mixed_corpus(seed=3, n=60):
+    # Repeated Latin, Arabic and numeric words, long CJK clauses (one
+    # pretoken each, mostly distinct) and whitespace runs of each kind.
+    rng = random.Random(seed)
+    words = ["the", "cat", "sat", "on", "mat", "كتاب", "مرحبا", "42", "3.14", "!?"]
+    runs = [" ", "  ", "   ", "\t", "\n", " \t ", "\n\n", "  \n"]
+    samples = []
+    for i in range(n):
+        parts = []
+        for _ in range(rng.randint(0, 14)):
+            r = rng.random()
+            if r < 0.12:
+                parts.append("".join(rng.choice("的一是不了人我在") for _ in range(rng.randint(40, 300))))
+            elif r < 0.3:
+                parts.append(rng.choice(runs))
+            else:
+                parts.append(" " + rng.choice(words))
+        samples.append(CorpusSample(f"s{i}", "".join(parts)))
+    return samples
+
+
+def _mixed_specs(corpus, n_merges=60):
+    # BPE: merges learnt from the corpus's byte symbols, most frequent pair
+    # first. Unigram: characters, a few words and CJK pairs; tabs, newlines
+    # and some letters are unk.
+    words = [list(map_bytes(p)) for s in corpus for p in split_pretokens(s.text)]
+    merges = []
+    for _ in range(n_merges):
+        pairs = Counter(pair for w in words for pair in zip(w, w[1:]))
+        pair = max(pairs, key=lambda p: (pairs[p], p))
+        merges.append(pair)
+        words = [_merge_symbols(w, {pair: 0}) for w in words]
+    bpe = make_bpe_spec([a + b for a, b in merges], merges, full_byte_vocab=True)
+    scored = {c: -3.0 for c in "thecasmon的一是不了人我在كتا0123456789.!?"}
+    scored.update({"▁": -2.0, "▁the": -2.5, "▁cat": -3.5, "▁mat": -3.5, "的一": -4.0,
+                   "是不": -4.5, "▁كتاب": -5.0, "▁42": -4.0})
+    return {"bpe": bpe, "unigram": make_unigram_spec(scored)}
+
+
+MIXED = _mixed_corpus()
+MIXED_SPECS = _mixed_specs(MIXED)
+SIDES = ["bpe-unigram", "unigram-bpe", "bpe-bpe", "unigram-unigram"]
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """(engine, pretoken) -> times a per-pretoken encoder ran."""
+    calls = Counter()
+    for name in ("_bpe_pretoken", "_unigram_pretoken"):
+        def spy(spec, pre, real=getattr(tokenizers, name), name=name):
+            calls[name, pre] += 1
+            return real(spec, pre)
+
+        monkeypatch.setattr(tokenizers, name, spy)
+    return calls
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("budget", [None, 32, 400])
+    @pytest.mark.parametrize("sides", SIDES)
+    def test_equals_per_sample_count_tokens(self, monkeypatch, encode_calls, sides, budget):
+        # A budget of 32 characters keeps one short pretoken at a time and
+        # no CJK clause; 400 keeps a few words or one clause, then clears.
+        if budget is not None:
+            monkeypatch.setattr(efficiency, "_TABLE_CHARS", budget)
+        source, target = (MIXED_SPECS[side] for side in sides.split("-"))
+        report = analyze_corpus(source, target, MIXED, "mixed", include_per_sample=True)
+        expected = [
+            {"id": s.id, "tokens_source": count_tokens(source, s.text),
+             "tokens_target": count_tokens(target, s.text)}
+            for s in MIXED
+        ]
+        assert report.per_sample == expected
+        n = len(MIXED)
+        assert report.avg_tokens_source == sum(e["tokens_source"] for e in expected) / n
+        assert report.avg_tokens_target == sum(e["tokens_target"] for e in expected) / n
+        assert avg_tokens(source, MIXED) == report.avg_tokens_source
+        assert avg_tokens(target, MIXED) == report.avg_tokens_target
+        if budget is not None:  # the table was cleared mid-corpus
+            encode_calls.clear()
+            avg_tokens(source, MIXED)
+            assert max(encode_calls.values()) > 1
+
+    @pytest.mark.parametrize("sides", SIDES)
+    def test_each_sample_split_once_each_pretoken_encoded_once(
+        self, monkeypatch, encode_calls, sides
+    ):
+        splits = []
+
+        def counting_split(text):
+            splits.append(text)
+            return split_pretokens(text)
+
+        monkeypatch.setattr(efficiency, "split_pretokens", counting_split)
+        source, target = sides.split("-")
+        analyze_corpus(MIXED_SPECS[source], MIXED_SPECS[target], MIXED)
+        assert splits == [s.text for s in MIXED]
+        distinct = {p for s in MIXED for p in split_pretokens(s.text)}
+        # Identical engines on both sides are two specs with two tables.
+        expected = Counter()
+        for side in (source, target):
+            expected.update((f"_{side}_pretoken", p) for p in distinct)
+        assert encode_calls == expected
+        splits.clear()
+        encode_calls.clear()
+        avg_tokens(MIXED_SPECS[source], MIXED)
+        assert splits == [s.text for s in MIXED]
+        assert encode_calls == Counter((f"_{source}_pretoken", p) for p in distinct)
+
+    def test_first_failing_sample_wins_source_first_within_it(self):
+        no_z = make_bpe_spec(["a", "b", "q"], [])
+        no_q = make_bpe_spec(["a", "b", "z"], [])
+        # The target fails at sample 1, before the source's fault at sample 2.
+        corpus = [CorpusSample("0", "ab"), CorpusSample("1", "aq"), CorpusSample("2", "az")]
+        with pytest.raises(MalformedSpecError, match="symbol 'q' has no id"):
+            analyze_corpus(no_z, no_q, corpus)
+        # Both fail at one sample: the source's fault is reported.
+        with pytest.raises(MalformedSpecError, match="symbol 'z' has no id"):
+            analyze_corpus(no_z, no_q, [CorpusSample("0", "ab"), CorpusSample("1", "q z")])
+
+    def test_unknown_spec_type_rejected(self):
+        with pytest.raises(ValidationError, match="unknown tokenizer spec type"):
+            analyze_corpus(char_level_spec(), object(), [CorpusSample("0", "ab")])
+        with pytest.raises(ValidationError, match="unknown tokenizer spec type"):
+            avg_tokens(object(), [CorpusSample("0", "ab")])
 
 
 class TestKendallTau:

@@ -13,11 +13,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import build_instance
+from conftest import build_instance, make_bpe_spec, make_unigram_spec
 
-from vocabport import cli, embedding_store, initializers
+from vocabport import cli, efficiency, embedding_store, initializers
 from vocabport.aux_vectors import load_word_vectors
-from vocabport.efficiency import load_corpus
+from vocabport.efficiency import CorpusSample, avg_tokens, load_corpus
 from vocabport.embedding_store import (
     EmbeddingMatrix,
     ModelBundle,
@@ -29,7 +29,7 @@ from vocabport.embedding_store import (
 from vocabport.initializers import InitConfig, _element_stats, _TargetRows
 from vocabport.kernels import SupportCosines, mean_std
 from vocabport.overlap import compute_overlap
-from vocabport.tokenizers import load_bpe_spec, load_unigram_spec
+from vocabport.tokenizers import load_bpe_spec, load_unigram_spec, split_pretokens
 
 BLOCK = 64
 ROWS, COLS = 4000, 256  # 4 MB of float32; one float64 block is 128 KB
@@ -273,3 +273,41 @@ def test_init_peak_close_to_inputs_plus_outputs(small_blocks, monkeypatch, tmp_p
     assert code == 0
     io_bytes = sum(os.path.getsize(p) for p in [*ins, *outs])
     assert peak <= _INIT_PEAK_BOUNDS[method] * io_bytes
+
+
+def _letters(i, width):
+    # `width` letters, distinct for each i below 26**4.
+    return "".join(chr(97 + i // 26**k % 26) for k in range(4)) + "x" * (width - 4)
+
+
+# corpus -> samples, each one distinct pretoken and a "." that every
+# sample repeats; the pretoken is a new string, not the sample itself.
+_DISTINCT_CORPORA = {
+    "1-char": [CorpusSample(str(i), chr(0x4E00 + i) + ".") for i in range(20_000)],
+    "10k-char": [CorpusSample(str(i), _letters(i, 10_000) + ".") for i in range(60)],
+}
+_COUNT_SPECS = {
+    "bpe": make_bpe_spec([], [], full_byte_vocab=True),
+    "unigram": make_unigram_spec({".": -1.0}),
+}
+# Bytes an entry of the pretoken -> count table may take beyond 4 per
+# character of its pretoken: a string header (at most 80), an int count
+# (32) and its dict slot with its share of a resize (168).
+_ENTRY_BYTES = 280
+
+
+@pytest.mark.parametrize("corpus,engine", [("1-char", "bpe"), ("1-char", "unigram"),
+                                           ("10k-char", "bpe")])
+def test_count_table_holds_its_budget(monkeypatch, corpus, engine):
+    # Every pretoken but "." is new, so a table without a bound would hold
+    # the whole corpus: 20,000 entries, or 60 strings of 10,000 characters.
+    # The budget keeps at most 512 entries or one long pretoken.
+    monkeypatch.setattr(efficiency, "_TABLE_CHARS", 1 << 14)
+    samples, spec = _DISTINCT_CORPORA[corpus], _COUNT_SPECS[engine]
+    for s in samples:  # fill the pretokenizer's character-class cache
+        split_pretokens(s.text)
+    _, one = _traced_peak(avg_tokens, spec, samples[:1])  # one sample in flight
+    _, peak = _traced_peak(avg_tokens, spec, samples)
+    chars = efficiency._TABLE_CHARS
+    table = 4 * chars + _ENTRY_BYTES * (chars // efficiency._ENTRY_CHARS)
+    assert peak < one + table

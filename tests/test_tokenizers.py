@@ -42,6 +42,10 @@ from vocabport.tokenizers import (
 from vocabport.embedding_store import Vocabulary, load_vocab
 
 
+FULL_BYTE_BPE = make_bpe_spec(["ab", "Ġab"], [("a", "b"), ("Ġ", "ab")], full_byte_vocab=True)
+MARKER_UNIGRAM = make_unigram_spec({"a": -1.0, "▁": -2.0, "▁a": -1.5, "一語": -2.0, "ب": -3.0})
+
+
 class TestPretokenize:
     def test_space_folds_into_word(self):
         assert split_pretokens("hi there") == ["hi", " there"]
@@ -78,6 +82,18 @@ class TestPretokenize:
     @given(st.text(alphabet=" \t\r\n\x85\u3000_²½Ⅷ一aZ7!بتا\U00010400\U0001D7CE", max_size=30))
     def test_matches_state_machine_oracle(self, text):
         assert split_pretokens(text) == pretokenize_oracle(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=" \t\naZ7!.بتا一語", max_size=40))
+    def test_each_pretoken_splits_to_itself(self, text):
+        # Whitespace runs of each kind, letters, digits, punctuation, Arabic
+        # and CJK. Encoding a text pretoken by pretoken rests on this, and
+        # so do the tables that count a pretoken once.
+        pretokens = split_pretokens(text)
+        for pre in pretokens:
+            assert split_pretokens(pre) == [pre]
+        for spec in (FULL_BYTE_BPE, MARKER_UNIGRAM):
+            assert encode(spec, text) == [i for pre in pretokens for i in encode(spec, pre)]
 
     def test_class_table_caches_only_the_bmp(self):
         text = "".join(map(chr, range(0xFF00, 0x30000)))
@@ -280,6 +296,12 @@ class TestUnigram:
              "x一": -5.0}
         )
         assert _viterbi(spec, s) == viterbi_full_window_oracle(spec, s)
+
+    def test_scores_are_read_once_at_construction(self):
+        spec = make_unigram_spec({"a": -1.0, "b": -1.0, "ab": -1.5})
+        spec.log_probs[spec.vocab.index["ab"]] = -9.0
+        assert spec._log_probs == [-1.0, -1.0, -1.5, -99.0]
+        assert [spec.vocab.tokens[i] for i in unigram_encode(spec, "ab")] == ["ab"]
 
     def test_determinism(self):
         spec = make_unigram_spec({"a": -1.0, "b": -1.5, "ab": -2.25})
