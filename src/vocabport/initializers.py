@@ -23,12 +23,20 @@ numpy's `normal(mean, std)`: z is one `standard_normal` call per token,
 as wide as all target matrices together (the input matrix's columns come
 first), and rows are filled in blocks of `_DRAW_BYTES` whose size cannot
 change a byte, since no step mixes rows. Similarity
-rows are filled in blocks of query rows: one cosine product per block
-(`kernels.SupportCosines`, exact slice products, so no BLAS rounding), the
-weight rule applied row-wise to the block, then one combination per row
-over its nonzero weights. The block size comes from a fixed byte budget,
-`_BLOCK_BYTES`, and no step mixes rows, so output bytes do not depend on
-the block size, on `--threads` or on the number of BLAS threads.
+rows are filled in blocks of query rows, then combined one row at a time
+over their nonzero weights. clp takes one cosine product per block
+against the whole support (`kernels.SupportCosines`, exact slice products,
+so no BLAS rounding) and applies its clamp rule row-wise. focus and
+clp-plus take their sparsemax weights from `kernels.SparsemaxWeights`: a
+float32 screen of the block against the support picks each row's
+candidates, SupportCosines rescores only those, and a certificate proves
+that no other entry can get a nonzero weight; a row without one is
+weighted from the whole-support product. Every weight keeps the bits of
+sparsemax over the whole-support exact cosines. The method picks the
+path. The block size comes from a fixed byte budget, `_BLOCK_BYTES`, and
+no step mixes rows, so output bytes do not depend on the block size, on
+`--threads` or on the number of BLAS threads, though the screen's
+candidates may.
 """
 
 from __future__ import annotations
@@ -44,11 +52,11 @@ from .embedding_store import (
 )
 from .errors import ValidationError, VocabportError
 from .kernels import (
+    SparsemaxWeights,
     SupportCosines,
     WeightVector,
     convex_combine,
     mean_std,
-    sparsemax,
     weighted_sum,
 )
 from .overlap import CANON_MODES, OverlapMap, compute_overlap
@@ -341,30 +349,39 @@ def init_random(
     return rows.result()
 
 
-def _clp_weights(sims: np.ndarray, cfg: InitConfig) -> tuple[np.ndarray, np.ndarray]:
+def _clp_weights(
+    cosines: SupportCosines, queries: np.ndarray, cfg: InitConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Raw cosines (cfg.clp_raw_weights) are not clamped, so their weights
     # may be negative and a row's combination not convex.
+    sims, zero = cosines(queries)
     weights = sims if cfg.clp_raw_weights else np.maximum(sims, 0.0, out=sims)
     totals = weights.sum(axis=1)
     uniform = np.abs(totals) < 1e-12 if cfg.clp_raw_weights else ~(totals > 0.0)
     weights /= np.where(uniform, 1.0, totals)[:, None]
     weights[uniform] = 1.0 / sims.shape[1]
-    return weights, uniform
+    return weights, uniform, zero
 
 
-def _sparsemax_weights(sims: np.ndarray, cfg: InitConfig) -> tuple[np.ndarray, np.ndarray]:
-    return sparsemax(sims / cfg.sparsemax_temperature), np.zeros(len(sims), dtype=bool)
+def _sparsemax_weights(
+    kernel: SparsemaxWeights, queries: np.ndarray, cfg: InitConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    weights, zero = kernel(queries, cfg.sparsemax_temperature)
+    return weights, np.zeros(len(weights), dtype=bool), zero
 
 
 # Similarity methods: the auxiliary-vector kind each needs (the only record
-# of it; the CLI picks aux flags by it), and its rule turning a (rows,
-# support) block of cosines, which it may overwrite, into (weights,
-# uniform): the weights, and per row whether they fell back to uniform.
-# Every rule maps all-zero cosines, a zero-norm query's, to 1/n weights.
+# of it; the CLI picks aux flags by it), the kernel built over the support
+# rows, and its rule turning the kernel and a (rows, dim) block of query
+# vectors into (weights, uniform, zero): a (rows, support) block of weights,
+# and per row whether they fell back to uniform and whether the query is
+# all zero. Every rule gives a zero-norm query 1/n weights. clp needs every
+# cosine; the sparsemax methods need exact cosines only where a weight can
+# be nonzero.
 _SIMILARITY_METHODS = {
-    "clp": (AUX_MODEL, _clp_weights),
-    "focus": (WORD_VECTORS, _sparsemax_weights),
-    "clp-plus": (AUX_MODEL, _sparsemax_weights),
+    "clp": (AUX_MODEL, SupportCosines, _clp_weights),
+    "focus": (WORD_VECTORS, SparsemaxWeights, _sparsemax_weights),
+    "clp-plus": (AUX_MODEL, SparsemaxWeights, _sparsemax_weights),
 }
 
 
@@ -376,7 +393,7 @@ def _similarity_init(
     aux: AuxEmbeddings,
     cfg: InitConfig,
 ) -> tuple[ModelBundle, InitReport]:
-    kind, weigh = _SIMILARITY_METHODS[method]
+    kind, kernel, weigh = _SIMILARITY_METHODS[method]
     _require_kind(aux, kind, method)
     align = aux.vocab_alignment
     aux_rows = _id_array(
@@ -417,8 +434,8 @@ def _similarity_init(
             "and are excluded from the similarity support"
         )
     if n_supp:
-        cosines = SupportCosines(aux.matrix.data, aux_of[rows.paired[in_support]])
-        zero_support = int(np.count_nonzero(cosines.zero_rows))
+        support = kernel(aux.matrix.data, aux_of[rows.paired[in_support]])
+        zero_support = int(np.count_nonzero(support.zero_rows))
         if zero_support:
             report.warnings.append(
                 f"{zero_support} support vectors have zero norm and contribute "
@@ -432,9 +449,7 @@ def _similarity_init(
     block_rows = max(1, _BLOCK_BYTES // (8 * max(n_supp, 1)))
     for start in range(0, len(query_t), block_rows):
         block = query_t[start : start + block_rows]
-        sims, zero = cosines(aux.matrix.data[aux_of[block]])
-        weights, uniform = weigh(sims, cfg)
-        del sims
+        weights, uniform, zero = weigh(support, aux.matrix.data[aux_of[block]], cfg)
         report.zero_norm_queries += int(np.count_nonzero(zero))
         report.uniform_fallbacks += int(np.count_nonzero(uniform & ~zero))
         zero_ids += block[np.flatnonzero(zero)[: _ZERO_NORM_SAMPLE - len(zero_ids)]].tolist()

@@ -6,11 +6,65 @@ Every pass over matrix rows takes the row blocks of embedding_store's one
 policy; `_float64_blocks` upcasts them into one reused buffer per pass.
 
 The similarity initializers work on blocks of query rows: `SupportCosines`
-gives a block's cosines against the whole support, `sparsemax` projects
-each row of a 2-D block, and `convex_combine` mixes one row's nonzero
-weights. `SupportCosines` rounds nothing inside BLAS, so a row's cosines
-are the same bits whichever rows share its block and however many BLAS
-threads run.
+gives a block's cosines against the whole support, `SparsemaxWeights` a
+block's sparsemax weights over those cosines, `sparsemax` projects each
+row of a 2-D block, and `convex_combine` mixes one row's nonzero weights.
+`SupportCosines` rounds nothing inside BLAS, so a row's cosines are the
+same bits whichever rows share its block and however many BLAS threads
+run. `SparsemaxWeights` keeps those bits but computes exact cosines only
+for each row's candidates, which a float32 screen picks; the candidates
+may vary with the BLAS build and thread count, the weights do not.
+
+The screen's error. Take a query row and a support row of dimension d,
+each scaled by the power of two that brings its largest magnitude into
+[1/2, 1): a and b, exact in float64, with 1/2 <= |a| <= sqrt(d) and
+|a_i| < 1. Their cosine is c = a.b / (|a| |b|). Let u = 2**-24 (float32)
+and u' = 2**-53 (float64), and gamma_m = m u / (1 - m u), gamma'_m the
+same with u' (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+ed., 3.1). The screen returns c~ = clip(fl(fl(r / na) / nb), -1, 1), where:
+
+- a', b' are a, b rounded to float32: |a'_i - a_i| <= u |a_i| + 2**-150.
+  The first term is 0 for float32 rows, which a power of two scales
+  exactly; the second is the float32 subnormals after scaling, entries
+  pushed below 2**-126 and rounded to a multiple of 2**-149.
+- r is the float32 GEMM's a'.b'. In any summation order, with or without
+  FMA, |r - a'.b'| <= gamma_d sum_i |a'_i b'_i|, plus 2**-150 for each of
+  the d products that underflows.
+- na, nb are the float64 norms of a and b, each within gamma'_{d+1} of
+  |a|, |b| (a sum of d nonnegative squares, then a square root).
+
+Summing those terms with |a_i|, |b_i| < 1 and dividing by |a| |b| >= 1/4,
+|r / (|a| |b|) - c| <= gamma_d (1 + u)**2 + 2u + u**2 + d 2**-145. The
+norms and the two divisions scale that quotient, at most 2 in magnitude,
+by a factor within gamma'_{2d+4} of 1, adding 2 gamma'_{2d+4}, and the
+clip only moves a value towards c, which lies in [-1, 1]. SupportCosines'
+cosine c' is within d 2**(-2 bits) of c (its docstring), plus its own norm
+and division roundings, another 2 gamma'_{2d+4}. So |c~ - c'| is at most
+
+    eps = gamma_d (1 + u)**2 + 2u + u**2 + d 2**-145
+          + 4 gamma'_{2d+4} + d 2**(-2 bits),
+
+`_screen_error(d)`: 4.6e-5 at d = 768, 2.4e-4 at d = 4,096.
+
+The certificate. Let v = fl(c' / T) be the values the whole-support
+sparsemax projects, z~ = fl(c~ / T) the screened ones, n the support size
+and eta = (n + 2)**2 2**-52 (1 + 1/T). Then |z~ - v| <= eps/T + 2u'/T.
+Sparsemax's threshold tau is 1-Lipschitz in the max-norm, so every entry
+with a nonzero weight has z~ >= tau(z~) - 2 eps/T: these are candidates
+("safe screening", El Ghaoui, Viallon & Rabbani 2012). Let tau be the
+threshold sparsemax computes over the exact candidate values, and suppose
+every other entry has z~ + eps/T + eta < tau (`_certified`). Then each of
+them has v < tau - eta/2, the check's own roundings included. The entries
+with v >= tau - eta/2 are therefore all candidates, and they lead the
+sorted order of both the whole row and the candidates with the same
+values, so the prefix sums and the support test 1 + j z(j) > sum_{i<=j}
+z(i) are the same bits at their positions. Past them, with k the
+candidates' support size, the exact test falls short by at least
+k (t_k - z(j)), where t_k = (sum_{i<=k} z(i) - 1) / k is tau before
+rounding. With z(j) < tau - eta/2 that exceeds the test's rounding error
+plus tau's, which stay below (n + 2)**2 u' (1 + 1/T) = eta/2 together,
+as |v| <= 1/T. So the test fails there in both, k and tau are the same
+bits, and every other entry gets max(v - tau, 0) = 0.
 """
 
 from __future__ import annotations
@@ -114,6 +168,11 @@ def sparsemax(z) -> np.ndarray:
         raise ValueError("sparsemax expects a non-empty 1-D vector or 2-D batch of rows")
     if not np.all(np.isfinite(v)):
         raise ValueError("sparsemax input must be finite")
+    return np.maximum(v - _sparsemax_threshold(v), 0.0)
+
+
+def _sparsemax_threshold(v: np.ndarray) -> np.ndarray:
+    """sparsemax's tau of each row of a finite float64 batch, shape (..., 1)."""
     zs = np.sort(v, axis=-1)[..., ::-1]
     cumulative = np.cumsum(zs, axis=-1)
     bound = np.arange(1, v.shape[-1] + 1) * zs
@@ -122,8 +181,7 @@ def sparsemax(z) -> np.ndarray:
     # j = 1 always qualifies; rounding can only hide that for |z| > 2**53.
     in_support[..., 0] = True
     k = v.shape[-1] - np.argmax(in_support[..., ::-1], axis=-1)[..., None]
-    tau = (np.take_along_axis(cumulative, k - 1, axis=-1) - 1.0) / k
-    return np.maximum(v - tau, 0.0)
+    return (np.take_along_axis(cumulative, k - 1, axis=-1) - 1.0) / k
 
 
 class SupportCosines:
@@ -200,6 +258,151 @@ class SupportCosines:
         cos /= np.where(zero, 1.0, q_norms)[:, None]
         cos /= self._norms
         return np.clip(cos, -1.0, 1.0, out=cos), zero
+
+
+def _scale_rows(rows: np.ndarray) -> np.ndarray:
+    """Float64 rows `rows`, scaled in place, each by the power of two that
+    brings its largest magnitude into [1/2, 1); an all-zero row stays 0."""
+    peak = np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
+    return np.ldexp(rows, -np.frexp(peak)[1][:, None], out=rows)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def _screen_error(dim: int) -> float:
+    """eps, the bound on |screened cosine - SupportCosines' cosine| at
+    dimension `dim` that the module docstring proves; inf once d * 2**-24
+    reaches 1 and gamma_d has no bound."""
+    u, u64 = 2.0**-24, 2.0**-53
+    if dim * u >= 1:
+        return np.inf
+    gamma = dim * u / (1 - dim * u)
+    rounding = 2 * (2 * dim + 4) * u64 / (1 - (2 * dim + 4) * u64)
+    bits = (53 - (dim - 1).bit_length()) // 2
+    return (
+        gamma * (1 + u) ** 2 + 2 * u + u * u  # the float32 GEMM and operands
+        + dim * 2.0**-145  # float32 subnormals after scaling
+        + 2 * rounding  # norms and divisions, screen and exact product
+        + dim * 2.0 ** (-2 * bits)  # SupportCosines' own error
+    )
+
+
+def _certified(rest: float, err: float, tau: float) -> bool:
+    """Whether the entries left out of the candidates, whose screened scores
+    are at most `rest`, sit below the candidates' threshold `tau` by more
+    than `err`, so that none of them can take a nonzero weight."""
+    return rest + err < tau
+
+
+class SparsemaxWeights:
+    """sparsemax(cosines / T) of query rows over fixed support rows, with the
+    bits of `sparsemax(SupportCosines(data, ids)(queries)[0] / T)`, without
+    splitting the whole support.
+
+    The support is the rows of `data`, or the rows `ids` in that order; it
+    keeps one float64 norm per row. Each call, for a block of query rows:
+
+    - screens: one float32 GEMM per support row block, gathered and scaled
+      one block at a time, gives cosines within eps of the exact ones
+      (module docstring). With z~ = screened cosine / T and err = eps/T +
+      eta, a row's candidates are its entries with z~ >= tau~ - 2 err.
+    - finds tau~, sparsemax's threshold of the row of z~, from its top k
+      entries (np.partition): any entries give the lower bound
+      t = max_j (sum of the top j - 1) / j, and once at most k entries
+      exceed t, the top k hold the support and t is tau~. k starts where
+      the previous call's search ended and doubles.
+    - rescores each row's candidates with SupportCosines over the gathered
+      candidate rows, and takes sparsemax over them, with threshold tau.
+    - keeps those weights if every other entry has z~ + err < tau
+      (`_certified`), which proves they are the whole row's. A row without
+      that certificate, or whose candidates are the whole support, is
+      weighted from SupportCosines over the whole support, built on first
+      use and kept.
+
+    An all-zero query's cosines are all 0, so its weights are 1/n.
+    """
+
+    def __init__(self, data, ids=None):
+        data = np.asarray(data)
+        if data.ndim != 2:
+            raise ValueError("support must be a 2-D array of rows")
+        self.data = data
+        self.ids = np.arange(data.shape[0]) if ids is None else np.asarray(ids, dtype=np.int64)
+        norms = np.empty(len(self.ids))
+        for part, block in _float64_blocks(data, self.ids):
+            norms[part] = _row_norms(_scale_rows(block))
+        if not np.isfinite(norms).all():
+            raise ValueError("support rows must be finite")
+        self.zero_rows = norms == 0.0
+        self._norms = np.where(self.zero_rows, 1.0, norms)
+        self._eps = _screen_error(data.shape[1])
+        self._top = 1
+        self._whole = None
+
+    def __call__(self, queries, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, all-zero query mask) for a 2-D block of query rows."""
+        queries = np.asarray(queries)
+        q = _scale_rows(np.array(queries, dtype=np.float64))
+        q_norms = _row_norms(q)
+        if not np.isfinite(q_norms).all():
+            raise ValueError("sparsemax input must be finite")
+        zero = q_norms == 0.0
+        n = len(self.ids)
+        if not n:
+            raise ValueError("sparsemax needs a non-empty support")
+        weights = np.zeros((len(q), n))
+        weights[zero] = 1.0 / n
+        live = np.flatnonzero(~zero)
+        if not live.size:
+            return weights, zero
+        z = self._screen(q[live].astype(np.float32), q_norms[live])
+        z /= temperature
+        err = self._eps / temperature + (n + 2) ** 2 * 2.0**-52 * (1.0 + 1.0 / temperature)
+        candidates = z >= (self._thresholds(z) - 2 * err)[:, None]
+        for scores, chosen, row in zip(z, candidates, live):
+            ids = np.flatnonzero(chosen)
+            query = queries[row : row + 1]
+            if len(ids) < n:
+                cos, _ = SupportCosines(self.data, self.ids[ids])(query)
+                v = cos[0] / temperature
+                tau = _sparsemax_threshold(v)[0]
+                if _certified(np.max(scores, where=~chosen, initial=-np.inf), err, tau):
+                    weights[row, ids] = np.maximum(v - tau, 0.0)
+                    continue
+            if self._whole is None:
+                self._whole = SupportCosines(self.data, self.ids)
+            weights[row] = sparsemax(self._whole(query)[0][0] / temperature)
+        return weights, zero
+
+    def _screen(self, q32: np.ndarray, q_norms: np.ndarray) -> np.ndarray:
+        """Screened cosines of scaled float32 query rows with norms `q_norms`."""
+        cos = np.empty((len(q32), len(self.ids)))
+        for part, block in _float64_blocks(self.data, self.ids):
+            cos[:, part] = q32 @ _scale_rows(block).astype(np.float32).T
+        cos /= q_norms[:, None]
+        cos /= self._norms
+        return np.clip(cos, -1.0, 1.0, out=cos)
+
+    def _thresholds(self, z: np.ndarray) -> np.ndarray:
+        """sparsemax's threshold of each row of z, from its top k entries."""
+        n = z.shape[1]
+        tau = np.empty(len(z))
+        rows = np.arange(len(z))
+        k = min(self._top, n)
+        while True:
+            part = z[rows]
+            top = np.sort(np.partition(part, n - k, axis=1)[:, n - k :], axis=1)[:, ::-1]
+            t = ((np.cumsum(top, axis=1) - 1.0) / np.arange(1, k + 1)).max(axis=1)
+            above = np.count_nonzero(part > t[:, None], axis=1)
+            done = above <= k
+            tau[rows[done]] = t[done]
+            if done.all():
+                self._top = k
+                return tau
+            rows = rows[~done]
+            k = min(2 * k, int(above.max()))
 
 
 @dataclass

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from vocabport import kernels
 from vocabport.aux_vectors import (
     WORD_VECTORS,
     AuxEmbeddings,
@@ -51,6 +52,21 @@ def sparsemax_oracle(z):
         if best_dist is None or dist < best_dist:
             best, best_dist = p, dist
     return best
+
+
+@pytest.fixture
+def recorded_supports(monkeypatch):
+    """The number of rows each SupportCosines that kernels builds splits, in
+    order of construction."""
+    sizes = []
+
+    class Recorded(kernels.SupportCosines):
+        def __init__(self, data, ids=None):
+            super().__init__(data, ids)
+            sizes.append(len(self.hi))
+
+    monkeypatch.setattr(kernels, "SupportCosines", Recorded)
+    return sizes
 
 
 def bpe_merge_oracle(symbols, ranks):

@@ -462,35 +462,44 @@ print(hashlib.sha256(cos.tobytes()).hexdigest())
 
 def test_init_bytes_do_not_depend_on_blas_threads(tmp_path):
     # 400 queries x 300 support rows: enough for OpenBLAS to split the
-    # similarity products over two threads. The cosine digest is checked
-    # too, because float32 output rows hide most last-bit differences.
+    # similarity products, the float32 screen of focus and clp-plus among
+    # them, over two threads. The screen's candidates may differ between 1
+    # and 2 threads; the bytes may not. The cosine digest is checked too,
+    # because float32 output rows hide most last-bit differences.
     inst = build_instance(tmp_path, n_source=600, n_target=700, n_overlap=300, dim=16)
     src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
+    # Target-only tokens without a word vector are sampled, not weighted.
+    sampled = [t for t in inst.missing_word_vec_ids if "tgt" in inst.target_vocab.tokens[t]]
+    outputs = {}
     for threads in ("1", "2"):
-        paths = [tmp_path / f"{name}_{threads}" for name in ("in.vemb", "out.vemb", "r.json")]
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run(
-            [sys.executable, "-m", "vocabport", "init", "--method", "clp-plus",
-             "--source-vocab", inst.source_files["vocab"],
-             "--source-emb", inst.source_files["emb"],
-             "--source-out-emb", inst.source_files["out_emb"],
-             "--target-vocab", inst.target_vocab_file,
-             "--aux-vocab", inst.aux_model_files[0],
-             "--aux-emb", inst.aux_model_files[1],
-             "--seed", "42",
-             "--out-emb", str(paths[0]), "--out-out-emb", str(paths[1]),
-             "--report", str(paths[2])],
-            env=env, check=True, capture_output=True, timeout=60,
-        )
-        digest = subprocess.run(
+        outputs["digest", threads] = subprocess.run(
             [sys.executable, "-c", _COSINE_DIGEST, inst.aux_model_files[1]],
             env=env, check=True, capture_output=True, text=True, timeout=60,
         ).stdout
-        outputs.append([p.read_bytes() for p in paths] + [digest])
-    assert json.loads(outputs[0][2])["similarity_initialized"] == 400
-    assert outputs[0] == outputs[1]
+        for method in ("clp", "focus", "clp-plus"):
+            aux = (["--word-vecs", inst.word_vec_file] if method == "focus" else
+                   ["--aux-vocab", inst.aux_model_files[0], "--aux-emb", inst.aux_model_files[1]])
+            paths = [tmp_path / f"{method}_{name}_{threads}"
+                     for name in ("in.vemb", "out.vemb", "r.json")]
+            subprocess.run(
+                [sys.executable, "-m", "vocabport", "init", "--method", method,
+                 "--source-vocab", inst.source_files["vocab"],
+                 "--source-emb", inst.source_files["emb"],
+                 "--source-out-emb", inst.source_files["out_emb"],
+                 "--target-vocab", inst.target_vocab_file, *aux,
+                 "--seed", "42",
+                 "--out-emb", str(paths[0]), "--out-out-emb", str(paths[1]),
+                 "--report", str(paths[2])],
+                env=env, check=True, capture_output=True, timeout=60,
+            )
+            outputs[method, threads] = [p.read_bytes() for p in paths]
+    for method in ("clp", "focus", "clp-plus"):
+        queries = 400 - len(sampled) if method == "focus" else 400
+        assert json.loads(outputs[method, "1"][2])["similarity_initialized"] == queries
+        assert outputs[method, "1"] == outputs[method, "2"], method
+    assert outputs["digest", "1"] == outputs["digest", "2"]
 
 
 class TestOverlapCommand:

@@ -18,7 +18,7 @@ from vocabport.initializers import (
     init_random,
     init_target_bundle,
 )
-from vocabport.kernels import sparsemax, weighted_sum
+from vocabport.kernels import SupportCosines, sparsemax, weighted_sum
 from vocabport.overlap import compute_overlap
 
 
@@ -545,16 +545,19 @@ class TestBlockEngine:
         matrix[[alignment[_N_OVERLAP + i] for i in range(10, 17)]] = 0.0
         aux = _aux(kind, alignment, matrix, len(target))
         cfg = _cfg(method, **extra)
-        # Record the cosine blocks the weight rule sees: output rows are
-        # float32 and would hide a last-bit difference in the cosines.
+        # Record the weight blocks the rule gives: output rows are float32
+        # and would hide a last-bit difference in the weights.
         seen = []
-        rule_kind, rule = initializers._SIMILARITY_METHODS[method]
+        rule_kind, kernel, rule = initializers._SIMILARITY_METHODS[method]
 
-        def recording_rule(sims, cfg):
-            seen.append(sims.copy())
-            return rule(sims, cfg)
+        def recording_rule(support, queries, cfg):
+            weights, uniform, zero = rule(support, queries, cfg)
+            seen.append(weights.copy())
+            return weights, uniform, zero
 
-        monkeypatch.setitem(initializers._SIMILARITY_METHODS, method, (rule_kind, recording_rule))
+        monkeypatch.setitem(
+            initializers._SIMILARITY_METHODS, method, (rule_kind, kernel, recording_rule)
+        )
         one, one_report = init_target_bundle(source, target, cfg, aux=aux)
         monkeypatch.setattr(initializers, "_BLOCK_BYTES", 3 * 8 * n_supp)
         blocks = len(seen)
@@ -563,6 +566,15 @@ class TestBlockEngine:
         assert blocks == 1
         assert [b.shape for b in seen[1:]] == [(3, n_supp)] * 9 + [(2, n_supp)]
         np.testing.assert_array_equal(np.concatenate(seen[1:]), seen[0])
+        if mode == "sparsemax":
+            # The screened weights have the bits of sparsemax over the
+            # whole-support exact cosines.
+            support = [alignment[t] for t in sorted(overlap.pairs) if t in alignment]
+            queries = [alignment[t] for t in overlap.non_overlap if t in alignment]
+            data = aux.matrix.data
+            cos, _ = SupportCosines(data, support)(data[queries])
+            expected = sparsemax(cos / cfg.sparsemax_temperature)
+            np.testing.assert_array_equal(seen[0], expected)
         assert split.input_emb.data.tobytes() == one.input_emb.data.tobytes()
         assert split.output_emb.data.tobytes() == one.output_emb.data.tobytes()
         assert split_report.to_dict() == one_report.to_dict()
@@ -689,15 +701,15 @@ class TestReportDiagnostics:
         source, target, overlap, alignment, matrix, n_supp = _block_instance()
         aux = _aux(AUX_MODEL, alignment, matrix, len(target))
         counts = []
-        rule_kind, rule = initializers._SIMILARITY_METHODS["clp-plus"]
+        rule_kind, kernel, rule = initializers._SIMILARITY_METHODS["clp-plus"]
 
-        def recording_rule(sims, cfg):
-            weights, uniform = rule(sims, cfg)
+        def recording_rule(support, queries, cfg):
+            weights, uniform, zero = rule(support, queries, cfg)
             counts.extend(np.count_nonzero(weights, axis=1).tolist())
-            return weights, uniform
+            return weights, uniform, zero
 
         monkeypatch.setitem(
-            initializers._SIMILARITY_METHODS, "clp-plus", (rule_kind, recording_rule)
+            initializers._SIMILARITY_METHODS, "clp-plus", (rule_kind, kernel, recording_rule)
         )
         # Blocks of 3 rows: the quantiles do not depend on the block.
         monkeypatch.setattr(initializers, "_BLOCK_BYTES", 3 * 8 * n_supp)
@@ -1009,7 +1021,8 @@ class TestEdgeCases:
         def no_cosines(*args):
             raise AssertionError("cosines computed before the alignment check")
 
-        monkeypatch.setattr(initializers, "SupportCosines", no_cosines)
+        kind, _, rule = initializers._SIMILARITY_METHODS["clp-plus"]
+        monkeypatch.setitem(initializers._SIMILARITY_METHODS, "clp-plus", (kind, no_cosines, rule))
         source = _bundle(["a", "b"], [[1.0], [2.0]])
         target = Vocabulary(["a", "q", "r"])
         overlap = compute_overlap(source.vocab, target)

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import sparsemax_oracle
 
-from vocabport import embedding_store
+from vocabport import embedding_store, kernels
 from vocabport.embedding_store import EmbeddingMatrix
 from vocabport.errors import ValidationError
 from vocabport.kernels import (
+    SparsemaxWeights,
     SupportCosines,
     WeightVector,
     convex_combine,
@@ -296,6 +297,159 @@ class TestSupportCosines:
         queries = np.array([[tiny, tiny], [big, -big]], dtype=np.float32)
         cos, _ = SupportCosines(support)(queries)
         np.testing.assert_allclose(cos, self._reference(queries, support), atol=1e-12)
+
+
+def _whole_support_weights(data, ids, queries, temperature):
+    return sparsemax(SupportCosines(data, ids)(queries)[0] / temperature)
+
+
+class TestSparsemaxWeights:
+    """The screened weights against sparsemax over the whole-support exact
+    cosines, compared bit for bit."""
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.2, 1e-3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 768])
+    def test_bitwise_equal_to_whole_support_sparsemax(self, monkeypatch, dim, temperature):
+        # Zero, float32-max, subnormal and mixed-scale rows on both sides,
+        # duplicate support rows, and queries equal to support rows. The
+        # support spans several row blocks.
+        monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", 64)
+        rng = np.random.default_rng(dim)
+        data = _extreme_rows(rng, 450, dim)
+        data[20:30] = data[10]
+        ids = rng.permutation(450)[:400]
+        ids[:12] = np.arange(12)
+        queries = _extreme_rows(rng, 24, dim)
+        queries[10:14] = data[ids[[0, 10, 20, 30]]]
+        weights, zero = SparsemaxWeights(data, ids)(queries, temperature)
+        expected = _whole_support_weights(data, ids, queries, temperature)
+        np.testing.assert_array_equal(weights, expected)
+        np.testing.assert_array_equal(zero, ~queries.any(axis=1))
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.5])
+    def test_exact_ties_at_the_threshold(self, recorded_supports, temperature):
+        # Against e1 the cosines are 1, 0 (four times, three of them
+        # duplicates), -0.6 and -1 (twice). At T = 1 sparsemax keeps e1
+        # alone and tau is exactly 0, the cosine of the four orthogonal rows.
+        support = np.array(
+            [[1, 0], [0, 1], [0, 1], [0, -1], [0, 1], [-0.6, 0.8], [-1, 0], [-2, 0]],
+            dtype=np.float32,
+        )
+        queries = np.array([[1, 0], [0.6, 0.8], [0, 0]], dtype=np.float32)
+        weights, zero = SparsemaxWeights(support)(queries, temperature)
+        expected = _whole_support_weights(support, None, queries, temperature)
+        np.testing.assert_array_equal(weights, expected)
+        np.testing.assert_array_equal(zero, [False, False, True])
+        if temperature == 1.0:
+            np.testing.assert_array_equal(weights[0], [1, 0, 0, 0, 0, 0, 0, 0])
+        # The all-zero query takes 1/n weights without a product.
+        np.testing.assert_array_equal(weights[2], 1.0 / len(support))
+        assert all(size < len(support) for size in recorded_supports)
+
+    def test_uncertified_rows_take_the_whole_support_product(self, monkeypatch, recorded_supports):
+        rng = np.random.default_rng(31)
+        data = _extreme_rows(rng, 300, 12)
+        queries = _extreme_rows(rng, 9, 12)
+        expected = _whole_support_weights(data, None, queries, 0.2)
+        monkeypatch.setattr(kernels, "_certified", lambda rest, err, tau: False)
+        weigh = SparsemaxWeights(data)
+        weights, _ = weigh(queries, 0.2)
+        np.testing.assert_array_equal(weights, expected)
+        # Every nonzero query is rescored, refused, then weighted from the
+        # whole support, which is split once and kept.
+        assert recorded_supports.count(300) == 1
+        assert len(recorded_supports) == 1 + 8
+        weights, _ = weigh(queries, 0.2)
+        np.testing.assert_array_equal(weights, expected)
+        assert recorded_supports.count(300) == 1
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.2])
+    def test_screen_errors_up_to_eps_keep_the_bits(self, monkeypatch, recorded_supports,
+                                                   temperature):
+        # Take eps = 0.01 and move every screened cosine by 0.0099, up or
+        # down at random, so entries near tau cross it both ways. The
+        # margin keeps every nonzero weight among the candidates, and every
+        # row gets its certificate.
+        rng = np.random.default_rng(34)
+        data = rng.normal(size=(600, 24)).astype(np.float32)
+        queries = rng.normal(size=(40, 24)).astype(np.float32)
+        expected = _whole_support_weights(data, None, queries, temperature)
+        screen = SparsemaxWeights._screen
+
+        def shifted_screen(self, q32, q_norms):
+            cos = screen(self, q32, q_norms)
+            return cos + 0.0099 * rng.choice([-1.0, 1.0], size=cos.shape)
+
+        monkeypatch.setattr(kernels, "_screen_error", lambda dim: 0.01)
+        monkeypatch.setattr(SparsemaxWeights, "_screen", shifted_screen)
+        refused = []
+        certified = kernels._certified
+        monkeypatch.setattr(
+            kernels, "_certified", lambda *args: certified(*args) or refused.append(args)
+        )
+        weights, _ = SparsemaxWeights(data)(queries, temperature)
+        np.testing.assert_array_equal(weights, expected)
+        assert not refused and max(recorded_supports) < 600
+
+    def test_missed_candidates_lose_the_certificate(self, monkeypatch, recorded_supports):
+        # A screen threshold set too high leaves nonzero weights out of the
+        # candidates: the certificate refuses those rows, and they take the
+        # whole-support product.
+        rng = np.random.default_rng(35)
+        data = rng.normal(size=(600, 24)).astype(np.float32)
+        queries = rng.normal(size=(40, 24)).astype(np.float32)
+        expected = _whole_support_weights(data, None, queries, 1.0)
+        thresholds = SparsemaxWeights._thresholds
+        monkeypatch.setattr(
+            SparsemaxWeights, "_thresholds", lambda self, z: thresholds(self, z) + 0.05
+        )
+        weights, _ = SparsemaxWeights(data)(queries, 1.0)
+        np.testing.assert_array_equal(weights, expected)
+        assert recorded_supports.count(600) == 1
+
+    def test_only_candidates_are_split(self, recorded_supports):
+        rng = np.random.default_rng(32)
+        data = rng.normal(size=(2000, 64)).astype(np.float32)
+        queries = rng.normal(size=(20, 64)).astype(np.float32)
+        weights, _ = SparsemaxWeights(data)(queries, 1.0)
+        nonzero = np.count_nonzero(weights, axis=1)
+        # One split per query, of its candidates: at most a few more rows
+        # than it has nonzero weights, far fewer than the support.
+        assert len(recorded_supports) == 20
+        assert all(n <= size <= n + 5 for n, size in zip(nonzero, recorded_supports))
+        assert max(recorded_supports) < 200
+
+    def test_rows_do_not_depend_on_their_block(self):
+        rng = np.random.default_rng(33)
+        data = rng.normal(size=(500, 16)).astype(np.float32)
+        queries = rng.normal(size=(30, 16)).astype(np.float32)
+        weigh = SparsemaxWeights(data)
+        whole, _ = weigh(queries, 0.2)
+        for size in (1, 3, 7):
+            parts = [weigh(queries[i : i + size], 0.2)[0] for i in range(0, 30, size)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("dim", [1, 3, 8, 9, 64, 768])
+    def test_screen_within_its_error_bound(self, dim):
+        rng = np.random.default_rng(dim + 40)
+        data = _extreme_rows(rng, 200, dim)
+        queries = _extreme_rows(rng, 12, dim)
+        weigh = SparsemaxWeights(data)
+        q = kernels._scale_rows(queries.astype(np.float64))
+        norms = kernels._row_norms(q)
+        live = norms > 0
+        screened = weigh._screen(q[live].astype(np.float32), norms[live])
+        exact, _ = SupportCosines(data)(queries[live])
+        assert np.abs(screened - exact).max() <= kernels._screen_error(dim)
+
+    def test_rejected_inputs(self):
+        with pytest.raises(ValueError, match="finite"):
+            SparsemaxWeights(np.array([[1.0, np.inf]]))
+        weigh = SparsemaxWeights(np.eye(3))
+        with pytest.raises(ValueError, match="finite"):
+            weigh(np.array([[np.nan, 0.0, 1.0]]), 1.0)
+        with pytest.raises(ValueError, match="non-empty"):
+            SparsemaxWeights(np.eye(3), np.array([], dtype=np.int64))(np.eye(3), 1.0)
 
 
 class TestConvexCombine:

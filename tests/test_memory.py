@@ -15,8 +15,14 @@ import numpy as np
 import pytest
 from conftest import build_instance, make_bpe_spec, make_unigram_spec
 
-from vocabport import cli, efficiency, embedding_store, initializers
-from vocabport.aux_vectors import load_word_vectors
+from vocabport import cli, efficiency, embedding_store, initializers, kernels
+from vocabport.aux_vectors import (
+    AUX_MODEL,
+    WORD_VECTORS,
+    AuxEmbeddings,
+    load_aux_model,
+    load_word_vectors,
+)
 from vocabport.efficiency import CorpusSample, avg_tokens, load_corpus
 from vocabport.embedding_store import (
     EmbeddingMatrix,
@@ -230,6 +236,24 @@ def test_line_files_are_read_by_blocks(tmp_path, name):
     assert peak < kept + per_line * n + 4 * embedding_store._READ_BYTES
 
 
+def test_short_vocab_lines_cost_little_beyond_their_tokens(tmp_path):
+    # 200,000 tokens of 2 to 7 characters. test_line_files_are_read_by_blocks
+    # allows 4 reads in flight, about 65 bytes a line of its 4,000 lines;
+    # here they come to 1.3 bytes a line, so a waste of a few bytes a line
+    # shows. The loader drops about 15 bytes a line beyond what it keeps.
+    n = 200_000
+    path = tmp_path / "vocab.txt"
+    path.write_text("".join(f"t{i}\n" for i in range(n)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        vocab = load_vocab(str(path), "line-per-token")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(vocab) == n and vocab.tokens[-1] == f"t{n - 1}"
+    assert peak - kept < 20 * n
+
+
 def test_corpus_sample_overhead(tmp_path):
     n = 20000
     path = tmp_path / "corpus.txt"
@@ -247,10 +271,11 @@ def test_corpus_sample_overhead(tmp_path):
     assert kept - strings < 64 * n
 
 
-# Traced peak over the VEMB inputs (source, and the aux model for clp-plus)
-# plus outputs. clp-plus also holds the support's int32 slices, 8 bytes per
-# support element: 1,200 rows x 512 here.
-_INIT_PEAK_BOUNDS = {"heuristics": 1.25, "random": 1.25, "clp-plus": 1.45}
+# Traced peak over the VEMB inputs (source, and the aux model for clp and
+# clp-plus) plus outputs. clp also holds the support's int32 slices, 8 bytes
+# per support element: 1,200 rows x 512 here. clp-plus keeps one float64
+# norm per support row and splits only each query's candidates.
+_INIT_PEAK_BOUNDS = {"heuristics": 1.25, "random": 1.25, "clp": 1.45, "clp-plus": 1.15}
 
 
 @pytest.mark.parametrize("method", list(_INIT_PEAK_BOUNDS))
@@ -266,13 +291,42 @@ def test_init_peak_close_to_inputs_plus_outputs(small_blocks, monkeypatch, tmp_p
             "--target-vocab", inst.target_vocab_file, "--seed", "7",
             "--out-emb", outs[0], "--out-out-emb", outs[1],
             "--report", str(tmp_path / "report.json")]
-    if method == "clp-plus":
+    if method in ("clp", "clp-plus"):
         argv += ["--aux-vocab", inst.aux_model_files[0], "--aux-emb", inst.aux_model_files[1]]
         ins.append(inst.aux_model_files[1])
     code, peak = _traced_peak(cli.run, argv)
     assert code == 0
     io_bytes = sum(os.path.getsize(p) for p in [*ins, *outs])
     assert peak <= _INIT_PEAK_BOUNDS[method] * io_bytes
+
+
+@pytest.mark.parametrize("certified", [True, False])
+@pytest.mark.parametrize("method", ["focus", "clp-plus"])
+def test_sparsemax_methods_split_no_whole_support(small_blocks, monkeypatch, recorded_supports,
+                                                  tmp_path, method, certified):
+    monkeypatch.setattr(initializers, "_BLOCK_BYTES", 1 << 16)
+    if not certified:
+        monkeypatch.setattr(kernels, "_certified", lambda rest, err, tau: False)
+    inst = build_instance(tmp_path, n_source=2000, n_target=1600, n_overlap=1200, dim=64,
+                          aux_dim=512)
+    model = load_aux_model(*inst.aux_model_files, inst.target_vocab)
+    kind = WORD_VECTORS if method == "focus" else AUX_MODEL
+    aux = AuxEmbeddings(kind, model.vocab_alignment, model.matrix, model.missing)
+    overlap = compute_overlap(inst.source.vocab, inst.target_vocab)
+    cfg = InitConfig(method=method, seed=1)
+    args = (method, inst.source, inst.target_vocab, overlap, aux, cfg)
+    (bundle, report), peak = _traced_peak(initializers._similarity_init, *args)
+    support = report.support_size * aux.matrix.cols
+    assert report.support_size > 1000 and report.similarity_initialized > 300
+    outputs = bundle.input_emb.data.nbytes + bundle.output_emb.data.nbytes
+    if certified:
+        # One float64 norm a support row, blocks of a few rows and each
+        # query's candidates: no int32 slices of the whole support.
+        assert max(recorded_supports) < report.support_size // 4
+        assert peak - outputs < 4 * support
+    else:
+        assert recorded_supports.count(report.support_size) == 1
+        assert peak - outputs > 8 * support
 
 
 def _letters(i, width):
