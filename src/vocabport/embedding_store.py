@@ -10,6 +10,10 @@ little-endian binary format:
     dtype   u32       0 = float32
     data    rows*cols little-endian float32 values, row-major
 
+load_matrix maps the file read-only and gives the matrix a view of its
+payload; every pass over matrix rows releases the mapped pages after each
+row block (_drop_pages).
+
 Vocabularies come in three text formats:
 
     json-map        JSON object mapping token -> id (ids must be dense,
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -88,7 +93,11 @@ class Vocabulary:
 
 
 class EmbeddingMatrix:
-    """Dense |V| x H float32 matrix; row i is the embedding of token id i."""
+    """Dense |V| x H float32 matrix; row i is the embedding of token id i.
+
+    `data` is the matrix's own array, or, for a matrix from load_matrix, a
+    read-only view of the mapped file (see _drop_pages).
+    """
 
     __slots__ = ("data",)
 
@@ -153,12 +162,32 @@ def _row_blocks(n: int) -> Iterator[slice]:
         yield slice(start, start + _BLOCK_ROWS)
 
 
+def _drop_pages(arr: np.ndarray) -> None:
+    """Release the pages this process has mapped of the file behind `arr`.
+
+    Every pass over matrix rows calls this after each block, so a matrix
+    from load_matrix holds only the pages of the block in hand: the kernel
+    unmaps them, they stay in the page cache and fault back in on the next
+    read. Only a read-only mapping is released. Any other array is left as
+    it is, since MADV_DONTNEED zeroes anonymous memory and drops the writes
+    to a private mapping.
+    """
+    base = arr  # followed through views and np.frombuffer's memoryview
+    while isinstance(base, (np.ndarray, memoryview)):
+        base = base.base if isinstance(base, np.ndarray) else base.obj
+    if isinstance(base, mmap.mmap):
+        with memoryview(base) as view:
+            if view.readonly:
+                base.madvise(mmap.MADV_DONTNEED)
+
+
 def _first_nonfinite(arr: np.ndarray) -> tuple[int, int] | None:
     """(row, col) of the first NaN or infinity in row-major order, or None."""
     if arr.size == 0:  # a header may declare 2**40 rows of 0 columns
         return None
     for part in _row_blocks(arr.shape[0]):
         finite = np.isfinite(arr[part])
+        _drop_pages(arr)
         if not finite.all():
             flat = int(np.argmin(finite))
             return part.start + flat // arr.shape[1], flat % arr.shape[1]
@@ -352,8 +381,11 @@ def sniff_vocab_format(path: str) -> str:
 def load_matrix(path: str) -> EmbeddingMatrix:
     """Read a VEMB file; rejects bad magic, truncation, and non-finite values.
 
-    The header and the file size are checked before anything is allocated;
-    the payload is then read once, into the matrix's own array.
+    The header and the file size are checked before anything is mapped.
+    The matrix's data is then a read-only view of the file, mapped, not
+    copied, and its finiteness is scanned once, a row block at a time. The
+    file must not change while the matrix is in use: a read of a page that
+    truncation removed raises SIGBUS, which ends the process.
     """
     with open(path, "rb") as f:
         head = f.read(_VEMB_HEADER.size)
@@ -377,9 +409,13 @@ def load_matrix(path: str) -> EmbeddingMatrix:
             raise FormatError(
                 f"{path}: {payload - expected} trailing bytes after payload"
             )
-        arr = np.fromfile(f, dtype="<f4", count=rows * cols)
-    if arr.size != rows * cols:
+        try:
+            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # the file is empty now
+            mapped = None
+    if mapped is None or len(mapped) < _VEMB_HEADER.size + expected:
         raise FormatError(f"{path}: truncated payload (file shrank while reading)")
+    arr = np.frombuffer(mapped, dtype="<f4", count=rows * cols, offset=_VEMB_HEADER.size)
     try:
         return EmbeddingMatrix(arr.reshape(rows, cols))
     except ValidationError as e:

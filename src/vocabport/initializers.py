@@ -48,7 +48,7 @@ import numpy as np
 
 from .aux_vectors import AUX_MODEL, WORD_VECTORS, AuxEmbeddings
 from .embedding_store import (
-    EmbeddingMatrix, ModelBundle, Vocabulary, _row_blocks, validate_bundle,
+    EmbeddingMatrix, ModelBundle, Vocabulary, _drop_pages, _row_blocks, validate_bundle,
 )
 from .errors import ValidationError, VocabportError
 from .kernels import (
@@ -295,9 +295,19 @@ class _TargetRows:
         self.stats = [_element_stats(m) for m in self.sources]
         self.outs = [np.empty((n, m.cols), dtype=np.float32) for m in self.sources]
         self.report = InitReport(method=method, copied=len(t_ids), warnings=list(overlap.warnings))
-        for part in _row_blocks(len(t_ids)):
-            for out, m in zip(self.outs, self.sources):
-                out[self.paired[part]] = m.data[self.paired_src[part]]
+        # Copied in source order, one block of source rows at a time (more
+        # pairs than a block only where target tokens share a source row),
+        # so each block maps only its own pages of a mapped source.
+        by_src = np.argsort(self.paired_src, kind="stable")
+        t_by_src, s_by_src = self.paired[by_src], self.paired_src[by_src]
+        for block in _row_blocks(rows):
+            lo, hi = np.searchsorted(s_by_src, (block.start, block.stop))
+            for part in _row_blocks(hi - lo):
+                t, s = t_by_src[lo:hi][part], s_by_src[lo:hi][part]
+                for out, m in zip(self.outs, self.sources):
+                    out[t] = m.data[s]
+            for m in self.sources:
+                _drop_pages(m.data)
 
     def sample(self, ids: np.ndarray | list[int], params: list[tuple]) -> None:
         """Fill rows `ids` of each target matrix with float32(mean + std * z).
@@ -449,7 +459,9 @@ def _similarity_init(
     block_rows = max(1, _BLOCK_BYTES // (8 * max(n_supp, 1)))
     for start in range(0, len(query_t), block_rows):
         block = query_t[start : start + block_rows]
-        weights, uniform, zero = weigh(support, aux.matrix.data[aux_of[block]], cfg)
+        queries = aux.matrix.data[aux_of[block]]
+        _drop_pages(aux.matrix.data)
+        weights, uniform, zero = weigh(support, queries, cfg)
         report.zero_norm_queries += int(np.count_nonzero(zero))
         report.uniform_fallbacks += int(np.count_nonzero(uniform & ~zero))
         zero_ids += block[np.flatnonzero(zero)[: _ZERO_NORM_SAMPLE - len(zero_ids)]].tolist()

@@ -76,7 +76,7 @@ from typing import Iterator
 import numpy as np
 
 from . import embedding_store
-from .embedding_store import EmbeddingMatrix, _row_blocks
+from .embedding_store import EmbeddingMatrix, _drop_pages, _row_blocks
 from .errors import ValidationError
 
 CONVEX_TOL = 1e-6
@@ -89,6 +89,7 @@ def _float64_blocks(
     that order: `part` is the block's slice of those rows and `block` the
     rows upcast to float64, a view of `buf` or else of a buffer the size of
     the first block, so the next overwrites it and callers may write to it.
+    The pages of a mapped `data` are released once each block is copied.
     """
     n = data.shape[0] if ids is None else len(ids)
     for part in _row_blocks(n):
@@ -97,6 +98,7 @@ def _float64_blocks(
             buf = np.empty(rows.shape)
         block = buf[: len(rows)]
         np.copyto(block, rows)
+        _drop_pages(data)
         yield part, block
 
 
@@ -441,10 +443,12 @@ def weighted_sum(w: WeightVector, rows: EmbeddingMatrix) -> np.ndarray:
     vector needs no float64 copy of all its rows. Each block is a fresh copy,
     not _float64_blocks' reused buffer: called once per target row, that
     buffer is allocated per call, and a 4,000-row combine took 12.4 ms, not 6.4.
+    The pages of a mapped matrix are released after each block.
     """
     total = None
     for part in _row_blocks(w.ids.size):
         mixed = w.weights[part] @ rows.data[w.ids[part]].astype(np.float64)
+        _drop_pages(rows.data)
         total = mixed if total is None else total + mixed
     return total
 

@@ -476,6 +476,89 @@ class TestVembValidation:
         np.testing.assert_array_equal(m.data, data)
 
 
+def _rss_file_kb():
+    with open("/proc/self/status", encoding="ascii") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("RssFile:"))
+
+
+class TestMappedPayload:
+    """load_matrix maps the payload read-only; _drop_pages releases it."""
+
+    def _write(self, path, rows, cols, payload=b""):
+        path.write_bytes(embedding_store._VEMB_HEADER.pack(b"VEMB", 1, rows, cols, 0) + payload)
+        return str(path)
+
+    def test_data_is_a_read_only_view_of_the_file(self, tmp_path):
+        data = np.random.default_rng(8).normal(size=(300, 7)).astype("<f4")
+        path = self._write(tmp_path / "m.vemb", 300, 7, data.tobytes())
+        m = load_matrix(path)
+        copied = np.fromfile(path, dtype="<f4", offset=28).reshape(300, 7)
+        assert m.data.tobytes() == copied.tobytes() == data.tobytes()
+        assert m.data.dtype == np.float32 and m.data.flags.c_contiguous
+        assert not m.data.flags.writeable and not m.data.flags.owndata
+
+    def test_writes_are_refused(self, tmp_path):
+        path = self._write(tmp_path / "m.vemb", 2, 3, np.ones(6, dtype="<f4").tobytes())
+        m = load_matrix(path)
+        with pytest.raises(ValueError, match="read-only"):
+            m.data[1, 2] = 0.0
+        with pytest.raises(ValueError):
+            m.data.setflags(write=True)
+        np.testing.assert_array_equal(m.data, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("keep", [0, 28, 28 + 4 * 5])
+    def test_file_shrunk_before_mapping(self, tmp_path, monkeypatch, keep):
+        # The file passes the size check, then loses its tail (or all of
+        # its bytes) before it is mapped.
+        path = self._write(tmp_path / "m.vemb", 2, 3, np.ones(6, dtype="<f4").tobytes())
+        real_fstat = os.fstat
+        calls = []
+
+        def fstat_then_shrink(fd):
+            st = real_fstat(fd)
+            if not calls:
+                calls.append(fd)
+                os.truncate(path, keep)
+            return st
+
+        monkeypatch.setattr(os, "fstat", fstat_then_shrink)
+        with pytest.raises(FormatError, match=r"m\.vemb: truncated payload \(file shrank while reading\)"):
+            load_matrix(path)
+        assert calls
+
+    @pytest.mark.parametrize("rows,cols", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_shapes_load(self, tmp_path, rows, cols):
+        # A 28-byte file: the payload is empty at the mapping's end.
+        # TestVembValidation.test_large_empty_shape_loads maps (2**61 - 1, 0).
+        m = load_matrix(self._write(tmp_path / "m.vemb", rows, cols))
+        assert m.data.shape == (rows, cols) and m.data.dtype == np.float32
+
+    def test_drop_pages_leaves_other_arrays_alone(self, tmp_path):
+        # MADV_DONTNEED would zero anonymous memory and drop the writes to a
+        # private file mapping; neither may reach it.
+        data = np.random.default_rng(9).normal(size=(2048, 64)).astype(np.float32)
+        m = EmbeddingMatrix(data.copy())
+        embedding_store._drop_pages(m.data)
+        embedding_store._drop_pages(m.data[5:])
+        assert m.data.tobytes() == data.tobytes()
+        path = self._write(tmp_path / "m.vemb", 2048, 64, data.tobytes())
+        private = np.memmap(path, dtype="<f4", mode="c", offset=28, shape=(2048, 64))
+        private[:] += 1.0
+        embedding_store._drop_pages(private)
+        assert private.tobytes() == (data + 1.0).tobytes()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads RssFile")
+    def test_drop_pages_releases_a_loaded_matrix(self, tmp_path):
+        data = np.random.default_rng(10).normal(size=(4096, 512)).astype(np.float32)  # 8 MB
+        m = load_matrix(self._write(tmp_path / "m.vemb", 4096, 512, data.tobytes()))
+        assert m.data.tobytes() == data.tobytes()  # maps every page
+        mapped = _rss_file_kb()
+        embedding_store._drop_pages(m.data[100:200])
+        assert _rss_file_kb() < mapped - 7 * 1024
+        # The pages fault back in from the file.
+        assert m.data.tobytes() == data.tobytes()
+
+
 class TestTypesAndBundle:
     def test_vocabulary_rejects_duplicates(self):
         with pytest.raises(ValidationError, match="duplicate"):

@@ -1,8 +1,8 @@
 """Static checks on the package source: no unused imports, no dead private
 or public names, method names, word-boundary markers and the row-block size
 spelled only where they are defined, the initializers' input ids read in
-one place, line files read through one reader, and no defaulted parameter
-that only tests pass.
+one place, line files read through one reader, mapped pages released in
+one place, and no defaulted parameter that only tests pass.
 
 Deleting code tends to leave an import or a `_helper` behind, and a method
 name or a marker written out in another module is a second record of it;
@@ -264,6 +264,22 @@ def test_one_line_reader():
         for holder in _holders(_tree(path), lambda node: _calls(node, "_line_blocks"))
     }
     assert callers == {"embedding_store._numbered_lines", "aux_vectors.load_word_vectors"}
+
+
+def test_pages_released_in_one_place():
+    # MADV_DONTNEED zeroes anonymous memory and drops the writes to a private
+    # mapping. Only _drop_pages, which releases nothing but a read-only file
+    # mapping, may name madvise.
+    holders = {
+        f"{path.stem}.{holder}"
+        for path in MODULES
+        for holder in _holders(
+            _tree(path),
+            lambda node: _reads_attr(node, "madvise", "MADV_DONTNEED")
+            or isinstance(node, ast.Name) and node.id in ("madvise", "MADV_DONTNEED"),
+        )
+    }
+    assert holders == {"embedding_store._drop_pages"}
 
 
 def test_every_default_is_passed_somewhere():

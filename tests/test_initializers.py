@@ -5,8 +5,8 @@ import pytest
 from conftest import build_instance, sparsemax_oracle
 
 from vocabport import embedding_store, initializers, kernels, script_groups
-from vocabport.aux_vectors import AUX_MODEL, WORD_VECTORS, AuxEmbeddings
-from vocabport.embedding_store import EmbeddingMatrix, ModelBundle, Vocabulary
+from vocabport.aux_vectors import AUX_MODEL, WORD_VECTORS, AuxEmbeddings, load_aux_model
+from vocabport.embedding_store import EmbeddingMatrix, ModelBundle, Vocabulary, load_matrix
 from vocabport.errors import ValidationError
 from vocabport.initializers import (
     InitConfig,
@@ -19,7 +19,7 @@ from vocabport.initializers import (
     init_target_bundle,
 )
 from vocabport.kernels import SupportCosines, sparsemax, weighted_sum
-from vocabport.overlap import compute_overlap
+from vocabport.overlap import OverlapMap, compute_overlap
 
 
 def _bundle(tokens, rows, out_rows=None):
@@ -406,6 +406,45 @@ class TestClpPlus:
 
 
 class TestTargetBundle:
+    @pytest.mark.parametrize("method", initializers.METHODS)
+    def test_mapped_inputs_give_the_bytes_of_in_memory_ones(self, tmp_path, monkeypatch, method):
+        # Loaded matrices are read-only file mappings whose pages every pass
+        # drops after each block; 7-row blocks drop them many times a run.
+        monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", 7)
+        inst = build_instance(tmp_path)
+        files = inst.source_files
+        mapped = ModelBundle(inst.source.vocab, load_matrix(files["emb"]),
+                             load_matrix(files["out_emb"]))
+        model = load_aux_model(*inst.aux_model_files, inst.target_vocab)
+        kind = WORD_VECTORS if method == "focus" else AUX_MODEL
+
+        def aux(matrix):
+            return AuxEmbeddings(kind, model.vocab_alignment, matrix, model.missing)
+
+        in_memory = EmbeddingMatrix(np.array(model.matrix.data))
+        cfg = _cfg(method)
+        want = init_target_bundle(inst.source, inst.target_vocab, cfg, aux=aux(in_memory))
+        got = init_target_bundle(mapped, inst.target_vocab, cfg, aux=aux(model.matrix))
+        assert got == want
+        assert mapped.input_emb == inst.source.input_emb
+        assert mapped.output_emb == inst.source.output_emb
+        assert model.matrix == in_memory
+
+    def test_overlap_copy_takes_any_number_of_pairs_per_source_block(self, monkeypatch):
+        # Rows are copied one block of source rows at a time; five target
+        # tokens share source row 2, more than a 2-row block.
+        monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", 2)
+        rng = np.random.default_rng(11)
+        source = _bundle([f"s{i}" for i in range(5)], rng.normal(size=(5, 3)),
+                         rng.normal(size=(5, 3)))
+        pairs = {0: 2, 1: 4, 3: 2, 4: 2, 5: 0, 6: 2, 8: 2, 9: 3}
+        overlap = OverlapMap(pairs=pairs, non_overlap=[7, 2])
+        rows = initializers._TargetRows("heuristics", source, Vocabulary(f"t{i}" for i in range(10)),
+                                        _cfg("heuristics"), overlap)
+        t, s = list(pairs), list(pairs.values())
+        for out, m in zip(rows.outs, (source.input_emb, source.output_emb)):
+            assert out[t].tobytes() == m.data[s].tobytes()
+
     def test_tied_source_stays_tied(self, instance_tied):
         cfg = _cfg("heuristics")
         bundle, _ = init_target_bundle(
