@@ -24,19 +24,19 @@ as wide as all target matrices together (the input matrix's columns come
 first), and rows are filled in blocks of `_DRAW_BYTES` whose size cannot
 change a byte, since no step mixes rows. Similarity
 rows are filled in blocks of query rows, then combined one row at a time
-over their nonzero weights. clp takes one cosine product per block
-against the whole support (`kernels.SupportCosines`, exact slice products,
-so no BLAS rounding) and applies its clamp rule row-wise. focus and
-clp-plus take their sparsemax weights from `kernels.SparsemaxWeights`: a
-float32 screen of the block against the support picks each row's
-candidates, SupportCosines rescores only those, and a certificate proves
-that no other entry can get a nonzero weight; a row without one is
-weighted from the whole-support product. Every weight keeps the bits of
-sparsemax over the whole-support exact cosines. The method picks the
-path. The block size comes from a fixed byte budget, `_BLOCK_BYTES`, and
-no step mixes rows, so output bytes do not depend on the block size, on
-`--threads` or on the number of BLAS threads, though the screen's
-candidates may.
+over their nonzero weights. Each run builds one `kernels.SupportCosines`
+over the support rows, whose cosines are exact slice products, so no BLAS
+rounding. clp takes one cosine product per block against the whole
+support and applies its clamp rule row-wise. focus and clp-plus take
+their weights from its `sparsemax`: a float32 screen of the block against
+the support picks each row's candidates, only those are rescored exactly,
+and a certificate proves that no other entry can get a nonzero weight; a
+row without one is weighted from the whole-support product. Every weight
+keeps the bits of sparsemax over the whole-support exact cosines. The
+method picks the path. The block size comes from a fixed byte budget,
+`_BLOCK_BYTES`, and no step mixes rows, so output bytes do not depend on
+the block size, on `--threads` or on the number of BLAS threads, though
+the screen's candidates may.
 """
 
 from __future__ import annotations
@@ -51,14 +51,7 @@ from .embedding_store import (
     EmbeddingMatrix, ModelBundle, Vocabulary, _drop_pages, _row_blocks, validate_bundle,
 )
 from .errors import ValidationError, VocabportError
-from .kernels import (
-    SparsemaxWeights,
-    SupportCosines,
-    WeightVector,
-    convex_combine,
-    mean_std,
-    weighted_sum,
-)
+from .kernels import SupportCosines, WeightVector, convex_combine, mean_std, weighted_sum
 from .overlap import CANON_MODES, OverlapMap, compute_overlap
 from .script_groups import ScriptGroup, classify_token, group_members
 
@@ -374,24 +367,23 @@ def _clp_weights(
 
 
 def _sparsemax_weights(
-    kernel: SparsemaxWeights, queries: np.ndarray, cfg: InitConfig
+    cosines: SupportCosines, queries: np.ndarray, cfg: InitConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    weights, zero = kernel(queries, cfg.sparsemax_temperature)
+    weights, zero = cosines.sparsemax(queries, cfg.sparsemax_temperature)
     return weights, np.zeros(len(weights), dtype=bool), zero
 
 
 # Similarity methods: the auxiliary-vector kind each needs (the only record
-# of it; the CLI picks aux flags by it), the kernel built over the support
-# rows, and its rule turning the kernel and a (rows, dim) block of query
-# vectors into (weights, uniform, zero): a (rows, support) block of weights,
-# and per row whether they fell back to uniform and whether the query is
-# all zero. Every rule gives a zero-norm query 1/n weights. clp needs every
-# cosine; the sparsemax methods need exact cosines only where a weight can
-# be nonzero.
+# of it; the CLI picks aux flags by it), and its rule turning the support's
+# SupportCosines and a (rows, dim) block of query vectors into (weights,
+# uniform, zero): a (rows, support) block of weights, and per row whether
+# they fell back to uniform and whether the query is all zero. Every rule
+# gives a zero-norm query 1/n weights. clp needs every cosine; the
+# sparsemax methods need exact cosines only where a weight can be nonzero.
 _SIMILARITY_METHODS = {
-    "clp": (AUX_MODEL, SupportCosines, _clp_weights),
-    "focus": (WORD_VECTORS, SparsemaxWeights, _sparsemax_weights),
-    "clp-plus": (AUX_MODEL, SparsemaxWeights, _sparsemax_weights),
+    "clp": (AUX_MODEL, _clp_weights),
+    "focus": (WORD_VECTORS, _sparsemax_weights),
+    "clp-plus": (AUX_MODEL, _sparsemax_weights),
 }
 
 
@@ -403,7 +395,7 @@ def _similarity_init(
     aux: AuxEmbeddings,
     cfg: InitConfig,
 ) -> tuple[ModelBundle, InitReport]:
-    kind, kernel, weigh = _SIMILARITY_METHODS[method]
+    kind, weigh = _SIMILARITY_METHODS[method]
     _require_kind(aux, kind, method)
     align = aux.vocab_alignment
     aux_rows = _id_array(
@@ -444,7 +436,7 @@ def _similarity_init(
             "and are excluded from the similarity support"
         )
     if n_supp:
-        support = kernel(aux.matrix.data, aux_of[rows.paired[in_support]])
+        support = SupportCosines(aux.matrix.data, aux_of[rows.paired[in_support]])
         zero_support = int(np.count_nonzero(support.zero_rows))
         if zero_support:
             report.warnings.append(

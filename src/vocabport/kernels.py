@@ -5,15 +5,17 @@ disk are float32 and summing ~1e5 terms at that precision loses digits.
 Every pass over matrix rows takes the row blocks of embedding_store's one
 policy; `_float64_blocks` upcasts them into one reused buffer per pass.
 
-The similarity initializers work on blocks of query rows: `SupportCosines`
-gives a block's cosines against the whole support, `SparsemaxWeights` a
-block's sparsemax weights over those cosines, `sparsemax` projects each
-row of a 2-D block, and `convex_combine` mixes one row's nonzero weights.
-`SupportCosines` rounds nothing inside BLAS, so a row's cosines are the
-same bits whichever rows share its block and however many BLAS threads
-run. `SparsemaxWeights` keeps those bits but computes exact cosines only
-for each row's candidates, which a float32 screen picks; the candidates
-may vary with the BLAS build and thread count, the weights do not.
+The similarity initializers work on blocks of query rows against one
+`SupportCosines` per run: calling it gives a block's cosines against the
+whole support, its `sparsemax` a block's sparsemax weights over those
+cosines; `sparsemax` projects each row of a 2-D block, and
+`convex_combine` mixes one row's nonzero weights. Every exact cosine comes
+from one product of integer slices (`_split`) that rounds nothing inside
+BLAS, so a row's cosines are the same bits whichever rows share its block
+and however many BLAS threads run. The sparsemax weights keep those bits
+but compute exact cosines only for each row's candidates, which a float32
+screen picks; the candidates may vary with the BLAS build and thread
+count, the weights do not.
 
 The screen's error. Take a query row and a support row of dimension d,
 each scaled by the power of two that brings its largest magnitude into
@@ -115,8 +117,6 @@ def cosine_similarity(a, b) -> float:
     vb = np.asarray(b, dtype=np.float64)
     if va.ndim != 1 or vb.ndim != 1 or va.shape != vb.shape:
         raise ValueError(f"expected equal-length vectors, got {va.shape} and {vb.shape}")
-    if not (np.isfinite(va).all() and np.isfinite(vb).all()):
-        raise ValueError("cosine_similarity input must be finite")
     support = SupportCosines(vb[None])
     cos, zero = support(va[None])
     if zero[0] or support.zero_rows[0]:
@@ -186,82 +186,6 @@ def _sparsemax_threshold(v: np.ndarray) -> np.ndarray:
     return (np.take_along_axis(cumulative, k - 1, axis=-1) - 1.0) / k
 
 
-class SupportCosines:
-    """Cosines of query rows against fixed support rows, bit-reproducible.
-
-    A float64 GEMM rounds differently with the BLAS kernel it picks, and
-    that pick depends on the number of rows and of threads. Here every
-    row is scaled by a power of two and split into two integer-valued
-    slices, row ~ (hi + lo * 2**-bits) * scale, which keep 2*bits
-    significant bits below the row's largest entry. bits is chosen so that
-    each slice product (hi @ hi.T, hi @ lo.T, lo @ hi.T) is a sum of
-    integers below 2**53 and therefore exact in any summation order. Only
-    elementwise float64 operations round, so a query's cosines do not
-    depend on which rows share its block, on how the support is tiled or
-    on the BLAS build. A cosine's error is below dim * 2**(-2*bits): 2e-10
-    at dimension 768, 4e-9 at 4096.
-
-    The support is the rows of `data`, or the rows `ids` in that order. Its
-    slices are stored as int32, 8 bytes per support element: |hi| <=
-    2**bits <= 2**26 for every dim, so int32 holds them exactly (float32
-    would need bits capped at 24, which changes cosines at dims below 9).
-    The support is gathered and split, and each call upcasts its slices
-    for the GEMMs, one row block at a time through _float64_blocks, so no
-    temporary spans the whole support.
-    """
-
-    def __init__(self, data, ids=None):
-        data = np.asarray(data)
-        if data.ndim != 2:
-            raise ValueError("support must be a 2-D array of rows")
-        n = data.shape[0] if ids is None else len(ids)
-        # |hi| <= 2**bits, |lo| <= 2**(bits-1) and dim * 2**(2*bits) <= 2**53.
-        self.bits = (53 - (data.shape[1] - 1).bit_length()) // 2
-        self.hi = np.empty((n, data.shape[1]), dtype=np.int32)
-        self.lo = np.empty_like(self.hi)
-        norms = np.empty(n)
-        for part, block in _float64_blocks(data, ids):
-            self.hi[part], self.lo[part], norms[part] = self._split(block)
-        if not np.isfinite(norms).all():
-            # int32 holds no inf or nan; the slices of such a row are garbage.
-            raise ValueError("support rows must be finite")
-        self.zero_rows = norms == 0.0
-        self._norms = np.where(self.zero_rows, 1.0, norms)
-
-    def _split(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Integer-valued float64 slices hi and lo of float64 rows `a`, and
-        the rows' norms in the same scaled units (0 for an all-zero row).
-        Works in place: `a` is overwritten, and lo is stored in it."""
-        peak = np.maximum(a.max(axis=1, initial=0.0), -a.min(axis=1, initial=0.0))
-        _, exp = np.frexp(peak)
-        np.ldexp(a, (self.bits - exp)[:, None], out=a)
-        hi = np.rint(a)
-        a -= hi
-        lo = np.rint(np.ldexp(a, self.bits, out=a), out=a)
-        squares = np.einsum("ij,ij->i", hi, hi)
-        squares += np.ldexp(np.einsum("ij,ij->i", hi, lo), 1 - self.bits)
-        return hi, lo, np.sqrt(squares)
-
-    def __call__(self, queries) -> tuple[np.ndarray, np.ndarray]:
-        """(cosines, all-zero query mask) for a 2-D block of query rows.
-
-        Cosines lie in [-1, 1]; those of an all-zero query or support row
-        are 0.
-        """
-        q_hi, q_lo, q_norms = self._split(np.array(queries, dtype=np.float64))
-        cos = np.empty((len(q_hi), len(self.hi)))
-        for (part, hi), (_, lo) in zip(_float64_blocks(self.hi), _float64_blocks(self.lo)):
-            cross = q_hi @ lo.T
-            cross += q_lo @ hi.T
-            # Rounds once, as hi-product + cross would. A matmul straight into
-            # the strided columns of cos runs slower than into a new array.
-            np.add(q_hi @ hi.T, np.ldexp(cross, -self.bits, out=cross), out=cos[:, part])
-        zero = q_norms == 0.0
-        cos /= np.where(zero, 1.0, q_norms)[:, None]
-        cos /= self._norms
-        return np.clip(cos, -1.0, 1.0, out=cos), zero
-
-
 def _scale_rows(rows: np.ndarray) -> np.ndarray:
     """Float64 rows `rows`, scaled in place, each by the power of two that
     brings its largest magnitude into [1/2, 1); an all-zero row stays 0."""
@@ -269,8 +193,37 @@ def _scale_rows(rows: np.ndarray) -> np.ndarray:
     return np.ldexp(rows, -np.frexp(peak)[1][:, None], out=rows)
 
 
+def _split(
+    rows: np.ndarray, bits: int, hi: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer-valued float64 slices hi and lo of finite float64 rows, and
+    the rows' norms in the same scaled units (0 for an all-zero row).
+
+    Each row is scaled by _scale_rows, then by 2**bits; hi is that rounded
+    and lo the remainder times 2**bits, rounded. Scaling by powers of two is
+    exact, so the slices are the same bits for rows scaled before. Works in
+    place: `rows` is overwritten, and lo is stored in it; hi goes to `hi`,
+    or else to a new array.
+    """
+    a = np.ldexp(_scale_rows(rows), bits, out=rows)
+    hi = np.rint(a, out=hi)
+    a -= hi
+    lo = np.rint(np.ldexp(a, bits, out=a), out=a)
+    squares = np.einsum("ij,ij->i", hi, hi)
+    squares += np.ldexp(np.einsum("ij,ij->i", hi, lo), 1 - bits)
+    return hi, lo, np.sqrt(squares)
+
+
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def _finite(queries) -> np.ndarray:
+    """A float64 copy of a block of query rows, which must be finite."""
+    q = np.array(queries, dtype=np.float64)
+    if not np.isfinite(q).all():
+        raise ValueError("query rows must be finite")
+    return q
 
 
 def _screen_error(dim: int) -> float:
@@ -298,32 +251,34 @@ def _certified(rest: float, err: float, tau: float) -> bool:
     return rest + err < tau
 
 
-class SparsemaxWeights:
-    """sparsemax(cosines / T) of query rows over fixed support rows, with the
-    bits of `sparsemax(SupportCosines(data, ids)(queries)[0] / T)`, without
-    splitting the whole support.
+class SupportCosines:
+    """Cosines of query rows against fixed support rows, bit-reproducible,
+    and sparsemax weights over them.
 
-    The support is the rows of `data`, or the rows `ids` in that order; it
-    keeps one float64 norm per row. Each call, for a block of query rows:
+    A float64 GEMM rounds differently with the BLAS kernel it picks, and
+    that pick depends on the number of rows and of threads. Here every
+    row is split into two integer-valued slices by `_split`, row ~ (hi +
+    lo * 2**-bits) * scale, which keep 2*bits significant bits below the
+    row's largest entry. bits is chosen so that each slice product (hi @
+    hi.T, hi @ lo.T, lo @ hi.T) is a sum of integers below 2**53 and
+    therefore exact in any summation order. Only elementwise float64
+    operations round (`_product`), so a query's cosines do not depend on
+    which rows share its block, on which other support rows are multiplied
+    with it or how they are tiled, or on the BLAS build. A cosine's error
+    is below dim * 2**(-2*bits): 2e-10 at dimension 768, 4e-9 at 4096.
 
-    - screens: one float32 GEMM per support row block, gathered and scaled
-      one block at a time, gives cosines within eps of the exact ones
-      (module docstring). With z~ = screened cosine / T and err = eps/T +
-      eta, a row's candidates are its entries with z~ >= tau~ - 2 err.
-    - finds tau~, sparsemax's threshold of the row of z~, from its top k
-      entries (np.partition): any entries give the lower bound
-      t = max_j (sum of the top j - 1) / j, and once at most k entries
-      exceed t, the top k hold the support and t is tau~. k starts where
-      the previous call's search ended and doubles.
-    - rescores each row's candidates with SupportCosines over the gathered
-      candidate rows, and takes sparsemax over them, with threshold tau.
-    - keeps those weights if every other entry has z~ + err < tau
-      (`_certified`), which proves they are the whole row's. A row without
-      that certificate, or whose candidates are the whole support, is
-      weighted from SupportCosines over the whole support, built on first
-      use and kept.
-
-    An all-zero query's cosines are all 0, so its weights are 1/n.
+    The support is the rows of `data`, or the rows `ids` in that order. The
+    constructor reads it once, one row block at a time through
+    _float64_blocks, for each row's float64 norm after _scale_rows: the
+    screen's norms, which also mark the all-zero rows (`zero_rows`) and
+    reject a non-finite row. A call splits the whole support on first use
+    and keeps its slices as int32, 8 bytes per support element: |hi| <=
+    2**bits <= 2**26 for every dim, so int32 holds them exactly (float32
+    would need bits capped at 24, which changes cosines at dims below 9).
+    Each call upcasts them for the GEMMs one row block at a time, so no
+    temporary spans the whole support. `sparsemax` splits only each query
+    row's candidates, and the whole support only for a row without its
+    certificate.
     """
 
     def __init__(self, data, ids=None):
@@ -332,24 +287,92 @@ class SparsemaxWeights:
             raise ValueError("support must be a 2-D array of rows")
         self.data = data
         self.ids = np.arange(data.shape[0]) if ids is None else np.asarray(ids, dtype=np.int64)
+        # |hi| <= 2**bits, |lo| <= 2**(bits-1) and dim * 2**(2*bits) <= 2**53.
+        self.bits = (53 - (data.shape[1] - 1).bit_length()) // 2
         norms = np.empty(len(self.ids))
         for part, block in _float64_blocks(data, self.ids):
             norms[part] = _row_norms(_scale_rows(block))
         if not np.isfinite(norms).all():
+            # int32 slices hold no inf or nan; such a row's cosines would be garbage.
             raise ValueError("support rows must be finite")
         self.zero_rows = norms == 0.0
         self._norms = np.where(self.zero_rows, 1.0, norms)
         self._eps = _screen_error(data.shape[1])
         self._top = 1
-        self._whole = None
+        self.hi = self.lo = self._split_norms = None  # the whole support's, once split
 
-    def __call__(self, queries, temperature: float) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, all-zero query mask) for a 2-D block of query rows."""
-        queries = np.asarray(queries)
-        q = _scale_rows(np.array(queries, dtype=np.float64))
+    def __call__(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """(cosines, all-zero query mask) for a 2-D block of query rows.
+
+        Cosines lie in [-1, 1]; those of an all-zero query or support row
+        are 0.
+        """
+        q = _split(_finite(queries), self.bits)
+        return self._product(q, self._whole_blocks(), len(self.ids)), q[2] == 0.0
+
+    def _support_blocks(self, ids: np.ndarray) -> Iterator[tuple]:
+        """(part, hi, lo, norms) for each row block of the support rows
+        `ids`: `part` is the block's slice of `ids`, the rest its _split,
+        whose slices the next block overwrites."""
+        hi = np.empty((min(len(ids), embedding_store._BLOCK_ROWS), self.data.shape[1]))
+        for part, block in _float64_blocks(self.data, ids):
+            yield part, *_split(block, self.bits, hi[: len(block)])
+
+    def _whole_blocks(self) -> Iterator[tuple]:
+        """_support_blocks of the whole support, from its int32 slices:
+        built on first use and kept, then upcast one row block at a time."""
+        if self.hi is None:
+            n, dim = len(self.ids), self.data.shape[1]
+            self.hi, self.lo = np.empty((2, n, dim), dtype=np.int32)
+            self._split_norms = np.empty(n)
+            for part, hi, lo, norms in self._support_blocks(self.ids):
+                self.hi[part], self.lo[part], self._split_norms[part] = hi, lo, norms
+        blocks = zip(_float64_blocks(self.hi), _float64_blocks(self.lo))
+        return ((part, hi, lo, self._split_norms[part]) for (part, hi), (_, lo) in blocks)
+
+    def _product(self, q: tuple, blocks: Iterator[tuple], n: int) -> np.ndarray:
+        """Cosines of split query rows q = (hi, lo, norms) against the `n`
+        support rows whose split row blocks `blocks` yields."""
+        q_hi, q_lo, q_norms = q
+        cos = np.empty((len(q_hi), n))
+        s_norms = np.empty(n)
+        for part, hi, lo, norms in blocks:
+            s_norms[part] = norms
+            cross = q_hi @ lo.T
+            cross += q_lo @ hi.T
+            # Rounds once, as hi-product + cross would. A matmul straight into
+            # the strided columns of cos runs slower than into a new array.
+            np.add(q_hi @ hi.T, np.ldexp(cross, -self.bits, out=cross), out=cos[:, part])
+        cos /= np.where(q_norms == 0.0, 1.0, q_norms)[:, None]
+        cos /= np.where(s_norms == 0.0, 1.0, s_norms)
+        return np.clip(cos, -1.0, 1.0, out=cos)
+
+    def sparsemax(self, queries, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, all-zero query mask) for a 2-D block of query rows: the
+        bits of `sparsemax(self(queries)[0] / temperature)`, without
+        splitting the whole support. It:
+
+        - screens: one float32 GEMM per support row block, gathered and scaled
+          one block at a time, gives cosines within eps of the exact ones
+          (module docstring). With z~ = screened cosine / T and err = eps/T +
+          eta, a row's candidates are its entries with z~ >= tau~ - 2 err.
+        - finds tau~, sparsemax's threshold of the row of z~, from its top k
+          entries (np.partition): any entries give the lower bound
+          t = max_j (sum of the top j - 1) / j, and once at most k entries
+          exceed t, the top k hold the support and t is tau~. k starts where
+          the previous call's search ended and doubles.
+        - rescores each row's candidates: their rows are gathered and split
+          to float64, multiplied with the row's slices, and sparsemax runs
+          over the exact cosines, with threshold tau.
+        - keeps those weights if every other entry has z~ + err < tau
+          (`_certified`), which proves they are the whole row's. A row without
+          that certificate, or whose candidates are the whole support, is
+          weighted from the whole-support product.
+
+        An all-zero query's cosines are all 0, so its weights are 1/n.
+        """
+        q = _scale_rows(_finite(queries))
         q_norms = _row_norms(q)
-        if not np.isfinite(q_norms).all():
-            raise ValueError("sparsemax input must be finite")
         zero = q_norms == 0.0
         n = len(self.ids)
         if not n:
@@ -363,19 +386,18 @@ class SparsemaxWeights:
         z /= temperature
         err = self._eps / temperature + (n + 2) ** 2 * 2.0**-52 * (1.0 + 1.0 / temperature)
         candidates = z >= (self._thresholds(z) - 2 * err)[:, None]
+        q_split = _split(q, self.bits)
         for scores, chosen, row in zip(z, candidates, live):
             ids = np.flatnonzero(chosen)
-            query = queries[row : row + 1]
+            query = tuple(part[row : row + 1] for part in q_split)
             if len(ids) < n:
-                cos, _ = SupportCosines(self.data, self.ids[ids])(query)
-                v = cos[0] / temperature
+                v = self._product(query, self._support_blocks(self.ids[ids]), len(ids))[0]
+                v /= temperature
                 tau = _sparsemax_threshold(v)[0]
                 if _certified(np.max(scores, where=~chosen, initial=-np.inf), err, tau):
                     weights[row, ids] = np.maximum(v - tau, 0.0)
                     continue
-            if self._whole is None:
-                self._whole = SupportCosines(self.data, self.ids)
-            weights[row] = sparsemax(self._whole(query)[0][0] / temperature)
+            weights[row] = sparsemax(self._product(query, self._whole_blocks(), n)[0] / temperature)
         return weights, zero
 
     def _screen(self, q32: np.ndarray, q_norms: np.ndarray) -> np.ndarray:

@@ -56,16 +56,19 @@ def sparsemax_oracle(z):
 
 @pytest.fixture
 def recorded_supports(monkeypatch):
-    """The number of rows each SupportCosines that kernels builds splits, in
-    order of construction."""
+    """The number of rows each support-side split passes through
+    kernels._split, in order: one query row's candidates, or the whole
+    support when its slices are built."""
     sizes = []
+    support_blocks = kernels.SupportCosines._support_blocks
 
-    class Recorded(kernels.SupportCosines):
-        def __init__(self, data, ids=None):
-            super().__init__(data, ids)
-            sizes.append(len(self.hi))
+    def recorded(self, ids):
+        sizes.append(0)
+        for part, *split in support_blocks(self, ids):
+            sizes[-1] += len(split[0])
+            yield part, *split
 
-    monkeypatch.setattr(kernels, "SupportCosines", Recorded)
+    monkeypatch.setattr(kernels.SupportCosines, "_support_blocks", recorded)
     return sizes
 
 

@@ -2,7 +2,8 @@
 or public names, method names, word-boundary markers and the row-block size
 spelled only where they are defined, the initializers' input ids read in
 one place, line files read through one reader, mapped pages released in
-one place, and no defaulted parameter that only tests pass.
+one place, rows scaled and split for exact cosines in one place, and no
+defaulted parameter that only tests pass.
 
 Deleting code tends to leave an import or a `_helper` behind, and a method
 name or a marker written out in another module is a second record of it;
@@ -280,6 +281,25 @@ def test_pages_released_in_one_place():
         )
     }
     assert holders == {"embedding_store._drop_pages"}
+
+
+def test_rows_scaled_in_one_place():
+    # Exact cosines need every operand (support, gathered candidates,
+    # queries) scaled and split the same way; a second copy of either step
+    # could round one operand differently from the others.
+    def holders(name):
+        return {
+            f"{path.stem}.{holder}"
+            for path in MODULES
+            for holder in _holders(
+                _tree(path),
+                lambda node: _reads_attr(node, name)
+                or isinstance(node, ast.Name) and node.id == name,
+            )
+        }
+
+    assert holders("frexp") == {"kernels._scale_rows"}
+    assert holders("rint") == {"kernels._split"}
 
 
 def test_every_default_is_passed_somewhere():

@@ -587,7 +587,7 @@ class TestBlockEngine:
         # Record the weight blocks the rule gives: output rows are float32
         # and would hide a last-bit difference in the weights.
         seen = []
-        rule_kind, kernel, rule = initializers._SIMILARITY_METHODS[method]
+        rule_kind, rule = initializers._SIMILARITY_METHODS[method]
 
         def recording_rule(support, queries, cfg):
             weights, uniform, zero = rule(support, queries, cfg)
@@ -595,7 +595,7 @@ class TestBlockEngine:
             return weights, uniform, zero
 
         monkeypatch.setitem(
-            initializers._SIMILARITY_METHODS, method, (rule_kind, kernel, recording_rule)
+            initializers._SIMILARITY_METHODS, method, (rule_kind, recording_rule)
         )
         one, one_report = init_target_bundle(source, target, cfg, aux=aux)
         monkeypatch.setattr(initializers, "_BLOCK_BYTES", 3 * 8 * n_supp)
@@ -740,7 +740,7 @@ class TestReportDiagnostics:
         source, target, overlap, alignment, matrix, n_supp = _block_instance()
         aux = _aux(AUX_MODEL, alignment, matrix, len(target))
         counts = []
-        rule_kind, kernel, rule = initializers._SIMILARITY_METHODS["clp-plus"]
+        rule_kind, rule = initializers._SIMILARITY_METHODS["clp-plus"]
 
         def recording_rule(support, queries, cfg):
             weights, uniform, zero = rule(support, queries, cfg)
@@ -748,7 +748,7 @@ class TestReportDiagnostics:
             return weights, uniform, zero
 
         monkeypatch.setitem(
-            initializers._SIMILARITY_METHODS, "clp-plus", (rule_kind, kernel, recording_rule)
+            initializers._SIMILARITY_METHODS, "clp-plus", (rule_kind, recording_rule)
         )
         # Blocks of 3 rows: the quantiles do not depend on the block.
         monkeypatch.setattr(initializers, "_BLOCK_BYTES", 3 * 8 * n_supp)
@@ -1060,8 +1060,7 @@ class TestEdgeCases:
         def no_cosines(*args):
             raise AssertionError("cosines computed before the alignment check")
 
-        kind, _, rule = initializers._SIMILARITY_METHODS["clp-plus"]
-        monkeypatch.setitem(initializers._SIMILARITY_METHODS, "clp-plus", (kind, no_cosines, rule))
+        monkeypatch.setattr(initializers, "SupportCosines", no_cosines)
         source = _bundle(["a", "b"], [[1.0], [2.0]])
         target = Vocabulary(["a", "q", "r"])
         overlap = compute_overlap(source.vocab, target)

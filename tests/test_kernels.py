@@ -11,7 +11,6 @@ from vocabport import embedding_store, kernels
 from vocabport.embedding_store import EmbeddingMatrix
 from vocabport.errors import ValidationError
 from vocabport.kernels import (
-    SparsemaxWeights,
     SupportCosines,
     WeightVector,
     convex_combine,
@@ -265,10 +264,12 @@ class TestSupportCosines:
         if build_rows is not None:
             monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", build_rows)
         built = (SupportCosines(data, ids), SupportCosines(data[ids]))
+        for cosines in built:
+            cosines(queries[:1])  # the first call splits the support
+            assert cosines.hi.dtype == cosines.lo.dtype == np.int32
         if call_rows is not None:
             monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", call_rows)
         for cosines in built:
-            assert cosines.hi.dtype == cosines.lo.dtype == np.int32
             cos, zero = cosines(queries)
             np.testing.assert_array_equal(cos, expected)
             np.testing.assert_array_equal(zero, expected_zero)
@@ -290,6 +291,38 @@ class TestSupportCosines:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             SupportCosines(data)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_queries_rejected(self, bad):
+        # Both products split their queries through one check.
+        cosines = SupportCosines(np.eye(3))
+        queries = np.array([[bad, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            cosines(queries)
+        with pytest.raises(ValueError, match="finite"):
+            cosines.sparsemax(queries, 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 9, 768])
+    @pytest.mark.parametrize("block_rows", [1, 7, None])
+    def test_gathered_subsets_equal_whole_support_columns(self, monkeypatch, dim, block_rows):
+        # The rescoring path: support rows gathered by ids and split straight
+        # to float64, against the same columns of the int32-slice product.
+        rng = np.random.default_rng(dim + 50)
+        data = _extreme_rows(rng, 40, dim)
+        queries = _extreme_rows(rng, 9, dim)
+        cosines = SupportCosines(data)
+        whole, _ = cosines(queries)
+        if block_rows is not None:
+            monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", block_rows)
+        split = kernels._split(queries.astype(np.float64), cosines.bits)
+        for ids in (rng.permutation(40)[:17], np.arange(40)[::-1].copy(), rng.integers(0, 40, 60)):
+            gathered = cosines._product(split, cosines._support_blocks(ids), len(ids))
+            np.testing.assert_array_equal(gathered, whole[:, ids])
+            for row in range(len(queries)):
+                query = tuple(part[row : row + 1] for part in split)
+                one = cosines._product(query, cosines._support_blocks(ids), len(ids))
+                np.testing.assert_array_equal(one[0], whole[row, ids])
+            np.testing.assert_array_equal(SupportCosines(data, ids)(queries)[0], whole[:, ids])
+
     def test_extreme_magnitudes(self):
         big = np.finfo(np.float32).max
         tiny = np.finfo(np.float32).smallest_subnormal
@@ -300,7 +333,11 @@ class TestSupportCosines:
 
 
 def _whole_support_weights(data, ids, queries, temperature):
-    return sparsemax(SupportCosines(data, ids)(queries)[0] / temperature)
+    # The oracle has the bits of SupportCosines' whole-support product
+    # (test_bitwise_equal_to_whole_float64_oracle) and splits no support
+    # that recorded_supports would count.
+    support = data if ids is None else data[ids]
+    return sparsemax(support_cosines_oracle(support, queries)[0] / temperature)
 
 
 class TestSparsemaxWeights:
@@ -321,7 +358,7 @@ class TestSparsemaxWeights:
         ids[:12] = np.arange(12)
         queries = _extreme_rows(rng, 24, dim)
         queries[10:14] = data[ids[[0, 10, 20, 30]]]
-        weights, zero = SparsemaxWeights(data, ids)(queries, temperature)
+        weights, zero = SupportCosines(data, ids).sparsemax(queries, temperature)
         expected = _whole_support_weights(data, ids, queries, temperature)
         np.testing.assert_array_equal(weights, expected)
         np.testing.assert_array_equal(zero, ~queries.any(axis=1))
@@ -336,7 +373,7 @@ class TestSparsemaxWeights:
             dtype=np.float32,
         )
         queries = np.array([[1, 0], [0.6, 0.8], [0, 0]], dtype=np.float32)
-        weights, zero = SparsemaxWeights(support)(queries, temperature)
+        weights, zero = SupportCosines(support).sparsemax(queries, temperature)
         expected = _whole_support_weights(support, None, queries, temperature)
         np.testing.assert_array_equal(weights, expected)
         np.testing.assert_array_equal(zero, [False, False, True])
@@ -352,7 +389,7 @@ class TestSparsemaxWeights:
         queries = _extreme_rows(rng, 9, 12)
         expected = _whole_support_weights(data, None, queries, 0.2)
         monkeypatch.setattr(kernels, "_certified", lambda rest, err, tau: False)
-        weigh = SparsemaxWeights(data)
+        weigh = SupportCosines(data).sparsemax
         weights, _ = weigh(queries, 0.2)
         np.testing.assert_array_equal(weights, expected)
         # Every nonzero query is rescored, refused, then weighted from the
@@ -374,20 +411,20 @@ class TestSparsemaxWeights:
         data = rng.normal(size=(600, 24)).astype(np.float32)
         queries = rng.normal(size=(40, 24)).astype(np.float32)
         expected = _whole_support_weights(data, None, queries, temperature)
-        screen = SparsemaxWeights._screen
+        screen = SupportCosines._screen
 
         def shifted_screen(self, q32, q_norms):
             cos = screen(self, q32, q_norms)
             return cos + 0.0099 * rng.choice([-1.0, 1.0], size=cos.shape)
 
         monkeypatch.setattr(kernels, "_screen_error", lambda dim: 0.01)
-        monkeypatch.setattr(SparsemaxWeights, "_screen", shifted_screen)
+        monkeypatch.setattr(SupportCosines, "_screen", shifted_screen)
         refused = []
         certified = kernels._certified
         monkeypatch.setattr(
             kernels, "_certified", lambda *args: certified(*args) or refused.append(args)
         )
-        weights, _ = SparsemaxWeights(data)(queries, temperature)
+        weights, _ = SupportCosines(data).sparsemax(queries, temperature)
         np.testing.assert_array_equal(weights, expected)
         assert not refused and max(recorded_supports) < 600
 
@@ -399,11 +436,11 @@ class TestSparsemaxWeights:
         data = rng.normal(size=(600, 24)).astype(np.float32)
         queries = rng.normal(size=(40, 24)).astype(np.float32)
         expected = _whole_support_weights(data, None, queries, 1.0)
-        thresholds = SparsemaxWeights._thresholds
+        thresholds = SupportCosines._thresholds
         monkeypatch.setattr(
-            SparsemaxWeights, "_thresholds", lambda self, z: thresholds(self, z) + 0.05
+            SupportCosines, "_thresholds", lambda self, z: thresholds(self, z) + 0.05
         )
-        weights, _ = SparsemaxWeights(data)(queries, 1.0)
+        weights, _ = SupportCosines(data).sparsemax(queries, 1.0)
         np.testing.assert_array_equal(weights, expected)
         assert recorded_supports.count(600) == 1
 
@@ -411,7 +448,7 @@ class TestSparsemaxWeights:
         rng = np.random.default_rng(32)
         data = rng.normal(size=(2000, 64)).astype(np.float32)
         queries = rng.normal(size=(20, 64)).astype(np.float32)
-        weights, _ = SparsemaxWeights(data)(queries, 1.0)
+        weights, _ = SupportCosines(data).sparsemax(queries, 1.0)
         nonzero = np.count_nonzero(weights, axis=1)
         # One split per query, of its candidates: at most a few more rows
         # than it has nonzero weights, far fewer than the support.
@@ -423,7 +460,7 @@ class TestSparsemaxWeights:
         rng = np.random.default_rng(33)
         data = rng.normal(size=(500, 16)).astype(np.float32)
         queries = rng.normal(size=(30, 16)).astype(np.float32)
-        weigh = SparsemaxWeights(data)
+        weigh = SupportCosines(data).sparsemax
         whole, _ = weigh(queries, 0.2)
         for size in (1, 3, 7):
             parts = [weigh(queries[i : i + size], 0.2)[0] for i in range(0, 30, size)]
@@ -434,7 +471,7 @@ class TestSparsemaxWeights:
         rng = np.random.default_rng(dim + 40)
         data = _extreme_rows(rng, 200, dim)
         queries = _extreme_rows(rng, 12, dim)
-        weigh = SparsemaxWeights(data)
+        weigh = SupportCosines(data)
         q = kernels._scale_rows(queries.astype(np.float64))
         norms = kernels._row_norms(q)
         live = norms > 0
@@ -444,12 +481,12 @@ class TestSparsemaxWeights:
 
     def test_rejected_inputs(self):
         with pytest.raises(ValueError, match="finite"):
-            SparsemaxWeights(np.array([[1.0, np.inf]]))
-        weigh = SparsemaxWeights(np.eye(3))
+            SupportCosines(np.array([[1.0, np.inf]]))
+        weigh = SupportCosines(np.eye(3)).sparsemax
         with pytest.raises(ValueError, match="finite"):
             weigh(np.array([[np.nan, 0.0, 1.0]]), 1.0)
         with pytest.raises(ValueError, match="non-empty"):
-            SparsemaxWeights(np.eye(3), np.array([], dtype=np.int64))(np.eye(3), 1.0)
+            SupportCosines(np.eye(3), np.array([], dtype=np.int64)).sparsemax(np.eye(3), 1.0)
 
 
 class TestConvexCombine:

@@ -85,8 +85,15 @@ def test_finiteness_scan_holds_one_block(small_blocks, matrix):
 
 
 def test_support_slices_take_8_bytes_per_element(small_blocks, matrix):
+    # The slices are built on the first call and kept.
     ids = np.arange(ROWS)[::-1].copy()
-    cosines, peak = _traced_peak(SupportCosines, matrix.data, ids)
+
+    def build_and_call(data, ids):
+        cosines = SupportCosines(data, ids)
+        cosines(data[:1])
+        return cosines
+
+    cosines, peak = _traced_peak(build_and_call, matrix.data, ids)
     assert cosines.hi.shape == (ROWS, COLS)
     assert peak < 8 * ROWS * COLS + 4 * BLOCK * COLS * 8
 
