@@ -18,8 +18,7 @@ import sys
 from dataclasses import fields
 from functools import partial
 
-from . import efficiency, initializers, tokenizers
-from .aux_vectors import AUX_MODEL, WORD_VECTORS, load_aux_model, load_word_vectors
+from . import efficiency, tokenizers
 from .embedding_store import (
     ModelBundle,
     _numbered_lines,
@@ -56,7 +55,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_init = sub.add_parser("init", parents=[common], help="initialize target embeddings")
-    p_init.add_argument("--method", required=True, choices=initializers.METHODS)
+    # InitConfig checks --method and --missing-aux-policy and names the
+    # known values; only init imports initializers, and with it numpy.
+    p_init.add_argument("--method", required=True)
     p_init.add_argument("--source-vocab", required=True)
     p_init.add_argument("--source-emb", required=True)
     p_init.add_argument("--source-out-emb", help="source output matrix (untied models)")
@@ -72,10 +73,7 @@ def _build_parser() -> _Parser:
         default=argparse.SUPPRESS,
     )
     p_init.add_argument("--min-group-size", type=int, default=argparse.SUPPRESS)
-    p_init.add_argument(
-        "--missing-aux-policy", choices=initializers.MISSING_AUX_POLICIES,
-        default=argparse.SUPPRESS,
-    )
+    p_init.add_argument("--missing-aux-policy", default=argparse.SUPPRESS)
     p_init.add_argument("--clp-raw-weights", action="store_true", default=argparse.SUPPRESS)
     p_init.add_argument(
         "--canon", choices=CANON_MODES, dest="overlap_canon", default=argparse.SUPPRESS
@@ -202,23 +200,22 @@ def _check_paths(args, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> Non
         claimed[real] = flag
 
 
-# Aux vectors by kind (`initializers._SIMILARITY_METHODS` names each method's):
-# the flags locating them and a loader of (paths, target vocab). The lambdas
-# look the loader names up per call, so a wrapped module name applies.
-_AUX_INPUTS = {
-    AUX_MODEL: (("--aux-vocab", "--aux-emb"), lambda paths, vocab: load_aux_model(*paths, vocab)),
-    WORD_VECTORS: (("--word-vecs",), lambda paths, vocab: load_word_vectors(*paths, vocab)),
-}
-
-
 def _cmd_init(args) -> int:
+    from . import aux_vectors, initializers
+
+    # Aux vectors by kind (`initializers._SIMILARITY_METHODS` names each
+    # method's): the flags locating them and a loader of (paths..., target vocab).
+    aux_inputs = {
+        aux_vectors.AUX_MODEL: (("--aux-vocab", "--aux-emb"), aux_vectors.load_aux_model),
+        aux_vectors.WORD_VECTORS: (("--word-vecs",), aux_vectors.load_word_vectors),
+    }
     # Options first, then flag combinations, then paths; files load last.
     cfg = initializers.InitConfig(
         **{f.name: getattr(args, f.name) for f in fields(initializers.InitConfig)
            if hasattr(args, f.name)}
     )
     similarity = initializers._SIMILARITY_METHODS.get(cfg.method)
-    aux_flags, load_aux = _AUX_INPUTS[similarity[0]] if similarity else ((), None)
+    aux_flags, load_aux = aux_inputs[similarity[0]] if similarity else ((), None)
     for flag in aux_flags:
         if _flag_value(args, flag) is None:
             raise ValidationError(f"{flag} is required for --method {cfg.method}")
@@ -229,7 +226,7 @@ def _cmd_init(args) -> int:
     _check_paths(
         args,
         ("--source-vocab", "--source-emb", "--source-out-emb", "--target-vocab",
-         *(flag for flags, _ in _AUX_INPUTS.values() for flag in flags)),
+         *(flag for flags, _ in aux_inputs.values() for flag in flags)),
         ("--out-emb", "--out-out-emb", "--report"),
     )
 
@@ -244,7 +241,7 @@ def _cmd_init(args) -> int:
     target_vocab = _load_any_vocab(args.target_vocab)
     aux = None
     if load_aux is not None:
-        aux = load_aux([_flag_value(args, flag) for flag in aux_flags], target_vocab)
+        aux = load_aux(*(_flag_value(args, flag) for flag in aux_flags), target_vocab)
 
     bundle, report = initializers.init_target_bundle(source, target_vocab, cfg, aux=aux)
     outputs = [(args.out_emb, partial(save_matrix, bundle.input_emb))]

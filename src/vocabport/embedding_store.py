@@ -28,6 +28,10 @@ read a line at a time from 64 KiB blocks (_numbered_lines), never whole.
 
 Values are stored as 32-bit floats; arithmetic elsewhere in the package
 accumulates in 64-bit.
+
+Only the matrix code (EmbeddingMatrix, load_matrix, save_matrix and their
+helpers) imports numpy, inside its functions, so the vocabulary and line
+readers load without it.
 """
 
 from __future__ import annotations
@@ -37,10 +41,9 @@ import json
 import mmap
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import FormatError, ValidationError
 
@@ -50,8 +53,9 @@ VEMB_DTYPE_F32 = 0
 _VEMB_HEADER = struct.Struct("<4sIQQI")
 
 VOCAB_FORMATS = ("json-map", "line-per-token", "tsv-scored")
-# Largest dimension numpy can give a float32 array, even an empty one.
-_MAX_DIM = np.iinfo(np.intp).max // 4
+# Largest dimension numpy can give a float32 array, even an empty one
+# (numpy's intp is the platform's ssize_t).
+_MAX_DIM = sys.maxsize // 4
 # Rows per step of every pass over matrix rows (_row_blocks). Statistics and
 # combines sum block by block, so the size is part of their result.
 _BLOCK_ROWS = 1024
@@ -102,6 +106,8 @@ class EmbeddingMatrix:
     __slots__ = ("data",)
 
     def __init__(self, values):
+        import numpy as np
+
         arr = np.ascontiguousarray(values, dtype=np.float32)
         if arr.ndim != 2:
             raise ValidationError(f"embedding matrix must be 2-D, got ndim={arr.ndim}")
@@ -162,7 +168,7 @@ def _row_blocks(n: int) -> Iterator[slice]:
         yield slice(start, start + _BLOCK_ROWS)
 
 
-def _drop_pages(arr: np.ndarray) -> None:
+def _drop_pages(arr) -> None:
     """Release the pages this process has mapped of the file behind `arr`.
 
     Every pass over matrix rows calls this after each block, so a matrix
@@ -172,6 +178,8 @@ def _drop_pages(arr: np.ndarray) -> None:
     it is, since MADV_DONTNEED zeroes anonymous memory and drops the writes
     to a private mapping.
     """
+    import numpy as np
+
     base = arr  # followed through views and np.frombuffer's memoryview
     while isinstance(base, (np.ndarray, memoryview)):
         base = base.base if isinstance(base, np.ndarray) else base.obj
@@ -181,8 +189,11 @@ def _drop_pages(arr: np.ndarray) -> None:
                 base.madvise(mmap.MADV_DONTNEED)
 
 
-def _first_nonfinite(arr: np.ndarray) -> tuple[int, int] | None:
-    """(row, col) of the first NaN or infinity in row-major order, or None."""
+def _first_nonfinite(arr) -> tuple[int, int] | None:
+    """(row, col) of the first NaN or infinity of a 2-D array in row-major
+    order, or None."""
+    import numpy as np
+
     if arr.size == 0:  # a header may declare 2**40 rows of 0 columns
         return None
     for part in _row_blocks(arr.shape[0]):
@@ -387,6 +398,8 @@ def load_matrix(path: str) -> EmbeddingMatrix:
     file must not change while the matrix is in use: a read of a page that
     truncation removed raises SIGBUS, which ends the process.
     """
+    import numpy as np
+
     with open(path, "rb") as f:
         head = f.read(_VEMB_HEADER.size)
         if len(head) < _VEMB_HEADER.size:
@@ -424,6 +437,8 @@ def load_matrix(path: str) -> EmbeddingMatrix:
 
 def save_matrix(m: EmbeddingMatrix, path: str) -> None:
     """Write a VEMB file; load_matrix(save_matrix(m)) is bit-identical."""
+    import numpy as np
+
     header = _VEMB_HEADER.pack(VEMB_MAGIC, VEMB_VERSION, m.rows, m.cols, VEMB_DTYPE_F32)
     data = np.ascontiguousarray(m.data, dtype="<f4")
     with open(path, "wb") as f:

@@ -106,7 +106,8 @@ class InitConfig:
             raise ValidationError("min group size must be >= 1")
         if self.missing_aux_policy not in MISSING_AUX_POLICIES:
             raise ValidationError(
-                f"unknown missing-aux policy {self.missing_aux_policy!r}"
+                f"unknown missing-aux policy {self.missing_aux_policy!r}; "
+                f"expected one of {MISSING_AUX_POLICIES}"
             )
         if self.overlap_canon not in CANON_MODES:
             raise ValidationError(f"unknown canonicalization mode {self.overlap_canon!r}")

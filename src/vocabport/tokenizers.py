@@ -38,12 +38,12 @@ its pretokens, concatenated.
 from __future__ import annotations
 
 import heapq
+import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .embedding_store import (
     Vocabulary,
@@ -184,13 +184,15 @@ class UnigramSpec:
     token one character at a time instead of aborting. Every plain space
     in a pretoken is rewritten to "▁" before segmentation, always.
 
+    `log_probs` may be any flat sequence of real numbers, one per token (a
+    list, a 1-D numpy array); the spec keeps it as an `array('d')` copy.
     The encoder reads the log-probs once, at construction, into a list of
     Python floats, as BpeSpec.ranks reads its merges: changing
     `log_probs` afterwards does not change a segmentation.
     """
 
     vocab: Vocabulary
-    log_probs: np.ndarray
+    log_probs: array
     unk_token: str
     unk_penalty: float
     unk_id: int = field(init=False, repr=False)
@@ -198,20 +200,23 @@ class UnigramSpec:
     _longest: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.log_probs = np.asarray(self.log_probs, dtype=np.float64)
-        if self.log_probs.shape != (len(self.vocab),):
+        try:
+            self.log_probs = log_probs = array("d", self.log_probs)
+        except (TypeError, OverflowError) as e:  # a 2-D array's rows, a str, a huge int
             raise MalformedSpecError(
-                f"{self.log_probs.size} log-probs for {len(self.vocab)} tokens"
-            )
-        bad = np.flatnonzero(~np.isfinite(self.log_probs))
-        if bad.size:
-            raise MalformedSpecError("log-probs must be finite", int(bad[0]))
-        if not np.isfinite(self.unk_penalty):
+                f"log-probs must be a flat sequence of real numbers ({e})"
+            ) from None
+        if len(log_probs) != len(self.vocab):
+            raise MalformedSpecError(f"{len(log_probs)} log-probs for {len(self.vocab)} tokens")
+        if not all(map(math.isfinite, log_probs)):
+            bad = next(i for i, lp in enumerate(log_probs) if not math.isfinite(lp))
+            raise MalformedSpecError("log-probs must be finite", bad)
+        if not math.isfinite(self.unk_penalty):
             raise MalformedSpecError("unk penalty must be finite")
         if self.unk_token not in self.vocab:
             raise MalformedSpecError(f"unk token {self.unk_token!r} is not in the vocabulary")
         self.unk_id = self.vocab.index[self.unk_token]
-        self._log_probs = self.log_probs.tolist()
+        self._log_probs = log_probs.tolist()
         # First character -> length of the longest token starting with it.
         longest: dict[str, int] = {}
         for t in self.vocab.tokens:
@@ -423,7 +428,7 @@ def load_unigram_spec(path: str) -> UnigramSpec:
     try:
         return UnigramSpec(
             vocab=vocab,
-            log_probs=np.array(scores, dtype=np.float64),
+            log_probs=scores,
             unk_token="<unk>",
             unk_penalty=(min(scores) if scores else 0.0) - 10.0,
         )

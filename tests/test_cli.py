@@ -13,7 +13,7 @@ from vocabport import cli
 from vocabport.cli import emit_report, run
 from vocabport.efficiency import EfficiencyReport
 from vocabport.embedding_store import EmbeddingMatrix, load_matrix, save_matrix
-from vocabport.initializers import InitConfig, InitReport
+from vocabport.initializers import METHODS, MISSING_AUX_POLICIES, InitConfig, InitReport
 
 
 def _write_tiny_bpe(tmp_path):
@@ -160,8 +160,12 @@ class TestInitCommand:
         [(["--seed", "-1"], "seed must be an unsigned 64-bit integer"),
          (["--temperature", "0"], "sparsemax temperature must be > 0"),
          (["--temperature", "1e-300"], "sparsemax temperature must be >= 2**-53"),
-         (["--min-group-size", "0"], "min group size must be >= 1")],
-        ids=["seed", "temperature", "temperature-floor", "min-group-size"],
+         (["--min-group-size", "0"], "min group size must be >= 1"),
+         (["--method", "bogus"], f"unknown method 'bogus'; expected one of {METHODS}"),
+         (["--missing-aux-policy", "bogus"],
+          f"unknown missing-aux policy 'bogus'; expected one of {MISSING_AUX_POLICIES}")],
+        ids=["seed", "temperature", "temperature-floor", "min-group-size", "method",
+             "missing-aux-policy"],
     )
     def test_options_checked_before_inputs_load(self, tmp_path, capsys, option, message):
         inst = build_instance(tmp_path, n_source=10, n_target=8, n_overlap=4, dim=4, untied=False)
@@ -502,6 +506,60 @@ def test_init_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outputs["digest", "1"] == outputs["digest", "2"]
 
 
+# Runs each argv list of argv[2] (JSON) through cli.run, in order, stopping
+# at the first non-zero exit; with argv[1] == "blocked", importing numpy fails.
+_CLI_CHILD = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from vocabport.cli import run
+for argv in json.loads(sys.argv[2]):
+    code = run(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_commands_without_numpy_match_a_normal_run(tmp_path):
+    # analyze, tokenize, overlap and stats never touch a matrix, so they
+    # run where numpy cannot be imported, and print the same bytes.
+    vocab, merges = _write_tiny_bpe(tmp_path)
+    char_vocab, char_merges = _write_char_bpe(tmp_path)
+    tsv = tmp_path / "u.tsv"
+    tsv.write_text("a\t-1.0\nb\t-1.0\nab\t-1.5\n\u2581ab\t-2.0\n<unk>\t-9.0\n")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("abc ab\nabz\n")
+    words = tmp_path / "w.txt"
+    words.write_text("a\nab\nz\n")
+    x, y = tmp_path / "x.txt", tmp_path / "y.txt"
+    x.write_text("1\n2\n3\n4\n")
+    y.write_text("1\n3\n2\n5\n")
+    commands = [
+        ["analyze", "--source-vocab", char_vocab, "--source-merges", char_merges,
+         "--target-scores", str(tsv), "--corpus", str(corpus), "--per-sample"],
+        ["tokenize", "--spec-kind", "bpe", "--vocab", vocab, "--merges", merges,
+         "--text", "abc abc"],
+        ["tokenize", "--spec-kind", "unigram", "--vocab", str(tsv), "--text", "ab abz"],
+        ["overlap", "--source-vocab", str(tsv), "--target-vocab", str(words)],
+        ["stats", "kendall", "--x", str(x), "--y", str(y)],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = {}
+    for mode in ("normal", "blocked"):
+        done = subprocess.run(
+            [sys.executable, "-c", _CLI_CHILD, mode, json.dumps(commands)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b""), done.stderr.decode()
+        out[mode] = done.stdout
+    assert out["blocked"] == out["normal"]
+    # One JSON report each from analyze and overlap, among the other lines.
+    assert out["normal"].count(b'"corpus_id": "c.txt"') == 1
+    assert b'"overlap_count": 2' in out["normal"]
+
+
 class TestOverlapCommand:
     def test_report_fields(self, tmp_path, capsys):
         src = tmp_path / "s.txt"
@@ -749,6 +807,8 @@ class TestGlobalFlags:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "vocabport" in capsys.readouterr().out
+        assert run(["init", "--help"]) == 0
+        assert "--missing-aux-policy" in capsys.readouterr().out
 
     def test_unknown_command_is_exit_1(self, capsys):
         assert run(["frobnicate"]) == 1

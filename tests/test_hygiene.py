@@ -2,8 +2,9 @@
 or public names, method names, word-boundary markers and the row-block size
 spelled only where they are defined, the initializers' input ids read in
 one place, line files read through one reader, mapped pages released in
-one place, rows scaled and split for exact cosines in one place, and no
-defaulted parameter that only tests pass.
+one place, rows scaled and split for exact cosines in one place, numpy
+imported at module level only by the matrix modules, and no defaulted
+parameter that only tests pass.
 
 Deleting code tends to leave an import or a `_helper` behind, and a method
 name or a marker written out in another module is a second record of it;
@@ -81,6 +82,24 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                 if bound not in used:
                     unused.append(f"line {node.lineno}: {bound}")
     return unused
+
+
+def _import_time_imports(tree: ast.Module) -> set[str]:
+    """The top-level packages a module imports while it is itself imported:
+    every absolute import outside a function body."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.add(child.module.split(".")[0])
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child)
+
+    visit(tree)
+    return found
 
 
 def _method_literals(tree: ast.AST) -> list[str]:
@@ -302,6 +321,15 @@ def test_rows_scaled_in_one_place():
     assert holders("rint") == {"kernels._split"}
 
 
+def test_numpy_imported_only_by_matrix_modules():
+    # analyze, tokenize, overlap and stats start without numpy: every
+    # other module imports it inside
+    # the functions that touch a matrix, and the package and cli import the
+    # matrix modules only when a name of theirs is read, or init runs.
+    found = {path.stem for path in MODULES if "numpy" in _import_time_imports(_tree(path))}
+    assert found == {"aux_vectors", "initializers", "kernels", "script_groups"}
+
+
 def test_every_default_is_passed_somewhere():
     # A default that no call in the package overrides leaves its parameter
     # one value in use: an option only tests set, or a second record of
@@ -400,6 +428,11 @@ def test_checks_catch_leftovers():
     assert [_passes(call, "b", 1), _passes(call, "d", None), _passes(call, "a", 0)] == [
         False, True, False]
     assert _passes(ast.parse("f(a, b)").body[0].value, "b", 1)
+    tree = ast.parse(
+        "import a.b\nfrom c.d import e\nfrom . import f\nif x:\n    import g as h\n\n"
+        "class K:\n    import i\n\n    def m(self):\n        import j\n"
+    )
+    assert _import_time_imports(tree) == {"a", "c", "g", "i"}
     tree = ast.parse("def f(m):\n    return m.read(g(read))\n")
     assert [_calls(node, "read") for node in ast.walk(tree) if isinstance(node, ast.Call)] == [
         True, False]

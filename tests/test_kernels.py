@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +215,25 @@ def _extreme_rows(rng, rows, dim):
     return a
 
 
+# Digests of SupportCosines' cosines and its sparsemax weights and zero-row
+# flags over seeded float32 rows, then the count of nonzero weights.
+_KERNEL_DIGESTS = """
+import hashlib
+import numpy as np
+from vocabport.kernels import SupportCosines
+rng = np.random.default_rng(11)
+data = rng.normal(size=(2500, 64)).astype(np.float32)
+queries = rng.normal(size=(400, 64)).astype(np.float32)
+queries[::50] = 0.0
+kernel = SupportCosines(data, rng.permutation(2500)[:2000])
+cos, _ = kernel(queries)
+weights, zero = kernel.sparsemax(queries, 0.05)
+for a in (cos, weights, zero):
+    print(hashlib.sha256(a.tobytes()).hexdigest())
+print(np.count_nonzero(weights))
+"""
+
+
 class TestSupportCosines:
     def _reference(self, queries, support):
         q = np.asarray(queries, dtype=np.float64)
@@ -322,6 +345,23 @@ class TestSupportCosines:
                 one = cosines._product(query, cosines._support_blocks(ids), len(ids))
                 np.testing.assert_array_equal(one[0], whole[row, ids])
             np.testing.assert_array_equal(SupportCosines(data, ids)(queries)[0], whole[:, ids])
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # Each product runs in a child, as OpenBLAS reads its thread count
+        # once, at load. 400 queries x 2,000 support rows x 64 is enough for
+        # it to split the float32 screen and the slice products over two
+        # threads; the cosines and the sparsemax weights may not change.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            digests[threads] = subprocess.run(
+                [sys.executable, "-c", _KERNEL_DIGESTS], env=env, check=True,
+                capture_output=True, text=True, timeout=60,
+            ).stdout.split()
+        assert len(digests["1"]) == 4 and int(digests["1"][3]) > 400
+        assert digests["1"] == digests["2"]
 
     def test_extreme_magnitudes(self):
         big = np.finfo(np.float32).max

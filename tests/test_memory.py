@@ -314,7 +314,9 @@ def test_init_peak_close_to_inputs_plus_outputs(small_blocks, monkeypatch, tmp_p
 
 _HWM_CHILD = """
 import sys
-from vocabport import cli
+# init imports these (and numpy) on its first run; loaded here, they count
+# in the interpreter's own peak, not in the run's.
+from vocabport import aux_vectors, cli, initializers
 
 def hwm_kb():
     with open("/proc/self/status", encoding="ascii") as f:

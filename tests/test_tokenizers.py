@@ -1,5 +1,6 @@
 import json
 import math
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -25,6 +26,7 @@ from vocabport.tokenizers import (
     BYTE_ALPHABET,
     BYTE_TO_UNICODE,
     BpeSpec,
+    UnigramSpec,
     _merge_symbols,
     _viterbi,
     bpe_decode,
@@ -302,6 +304,38 @@ class TestUnigram:
         spec.log_probs[spec.vocab.index["ab"]] = -9.0
         assert spec._log_probs == [-1.0, -1.0, -1.5, -99.0]
         assert [spec.vocab.tokens[i] for i in unigram_encode(spec, "ab")] == ["ab"]
+
+    @pytest.mark.parametrize(
+        "log_probs,message",
+        [(np.full((3, 1), -1.0), "flat sequence of real numbers"),
+         (np.full((3, 2), -1.0), "flat sequence of real numbers"),
+         ([[-1.0], [-1.0], [-1.0]], "flat sequence of real numbers"),
+         ([[-1.0], -1.0, -1.0], "flat sequence of real numbers"),
+         ([-1.0, -2.0], "2 log-probs for 3 tokens"),
+         (np.zeros(4), "4 log-probs for 3 tokens"),
+         (["-1", "-1", "-1"], "flat sequence of real numbers"),
+         ([None, -1.0, -1.0], "flat sequence of real numbers"),
+         ([object(), -1.0, -1.0], "flat sequence of real numbers"),
+         ([1j, -1.0, -1.0], "flat sequence of real numbers"),
+         ([-1.0, 2**1100, -1.0], "flat sequence of real numbers"),
+         (-1.0, "flat sequence of real numbers"),
+         ([-1.0, -1.0, float("nan")], "log-probs must be finite")],
+        ids=["2d-column", "2d", "nested-list", "ragged", "short", "long", "str", "none",
+             "object", "complex", "huge-int", "scalar", "nan"],
+    )
+    def test_malformed_log_probs_rejected(self, log_probs, message):
+        with pytest.raises(MalformedSpecError, match=message):
+            UnigramSpec(vocab=Vocabulary(["a", "b", "<unk>"]), log_probs=log_probs,
+                        unk_token="<unk>", unk_penalty=-16.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_numpy_log_probs_read_as_floats(self, dtype):
+        given = np.array([-1.5, -2.0, -9.0]).astype(dtype)
+        spec = UnigramSpec(vocab=Vocabulary(["a", "b", "<unk>"]), log_probs=given,
+                           unk_token="<unk>", unk_penalty=-16.0)
+        assert spec._log_probs == given.astype(np.float64).tolist()
+        assert all(type(lp) is float for lp in spec._log_probs)
+        assert spec.log_probs == array("d", spec._log_probs)
 
     def test_determinism(self):
         spec = make_unigram_spec({"a": -1.0, "b": -1.5, "ab": -2.25})
