@@ -52,10 +52,18 @@ class AuxEmbeddings:
         """The aligned vector for a target id, or None for a missing one.
 
         Any other id raises IndexError: it is never taken for a missing one.
+        So does an id aligned with no row of `matrix`; a negative row would
+        otherwise count from the end, another token's vector.
         """
         target_id = operator.index(target_id)
         if target_id in self.vocab_alignment:
-            return self.matrix.data[operator.index(self.vocab_alignment[target_id])]
+            row = operator.index(self.vocab_alignment[target_id])
+            if not 0 <= row < self.matrix.rows:
+                raise IndexError(
+                    f"auxiliary vectors align target id {target_id} with row {row}, "
+                    f"outside the {self.matrix.rows} auxiliary rows"
+                )
+            return self.matrix.data[row]
         if target_id in self.missing:
             return None
         raise IndexError(f"target id {target_id} out of range")

@@ -219,14 +219,16 @@ def _cmd_init(args) -> int:
     for flag in aux_flags:
         if _flag_value(args, flag) is None:
             raise ValidationError(f"{flag} is required for --method {cfg.method}")
+    for flag in (f for flags, _ in aux_inputs.values() for f in flags if f not in aux_flags):
+        if _flag_value(args, flag) is not None:
+            raise ValidationError(f"{flag} is not read by --method {cfg.method}")
     if args.source_out_emb and not args.out_out_emb:
         raise ValidationError("--out-out-emb is required when --source-out-emb is given")
     if args.out_out_emb and not args.source_out_emb:
         raise ValidationError("--out-out-emb given but the source model is tied")
     _check_paths(
         args,
-        ("--source-vocab", "--source-emb", "--source-out-emb", "--target-vocab",
-         *(flag for flags, _ in aux_inputs.values() for flag in flags)),
+        ("--source-vocab", "--source-emb", "--source-out-emb", "--target-vocab", *aux_flags),
         ("--out-emb", "--out-out-emb", "--report"),
     )
 

@@ -11,8 +11,8 @@ little-endian binary format:
     data    rows*cols little-endian float32 values, row-major
 
 load_matrix maps the file read-only and gives the matrix a view of its
-payload; every pass over matrix rows releases the mapped pages after each
-row block (_drop_pages).
+payload; every read of matrix rows copies them through one gather, which
+releases the mapped pages after each row block (_gather, _drop_pages).
 
 Vocabularies come in three text formats:
 
@@ -171,7 +171,7 @@ def _row_blocks(n: int) -> Iterator[slice]:
 def _drop_pages(arr) -> None:
     """Release the pages this process has mapped of the file behind `arr`.
 
-    Every pass over matrix rows calls this after each block, so a matrix
+    _gather and _first_nonfinite call this after each block, so a matrix
     from load_matrix holds only the pages of the block in hand: the kernel
     unmaps them, they stay in the page cache and fault back in on the next
     read. Only a read-only mapping is released. Any other array is left as
@@ -187,6 +187,22 @@ def _drop_pages(arr) -> None:
         with memoryview(base) as view:
             if view.readonly:
                 base.madvise(mmap.MADV_DONTNEED)
+
+
+def _gather(data, rows, out=None):
+    """A copy of the rows `rows` of a 2-D array, with the pages of a mapped
+    `data` released once it is made: every read of matrix rows but
+    _first_nonfinite's scan goes through here.
+
+    `rows` is an id array, or a slice when the copy goes into `out`, cast
+    to its dtype; the copy is `out` when given.
+    """
+    if out is None:
+        out = data[rows]
+    else:
+        out[...] = data[rows]
+    _drop_pages(data)
+    return out
 
 
 def _first_nonfinite(arr) -> tuple[int, int] | None:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .aux_vectors import AUX_MODEL, WORD_VECTORS, AuxEmbeddings
 from .embedding_store import (
-    EmbeddingMatrix, ModelBundle, Vocabulary, _drop_pages, _row_blocks, validate_bundle,
+    EmbeddingMatrix, ModelBundle, Vocabulary, _gather, _row_blocks, validate_bundle,
 )
 from .errors import ValidationError, VocabportError
 from .kernels import SupportCosines, WeightVector, convex_combine, mean_std, weighted_sum
@@ -235,8 +235,9 @@ class _TargetRows:
     `paired_src`, the source row of each, and `free`, the other target ids
     in the map's order. `sources` holds the source input matrix and, for
     untied models, the output matrix; `outs` holds one target matrix for
-    each, and `stats` the element (mean, std) of each source matrix. Every
-    per-token decision is applied to all matrices alike.
+    each, written only by `put`, and `stats` the element (mean, std) of
+    each source matrix. Every per-token decision is applied to all matrices
+    alike.
     """
 
     def __init__(
@@ -282,7 +283,6 @@ class _TargetRows:
         )
         order = np.argsort(t_ids)
         self.paired, self.paired_src = t_ids[order], s_ids[order]
-        self.source = source
         self.target_vocab = target_vocab
         self.seed = cfg.seed
         self.sources = [m for m in (source.input_emb, source.output_emb) if m is not None]
@@ -298,10 +298,13 @@ class _TargetRows:
             lo, hi = np.searchsorted(s_by_src, (block.start, block.stop))
             for part in _row_blocks(hi - lo):
                 t, s = t_by_src[lo:hi][part], s_by_src[lo:hi][part]
-                for out, m in zip(self.outs, self.sources):
-                    out[t] = m.data[s]
-            for m in self.sources:
-                _drop_pages(m.data)
+                self.put(t, (_gather(m.data, s) for m in self.sources))
+
+    def put(self, ids, parts) -> None:
+        """Write rows `ids` of each target matrix from that matrix's part,
+        taken from `parts` in turn; the only writer of `outs`."""
+        for out, part in zip(self.outs, parts):
+            out[ids] = part
 
     def sample(self, ids: np.ndarray | list[int], params: list[tuple]) -> None:
         """Fill rows `ids` of each target matrix with float32(mean + std * z).
@@ -310,9 +313,9 @@ class _TargetRows:
         arrays. Each token's z comes from one standard_normal call on its
         own stream, drawn into a row of a reused block buffer as wide as all
         matrices together; the block is scaled and shifted in place, and
-        each matrix takes its columns.
+        split into each matrix's columns.
         """
-        widths = [out.shape[1] for out in self.outs]
+        widths = [m.cols for m in self.sources]
         mean = np.concatenate([np.broadcast_to(m, w) for (m, _), w in zip(params, widths)])
         std = np.concatenate([np.broadcast_to(s, w) for (_, s), w in zip(params, widths)])
         block_rows = max(1, _DRAW_BYTES // (8 * len(mean)))
@@ -324,10 +327,7 @@ class _TargetRows:
                 _token_rng(self.seed, t).standard_normal(out=row)
             draws *= std
             draws += mean
-            col = 0
-            for out, width in zip(self.outs, widths):
-                out[block] = draws[:, col : col + width]
-                col += width
+            self.put(block, np.split(draws, np.cumsum(widths[:-1]), axis=1))
 
     def sample_random(self, ids: np.ndarray | list[int]) -> None:
         """Fill rows `ids` from the whole-matrix element statistics."""
@@ -452,8 +452,7 @@ def _similarity_init(
     block_rows = max(1, _BLOCK_BYTES // (8 * max(n_supp, 1)))
     for start in range(0, len(query_t), block_rows):
         block = query_t[start : start + block_rows]
-        queries = aux.matrix.data[aux_of[block]]
-        _drop_pages(aux.matrix.data)
+        queries = _gather(aux.matrix.data, aux_of[block])
         weights, uniform, zero = weigh(support, queries, cfg)
         report.zero_norm_queries += int(np.count_nonzero(zero))
         report.uniform_fallbacks += int(np.count_nonzero(uniform & ~zero))
@@ -472,8 +471,7 @@ def _similarity_init(
                 sparse = WeightVector(supp_src[nz], w[nz])
                 combine = convex_combine if is_convex else weighted_sum
                 mixed = [combine(sparse, m) for m in rows.sources]
-            for out, row in zip(rows.outs, mixed):
-                out[t] = row
+            rows.put(t, mixed)
         report.similarity_initialized += len(block)
     if nonzero:
         report.nonzero_weights = _nearest_rank_quantiles(nonzero)

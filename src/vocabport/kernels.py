@@ -3,7 +3,8 @@
 All reductions run in float64 regardless of input dtype; the matrices on
 disk are float32 and summing ~1e5 terms at that precision loses digits.
 Every pass over matrix rows takes the row blocks of embedding_store's one
-policy; `_float64_blocks` upcasts them into one reused buffer per pass.
+policy and copies them through its one gather; `_float64_blocks` upcasts
+them into one reused buffer per pass.
 
 The similarity initializers work on blocks of query rows against one
 `SupportCosines` per run: calling it gives a block's cosines against the
@@ -78,7 +79,7 @@ from typing import Iterator
 import numpy as np
 
 from . import embedding_store
-from .embedding_store import EmbeddingMatrix, _drop_pages, _row_blocks
+from .embedding_store import EmbeddingMatrix, _gather, _row_blocks
 from .errors import ValidationError
 
 CONVEX_TOL = 1e-6
@@ -89,19 +90,16 @@ def _float64_blocks(
 ) -> Iterator[tuple]:
     """(part, block) for each row block of `data`, or of the rows `ids` in
     that order: `part` is the block's slice of those rows and `block` the
-    rows upcast to float64, a view of `buf` or else of a buffer the size of
-    the first block, so the next overwrites it and callers may write to it.
-    The pages of a mapped `data` are released once each block is copied.
+    rows upcast to float64 by _gather, a view of `buf` or else of a buffer
+    the size of the first block, so the next overwrites it and callers may
+    write to it.
     """
     n = data.shape[0] if ids is None else len(ids)
     for part in _row_blocks(n):
-        rows = data[part] if ids is None else data[ids[part]]
+        size = min(part.stop, n) - part.start
         if buf is None:  # the first block is the largest
-            buf = np.empty(rows.shape)
-        block = buf[: len(rows)]
-        np.copyto(block, rows)
-        _drop_pages(data)
-        yield part, block
+            buf = np.empty((size, data.shape[1]))
+        yield part, _gather(data, part if ids is None else ids[part], buf[:size])
 
 
 def cosine_similarity(a, b) -> float:
@@ -461,16 +459,15 @@ class WeightVector:
 def weighted_sum(w: WeightVector, rows: EmbeddingMatrix) -> np.ndarray:
     """sum_i w_i * rows[id_i] in float64, for any weights and in-range ids.
 
-    Rows are gathered and upcast one row block at a time, so a long weight
-    vector needs no float64 copy of all its rows. Each block is a fresh copy,
-    not _float64_blocks' reused buffer: called once per target row, that
-    buffer is allocated per call, and a 4,000-row combine took 12.4 ms, not 6.4.
-    The pages of a mapped matrix are released after each block.
+    Rows are gathered (_gather, which releases a mapped matrix's pages) and
+    upcast one row block at a time, so a long weight vector needs no float64
+    copy of all its rows. Each block is a fresh copy, not _float64_blocks'
+    reused buffer: called once per target row, that buffer is allocated per
+    call, and a 4,000-row combine took 12.4 ms, not 6.4.
     """
     total = None
     for part in _row_blocks(w.ids.size):
-        mixed = w.weights[part] @ rows.data[w.ids[part]].astype(np.float64)
-        _drop_pages(rows.data)
+        mixed = w.weights[part] @ _gather(rows.data, w.ids[part]).astype(np.float64)
         total = mixed if total is None else total + mixed
     return total
 

@@ -3,6 +3,7 @@ import re
 import threading
 import warnings
 from decimal import Decimal
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -426,6 +427,17 @@ class TestAuxRow:
         row = aux_row(aux, 0)
         assert row.shape == (2,)
         np.testing.assert_array_equal(row, [0, 1])
+
+    @pytest.mark.parametrize("row", [-1, -3, 3, 2**40])
+    def test_aligned_row_outside_the_matrix(self, row):
+        # A negative row would count from the end: {0: -1} read row 2.
+        matrix = EmbeddingMatrix(np.arange(6, dtype=np.float32).reshape(3, 2))
+        aux = AuxEmbeddings(AUX_MODEL, {0: row, 1: 2}, matrix, set())
+        want = f"target id 0 with row {row}, outside the 3 auxiliary rows"
+        for read in (aux.row, partial(aux_row, aux)):
+            with pytest.raises(IndexError, match=want):
+                read(0)
+        np.testing.assert_array_equal(aux_row(aux, True), [4, 5])
 
     def test_range_is_the_aligned_and_missing_ids(self):
         # An alignment key that is no target id does not shift the ids the

@@ -131,6 +131,34 @@ class TestInitCommand:
         err = capsys.readouterr().err
         assert err == f"vocabport: error: {missing} is required for --method {method}\n"
 
+    @pytest.mark.parametrize(
+        "method,unread",
+        [("clp-plus", "--word-vecs"), ("focus", "--aux-emb"), ("clp", "--word-vecs"),
+         ("random", "--aux-vocab"), ("heuristics", "--aux-emb"), ("heuristics", "--word-vecs")],
+    )
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_unread_aux_flag_is_exit_1(self, tmp_path, capsys, method, unread, exists):
+        # Only the method's own aux flags are path-checked; a flag it does not
+        # read is refused whether or not its file exists, never silently dropped.
+        inst = build_instance(tmp_path, n_source=30, n_target=20, n_overlap=10, dim=4)
+        paths = {"--aux-vocab": inst.aux_model_files[0], "--aux-emb": inst.aux_model_files[1],
+                 "--word-vecs": inst.word_vec_file}
+        own = {"clp": ["--aux-vocab", "--aux-emb"], "clp-plus": ["--aux-vocab", "--aux-emb"],
+               "focus": ["--word-vecs"]}.get(method, [])
+        out = tmp_path / "o.vemb"
+        argv = ["init", "--method", method,
+                "--source-vocab", inst.source_files["vocab"],
+                "--source-emb", inst.source_files["emb"],
+                "--target-vocab", inst.target_vocab_file,
+                "--seed", "1", "--out-emb", str(out),
+                unread, paths[unread] if exists else str(tmp_path / "nonexistent")]
+        for flag in own:
+            argv += [flag, paths[flag]]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"vocabport: error: {unread} is not read by --method {method}\n"
+        assert not out.exists()
+
     def test_non_finite_word_vector_is_exit_1(self, tmp_path, capsys):
         # The token on the bad line is not in the target vocabulary.
         inst = build_instance(tmp_path, n_source=30, n_target=20, n_overlap=10, dim=4)

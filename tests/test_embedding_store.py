@@ -558,6 +558,50 @@ class TestMappedPayload:
         # The pages fault back in from the file.
         assert m.data.tobytes() == data.tobytes()
 
+    def test_gather_by_ids_is_a_copy(self, tmp_path):
+        data = np.random.default_rng(11).normal(size=(50, 6)).astype(np.float32)
+        m = load_matrix(self._write(tmp_path / "m.vemb", 50, 6, data.tobytes()))
+        ids = np.array([7, 0, 49, 7])
+        got = embedding_store._gather(m.data, ids)
+        assert got.tobytes() == data[ids].tobytes() and got.dtype == np.float32
+        assert got.flags.writeable and not np.shares_memory(got, m.data)
+        got[:] = 0.0
+        assert m.data.tobytes() == data.tobytes()
+
+    def test_gather_casts_a_slice_into_out(self, tmp_path):
+        data = np.random.default_rng(12).normal(size=(50, 6)).astype(np.float32)
+        m = load_matrix(self._write(tmp_path / "m.vemb", 50, 6, data.tobytes()))
+        out = np.full((8, 6), np.nan)
+        assert embedding_store._gather(m.data, slice(40, 48), out) is out
+        assert out.dtype == np.float64 and out.tobytes() == data[40:48].astype(np.float64).tobytes()
+        ids = np.array([3, 1, 4, 1, 5, 9, 2, 6])
+        embedding_store._gather(m.data, ids, out)
+        np.testing.assert_array_equal(out, data[ids])
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads RssFile")
+    def test_gather_releases_a_loaded_matrix(self, tmp_path):
+        data = np.random.default_rng(13).normal(size=(4096, 512)).astype(np.float32)  # 8 MB
+        m = load_matrix(self._write(tmp_path / "m.vemb", 4096, 512, data.tobytes()))
+        assert m.data.tobytes() == data.tobytes()  # maps every page
+        mapped = _rss_file_kb()
+        got = embedding_store._gather(m.data, np.arange(100, 200))
+        assert _rss_file_kb() < mapped - 7 * 1024
+        assert got.tobytes() == data[100:200].tobytes()
+
+    def test_gather_leaves_other_arrays_alone(self, tmp_path):
+        data = np.random.default_rng(14).normal(size=(2048, 64)).astype(np.float32)
+        m = EmbeddingMatrix(data.copy())
+        ids = np.arange(0, 2048, 3)
+        assert embedding_store._gather(m.data, ids).tobytes() == data[ids].tobytes()
+        assert m.data.tobytes() == data.tobytes()
+        path = self._write(tmp_path / "m.vemb", 2048, 64, data.tobytes())
+        private = np.memmap(path, dtype="<f4", mode="c", offset=28, shape=(2048, 64))
+        private[:] += 1.0
+        out = np.empty((1024, 64))
+        embedding_store._gather(private, slice(0, 1024), out)
+        np.testing.assert_array_equal(out, data[:1024] + 1.0)
+        assert private.tobytes() == (data + 1.0).tobytes()
+
 
 class TestTypesAndBundle:
     def test_vocabulary_rejects_duplicates(self):

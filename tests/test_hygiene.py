@@ -1,7 +1,8 @@
 """Static checks on the package source: no unused imports, no dead private
 or public names, method names, word-boundary markers and the row-block size
 spelled only where they are defined, the initializers' input ids read in
-one place, line files read through one reader, mapped pages released in
+one place, line files read through one reader, matrix rows read through
+one gather and mapped pages released in one place, target rows written in
 one place, rows scaled and split for exact cosines in one place, numpy
 imported at module level only by the matrix modules, and no defaulted
 parameter that only tests pass.
@@ -300,6 +301,36 @@ def test_pages_released_in_one_place():
         )
     }
     assert holders == {"embedding_store._drop_pages"}
+    # Every read of matrix rows copies them through _gather, which releases
+    # the pages; only the finiteness scan, which copies nothing, releases
+    # them itself. A second caller would be a second release policy.
+    callers = {
+        f"{path.stem}.{holder}"
+        for path in MODULES
+        for holder in _holders(_tree(path), lambda node: _calls(node, "_drop_pages"))
+    }
+    assert callers == {"embedding_store._gather", "embedding_store._first_nonfinite"}
+    assert [p.stem for p in MODULES if "_drop_pages" in _loaded_names(_tree(p))] == [
+        "embedding_store"]
+
+
+def test_target_rows_written_in_one_place():
+    # _TargetRows.put is the only writer of an init's target matrices, so a
+    # policy for written rows, such as writing them through mapped output
+    # files, lives in one place: `outs` is bound in __init__ and read only by
+    # put and by result, which wraps the matrices and writes nothing.
+    tree = _tree(PACKAGE / "initializers.py")
+
+    def outs(ctx):
+        return lambda node: _reads_attr(node, "outs") and isinstance(node.ctx, ctx)
+
+    def writes(node):
+        return isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, ast.Store)
+
+    assert _holders(tree, outs(ast.Store)) == {"_TargetRows.__init__"}
+    assert _holders(tree, outs(ast.Load)) == {"_TargetRows.put", "_TargetRows.result"}
+    assert "_TargetRows.put" in _holders(tree, writes)
+    assert "_TargetRows.result" not in _holders(tree, writes)
 
 
 def test_rows_scaled_in_one_place():

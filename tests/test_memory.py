@@ -328,31 +328,16 @@ print(code, before, hwm_kb())
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_mapped_sources_stay_out_of_peak_rss(tmp_path):
-    # tracemalloc cannot see mapped pages, and a child's ru_maxrss carries
-    # the RSS its parent had at fork, so the child reads its own VmHWM. The
-    # untied source is 2 x 64 MB; every pass releases its pages after each
-    # block, so the peak above the interpreter's is the two 8 MB outputs,
-    # the token strings and a few blocks, far below inputs plus outputs.
-    n_source, n_target, dim = 16384, 2048, 1024
-    source = [f"\u2581w{i:05d}" for i in range(n_source)]
-    target = source[::16] + [f"\u2581n{i:05d}" for i in range(n_target - n_source // 16)]
-    for name, tokens in (("src.json", source), ("tgt.json", target)):
-        (tmp_path / name).write_text(json.dumps({t: i for i, t in enumerate(tokens)}))
-    rng = np.random.default_rng(12)
-    ins = [tmp_path / "src_in.vemb", tmp_path / "src_out.vemb"]
-    for path in ins:
-        with open(path, "wb") as f:
-            f.write(embedding_store._VEMB_HEADER.pack(b"VEMB", 1, n_source, dim, 0))
-            for part in embedding_store._row_blocks(n_source):
-                rows = len(range(n_source)[part])
-                f.write(rng.standard_normal((rows, dim), dtype=np.float32).tobytes())
-    outs = [tmp_path / "out_in.vemb", tmp_path / "out_out.vemb"]
-    argv = ["init", "--method", "heuristics", "--source-vocab", str(tmp_path / "src.json"),
-            "--source-emb", str(ins[0]), "--source-out-emb", str(ins[1]),
-            "--target-vocab", str(tmp_path / "tgt.json"), "--seed", "3",
-            "--out-emb", str(outs[0]), "--out-out-emb", str(outs[1])]
+def _write_random_vemb(path, rows, dim, rng):
+    """A VEMB of standard normal rows, written one row block at a time."""
+    with open(path, "wb") as f:
+        f.write(embedding_store._VEMB_HEADER.pack(b"VEMB", 1, rows, dim, 0))
+        for part in embedding_store._row_blocks(rows):
+            f.write(rng.standard_normal((len(range(rows)[part]), dim), dtype=np.float32).tobytes())
+
+
+def _hwm_growth(argv):
+    """The bytes by which `cli.run(argv)` raises a fresh child's VmHWM."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -360,11 +345,81 @@ def test_mapped_sources_stay_out_of_peak_rss(tmp_path):
                           capture_output=True, text=True, timeout=120)
     code, before, after = map(int, done.stdout.split())
     assert code == 0
+    return (after - before) * 1024
+
+
+# 16,384 source tokens, every 16th of them a target token; the sizes of the
+# mapped-source runs below.
+_MAPPED_SOURCE, _MAPPED_DIM = 16384, 1024
+
+
+def _mapped_source(tmp_path, n_target):
+    """Untied source files of _MAPPED_SOURCE x _MAPPED_DIM, 64 MB each, and
+    a target vocabulary of every 16th source token plus new ones; returns
+    the source matrix paths, the target tokens and the init argv so far."""
+    source = [f"\u2581w{i:05d}" for i in range(_MAPPED_SOURCE)]
+    target = source[::16] + [f"\u2581n{i:05d}" for i in range(n_target - _MAPPED_SOURCE // 16)]
+    for name, tokens in (("src.json", source), ("tgt.json", target)):
+        (tmp_path / name).write_text(json.dumps({t: i for i, t in enumerate(tokens)}))
+    rng = np.random.default_rng(12)
+    ins = [tmp_path / "src_in.vemb", tmp_path / "src_out.vemb"]
+    for path in ins:
+        _write_random_vemb(path, _MAPPED_SOURCE, _MAPPED_DIM, rng)
+    argv = ["--source-vocab", str(tmp_path / "src.json"),
+            "--source-emb", str(ins[0]), "--source-out-emb", str(ins[1]),
+            "--target-vocab", str(tmp_path / "tgt.json"), "--seed", "3"]
+    return ins, target, argv
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_mapped_sources_stay_out_of_peak_rss(tmp_path):
+    # tracemalloc cannot see mapped pages, and a child's ru_maxrss carries
+    # the RSS its parent had at fork, so the child reads its own VmHWM. The
+    # untied source is 2 x 64 MB; every pass releases its pages after each
+    # block, so the peak above the interpreter's is the two 8 MB outputs,
+    # the token strings and a few blocks, far below inputs plus outputs.
+    ins, _, argv = _mapped_source(tmp_path, 2048)
+    outs = [tmp_path / "out_in.vemb", tmp_path / "out_out.vemb"]
+    grown = _hwm_growth(["init", "--method", "heuristics", *argv,
+                         "--out-emb", str(outs[0]), "--out-out-emb", str(outs[1])])
     outputs = sum(os.path.getsize(p) for p in outs)
     inputs = sum(os.path.getsize(p) for p in ins)
-    block = embedding_store._BLOCK_ROWS * dim * 8  # one float64 block, 8 MB
-    grown = (after - before) * 1024
+    block = embedding_store._BLOCK_ROWS * _MAPPED_DIM * 8  # one float64 block, 8 MB
     assert grown < outputs + 4 * block
+    assert grown < (inputs + outputs) / 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_mapped_clp_plus_inputs_stay_out_of_peak_rss(tmp_path):
+    # clp-plus reads mapped rows in every pass: the support's norms and
+    # screen, each query's candidates, the query gather and the row combine
+    # over the source. The aux model's 16,384 x 1,024 VEMB (64 MB) spreads
+    # the target tokens over its whole span, every 12th row. The peak above
+    # the interpreter's is the outputs, a few row blocks, the engine's
+    # cosine and weight blocks of at most _BLOCK_BYTES each and, until
+    # scattered gathers stop mapping the span between their rows (the kernel
+    # maps up to 16 cached pages around each fault), the span one gather of
+    # a block of rows 16 apart covers: the 1,024-row support norm pass alone
+    # raised the peak by 56 MB. Inputs are never held whole.
+    ins, target, argv = _mapped_source(tmp_path, 1280)
+    aux = [f"\u2581x{i:05d}" for i in range(_MAPPED_SOURCE)]
+    aux[::12] = target + aux[12 * len(target) :: 12]
+    (tmp_path / "aux.json").write_text(json.dumps({t: i for i, t in enumerate(aux)}))
+    ins.append(tmp_path / "aux.vemb")
+    _write_random_vemb(ins[-1], _MAPPED_SOURCE, _MAPPED_DIM, np.random.default_rng(13))
+    outs = [tmp_path / "out_in.vemb", tmp_path / "out_out.vemb"]
+    report = tmp_path / "report.json"
+    grown = _hwm_growth(["init", "--method", "clp-plus", *argv,
+                         "--aux-vocab", str(tmp_path / "aux.json"), "--aux-emb", str(ins[-1]),
+                         "--out-emb", str(outs[0]), "--out-out-emb", str(outs[1]),
+                         "--report", str(report)])
+    counts = json.loads(report.read_text())
+    assert counts["support_size"] == 1024 and counts["similarity_initialized"] == 256
+    outputs = sum(os.path.getsize(p) for p in outs)
+    inputs = sum(os.path.getsize(p) for p in ins)
+    block = embedding_store._BLOCK_ROWS * _MAPPED_DIM * 8
+    span = embedding_store._BLOCK_ROWS * 16 * _MAPPED_DIM * 4
+    assert grown < outputs + 4 * block + 2 * initializers._BLOCK_BYTES + span
     assert grown < (inputs + outputs) / 2
 
 
