@@ -43,6 +43,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# init's InitConfig options by field name: the flag and its argparse
+# keywords. InitConfig holds their defaults, so an option not given is
+# absent from the namespace; one given that the method does not read is an
+# error.
+_CONFIG_OPTIONS = {
+    "sparsemax_temperature": ("--temperature", {"type": float, "metavar": "TEMPERATURE"}),
+    "min_group_size": ("--min-group-size", {"type": int}),
+    "missing_aux_policy": ("--missing-aux-policy", {}),
+    "clp_raw_weights": ("--clp-raw-weights", {"action": "store_true"}),
+    "overlap_canon": ("--canon", {"choices": CANON_MODES}),
+}
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -66,18 +79,8 @@ def _build_parser() -> _Parser:
     p_init.add_argument("--aux-emb", help="auxiliary model VEMB matrix (clp, clp-plus)")
     p_init.add_argument("--word-vecs", help="static word-vector text file (focus)")
     p_init.add_argument("--seed", type=int, required=True)
-    # InitConfig holds the defaults of these options; an option not given
-    # is absent from the namespace.
-    p_init.add_argument(
-        "--temperature", type=float, dest="sparsemax_temperature", metavar="TEMPERATURE",
-        default=argparse.SUPPRESS,
-    )
-    p_init.add_argument("--min-group-size", type=int, default=argparse.SUPPRESS)
-    p_init.add_argument("--missing-aux-policy", default=argparse.SUPPRESS)
-    p_init.add_argument("--clp-raw-weights", action="store_true", default=argparse.SUPPRESS)
-    p_init.add_argument(
-        "--canon", choices=CANON_MODES, dest="overlap_canon", default=argparse.SUPPRESS
-    )
+    for dest, (flag, kwargs) in _CONFIG_OPTIONS.items():
+        p_init.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **kwargs)
     p_init.add_argument("--out-emb", required=True)
     p_init.add_argument("--out-out-emb", help="target output matrix path (untied models)")
     p_init.add_argument("--report", help="write the init report JSON here")
@@ -203,19 +206,23 @@ def _check_paths(args, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> Non
 def _cmd_init(args) -> int:
     from . import aux_vectors, initializers
 
-    # Aux vectors by kind (`initializers._SIMILARITY_METHODS` names each
-    # method's): the flags locating them and a loader of (paths..., target vocab).
+    # Aux vectors by kind (`initializers.METHOD_SPECS` names each method's):
+    # the flags locating them and a loader of (paths..., target vocab).
     aux_inputs = {
         aux_vectors.AUX_MODEL: (("--aux-vocab", "--aux-emb"), aux_vectors.load_aux_model),
         aux_vectors.WORD_VECTORS: (("--word-vecs",), aux_vectors.load_word_vectors),
     }
-    # Options first, then flag combinations, then paths; files load last.
+    # Option values first, then which options and flags the method reads,
+    # then paths; files load last.
     cfg = initializers.InitConfig(
         **{f.name: getattr(args, f.name) for f in fields(initializers.InitConfig)
            if hasattr(args, f.name)}
     )
-    similarity = initializers._SIMILARITY_METHODS.get(cfg.method)
-    aux_flags, load_aux = aux_inputs[similarity[0]] if similarity else ((), None)
+    spec = initializers.METHOD_SPECS[cfg.method]
+    for name, (flag, _) in _CONFIG_OPTIONS.items():
+        if hasattr(args, name) and name not in spec.reads:
+            raise ValidationError(f"{flag} is not read by --method {cfg.method}")
+    aux_flags, load_aux = aux_inputs.get(spec.aux, ((), None))
     for flag in aux_flags:
         if _flag_value(args, flag) is None:
             raise ValidationError(f"{flag} is required for --method {cfg.method}")

@@ -42,6 +42,7 @@ the screen's candidates may.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -55,7 +56,6 @@ from .kernels import SupportCosines, WeightVector, convex_combine, mean_std, wei
 from .overlap import CANON_MODES, OverlapMap, compute_overlap
 from .script_groups import ScriptGroup, classify_token, group_members
 
-METHODS = ("random", "clp", "heuristics", "focus", "clp-plus")
 MISSING_AUX_POLICIES = ("random-fallback", "error")
 
 # Byte budget of one (query rows x support) float64 block of cosines or
@@ -75,7 +75,8 @@ _ZERO_NORM_SAMPLE = 5
 
 @dataclass(frozen=True)
 class InitConfig:
-    """Knobs shared by all initialization methods.
+    """Knobs of the initialization methods; METHOD_SPECS names the fields
+    each method reads besides method and seed.
 
     The seed is mandatory and must be fixed before any sampling; there is
     no wall-clock default anywhere in the package.
@@ -374,20 +375,6 @@ def _sparsemax_weights(
     return weights, np.zeros(len(weights), dtype=bool), zero
 
 
-# Similarity methods: the auxiliary-vector kind each needs (the only record
-# of it; the CLI picks aux flags by it), and its rule turning the support's
-# SupportCosines and a (rows, dim) block of query vectors into (weights,
-# uniform, zero): a (rows, support) block of weights, and per row whether
-# they fell back to uniform and whether the query is all zero. Every rule
-# gives a zero-norm query 1/n weights. clp needs every cosine; the
-# sparsemax methods need exact cosines only where a weight can be nonzero.
-_SIMILARITY_METHODS = {
-    "clp": (AUX_MODEL, _clp_weights),
-    "focus": (WORD_VECTORS, _sparsemax_weights),
-    "clp-plus": (AUX_MODEL, _sparsemax_weights),
-}
-
-
 def _similarity_init(
     method: str,
     source: ModelBundle,
@@ -396,8 +383,8 @@ def _similarity_init(
     aux: AuxEmbeddings,
     cfg: InitConfig,
 ) -> tuple[ModelBundle, InitReport]:
-    kind, weigh = _SIMILARITY_METHODS[method]
-    _require_kind(aux, kind, method)
+    spec = METHOD_SPECS[method]
+    _require_kind(aux, spec.aux, method)
     align = aux.vocab_alignment
     aux_rows = _id_array(
         align.values(),
@@ -453,7 +440,7 @@ def _similarity_init(
     for start in range(0, len(query_t), block_rows):
         block = query_t[start : start + block_rows]
         queries = _gather(aux.matrix.data, aux_of[block])
-        weights, uniform, zero = weigh(support, queries, cfg)
+        weights, uniform, zero = spec.weigh(support, queries, cfg)
         report.zero_norm_queries += int(np.count_nonzero(zero))
         report.uniform_fallbacks += int(np.count_nonzero(uniform & ~zero))
         zero_ids += block[np.flatnonzero(zero)[: _ZERO_NORM_SAMPLE - len(zero_ids)]].tolist()
@@ -562,26 +549,68 @@ def init_heuristics(
     return rows.result()
 
 
+@dataclass(frozen=True)
+class MethodSpec:
+    """What one initialization method reads, and how it runs.
+
+    `aux` is the kind of auxiliary vectors it needs (AUX_MODEL or
+    WORD_VECTORS), None if it needs none. `reads` holds the InitConfig
+    fields it reads besides method and seed. `init` is its public function,
+    which takes (source, target_vocab, overlap, aux, cfg) less the overlap
+    map if the method does not read overlap_canon and less aux if it needs
+    none. `weigh`, for a similarity method, turns the support's
+    SupportCosines, a (rows, dim) block of query vectors and the config
+    into (weights, uniform, zero): a (rows, support) block of weights, and
+    per row whether they fell back to uniform and whether the query is all
+    zero. Every rule gives a zero-norm query 1/n weights. clp needs every
+    cosine; the sparsemax methods need exact cosines only where a weight
+    can be nonzero.
+    """
+
+    aux: str | None
+    reads: frozenset[str]
+    init: Callable
+    weigh: Callable | None = None
+
+
+_SIMILARITY_READS = frozenset({"overlap_canon", "missing_aux_policy"})
+# The one record of each method: the CLI takes its aux flags and the
+# options it accepts from here, and init_target_bundle dispatches by it.
+METHOD_SPECS = {
+    "random": MethodSpec(None, frozenset(), init_random),
+    "clp": MethodSpec(AUX_MODEL, _SIMILARITY_READS | {"clp_raw_weights"}, init_clp, _clp_weights),
+    "heuristics": MethodSpec(None, frozenset({"overlap_canon", "min_group_size"}), init_heuristics),
+    "focus": MethodSpec(
+        WORD_VECTORS, _SIMILARITY_READS | {"sparsemax_temperature"}, init_focus, _sparsemax_weights
+    ),
+    "clp-plus": MethodSpec(
+        AUX_MODEL, _SIMILARITY_READS | {"sparsemax_temperature"}, init_clp_plus, _sparsemax_weights
+    ),
+}
+METHODS = tuple(METHOD_SPECS)
+
+
 def init_target_bundle(
     source: ModelBundle,
     target_vocab: Vocabulary,
     cfg: InitConfig,
     aux: AuxEmbeddings | None = None,
 ) -> tuple[ModelBundle, InitReport]:
-    """Dispatch to the configured method and build the full target bundle.
+    """Run the configured method's `init` from METHOD_SPECS, passing the
+    overlap map and the aux vectors if the method reads them, and check
+    the report's counters.
 
     Tied sources produce tied targets (no output matrix); untied sources
     get an output matrix built with the same per-token decisions. The
     method functions validate the source bundle and the auxiliary vectors.
     """
-    if cfg.method == "random":
-        bundle, report = init_random(source, target_vocab, cfg)
-    else:
-        overlap = compute_overlap(source.vocab, target_vocab, cfg.overlap_canon)
-        if cfg.method == "heuristics":
-            bundle, report = init_heuristics(source, target_vocab, overlap, cfg)
-        else:
-            bundle, report = _similarity_init(cfg.method, source, target_vocab, overlap, aux, cfg)
+    spec = METHOD_SPECS[cfg.method]
+    inputs = []
+    if "overlap_canon" in spec.reads:
+        inputs.append(compute_overlap(source.vocab, target_vocab, cfg.overlap_canon))
+    if spec.aux is not None:
+        inputs.append(aux)
+    bundle, report = spec.init(source, target_vocab, *inputs, cfg)
     if report.counter_total() != len(target_vocab):
         raise VocabportError(
             f"internal error: report counters cover {report.counter_total()} of "

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +10,15 @@ import pytest
 from conftest import G, build_instance
 
 from vocabport import cli
+from vocabport.aux_vectors import AUX_MODEL, WORD_VECTORS, load_aux_model, load_word_vectors
 from vocabport.cli import emit_report, run
 from vocabport.efficiency import EfficiencyReport
-from vocabport.embedding_store import EmbeddingMatrix, load_matrix, save_matrix
-from vocabport.initializers import METHODS, MISSING_AUX_POLICIES, InitConfig, InitReport
+from vocabport.embedding_store import (
+    EmbeddingMatrix, ModelBundle, Vocabulary, load_matrix, save_matrix,
+)
+from vocabport.initializers import (
+    METHOD_SPECS, METHODS, MISSING_AUX_POLICIES, InitConfig, InitReport, init_target_bundle,
+)
 
 
 def _write_tiny_bpe(tmp_path):
@@ -490,6 +495,117 @@ rows = load_matrix(sys.argv[1]).data
 cos, _ = SupportCosines(rows[:300])(rows[300:])
 print(hashlib.sha256(cos.tobytes()).hexdigest())
 """
+
+
+# init's InitConfig options: the arguments of a value other than the
+# default, that value as an InitConfig field, and for an option that takes
+# a value, the default spelled out.
+_OPTION_VALUES = {
+    "--temperature": (["2"], 2.0, ["1.0"]),
+    "--min-group-size": (["1000"], 1000, ["10"]),
+    "--missing-aux-policy": (["error"], "error", ["random-fallback"]),
+    "--clp-raw-weights": ([], True, None),
+    "--canon": (["marker-normalized"], "marker-normalized", ["exact"]),
+}
+_FIELD_OF = {flag: name for name, (flag, _) in cli._CONFIG_OPTIONS.items()}
+
+
+def _write_option_instance(tmp_path):
+    """A tied source of 30 Latin word-initial tokens and a target vocabulary
+    on which every option a method reads can change the outcome: 10 exact
+    matches; "▁w10", which matches the source's "Ġw10" only
+    under marker normalization; 8 target-only tokens, which group-sample
+    for heuristics unless the group minimum exceeds 30; and "Ġnovec",
+    the one target token with no aux vector. Aux vectors are random, so
+    queries have negative cosines. Returns the init argv without --method,
+    the aux flags by kind, and the inputs as library objects."""
+    rng = np.random.default_rng(26)
+    words = [f"w{i:02d}" for i in range(30)]
+    source = Vocabulary([G + w for w in words])
+    target = Vocabulary([G + w for w in words[:10]] + ["▁" + words[10]]
+                        + [f"{G}new{i}" for i in range(8)] + [G + "novec"])
+    with_vecs = target.tokens[:-1]
+    vecs = rng.normal(size=(len(with_vecs), 4)).astype(np.float32)
+    paths = {name: str(tmp_path / name) for name in
+             ("src.json", "src.vemb", "tgt.json", "aux.json", "aux.vemb", "w.vec")}
+    for name, vocab in (("src.json", source), ("tgt.json", target)):
+        Path(paths[name]).write_text(json.dumps({t: i for i, t in enumerate(vocab.tokens)}))
+    Path(paths["aux.json"]).write_text(json.dumps({t: i for i, t in enumerate(with_vecs)}))
+    src_emb = EmbeddingMatrix(rng.normal(size=(30, 6)).astype(np.float32))
+    save_matrix(src_emb, paths["src.vemb"])
+    save_matrix(EmbeddingMatrix(vecs), paths["aux.vemb"])
+    Path(paths["w.vec"]).write_text(f"{len(with_vecs)} 4\n" + "".join(
+        t + " " + " ".join(repr(float(v)) for v in row) + "\n" for t, row in zip(with_vecs, vecs)))
+    argv = ["--source-vocab", paths["src.json"], "--source-emb", paths["src.vemb"],
+            "--target-vocab", paths["tgt.json"], "--seed", "5"]
+    aux_flags = {
+        AUX_MODEL: ["--aux-vocab", paths["aux.json"], "--aux-emb", paths["aux.vemb"]],
+        WORD_VECTORS: ["--word-vecs", paths["w.vec"]],
+        None: [],
+    }
+    aux = {
+        AUX_MODEL: load_aux_model(paths["aux.json"], paths["aux.vemb"], target),
+        WORD_VECTORS: load_word_vectors(paths["w.vec"], target),
+        None: None,
+    }
+    return argv, aux_flags, ModelBundle(vocab=source, input_emb=src_emb), target, aux
+
+
+class TestMethodOptions:
+    """Each method accepts exactly the InitConfig options it reads:
+    METHOD_SPECS' `reads`, the table the CLI checks options against."""
+
+    def _init(self, tmp_path, capsys, argv, name):
+        out, report = tmp_path / f"{name}.vemb", tmp_path / f"{name}.json"
+        code = run(["init", *argv, "--out-emb", str(out), "--report", str(report)])
+        err = capsys.readouterr().err
+        if code:
+            assert not out.exists() and not report.exists()
+            return code, err
+        return code, out.read_bytes(), report.read_bytes()
+
+    @pytest.mark.parametrize("option", list(_OPTION_VALUES))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_an_option_changes_the_outcome_or_is_exit_1(self, tmp_path, capsys, method, option):
+        argv, aux_flags, source, target, aux = _write_option_instance(tmp_path)
+        spec = METHOD_SPECS[method]
+        argv += ["--method", method, *aux_flags[spec.aux]]
+        name = _FIELD_OF[option]
+        given = self._init(tmp_path, capsys, argv + [option, *_OPTION_VALUES[option][0]], "given")
+        default = self._init(tmp_path, capsys, argv, "default")
+        assert default[0] == 0
+        if name in spec.reads:
+            if option == "--missing-aux-policy":
+                assert given == (1, "vocabport: error: token 'Ġnovec' (id 19) has no "
+                                    "auxiliary vector\n")
+            else:
+                assert given[0] == 0 and given[1:] != default[1:]
+        else:
+            assert given == (1, f"vocabport: error: {option} is not read by --method {method}\n")
+            # The method really does not read it: the library, which does
+            # not check, gives the same bytes with the option set.
+            cfg = InitConfig(method, 5)
+            changed = replace(cfg, **{name: _OPTION_VALUES[option][1]})
+            (a, a_report), (b, b_report) = (
+                init_target_bundle(source, target, c, aux=aux[spec.aux]) for c in (cfg, changed))
+            assert a.input_emb.data.tobytes() == b.input_emb.data.tobytes()
+            assert a_report.to_dict() == b_report.to_dict()
+
+    @pytest.mark.parametrize("method,option", [
+        (method, option) for method in METHODS for option, (*_, default) in _OPTION_VALUES.items()
+        if default is not None and _FIELD_OF[option] not in METHOD_SPECS[method].reads
+    ])
+    def test_an_unread_option_at_its_default_is_exit_1(self, tmp_path, capsys, method, option):
+        argv, aux_flags, *_ = _write_option_instance(tmp_path)
+        argv += ["--method", method, *aux_flags[METHOD_SPECS[method].aux],
+                 option, *_OPTION_VALUES[option][2]]
+        assert self._init(tmp_path, capsys, argv, "o") == (
+            1, f"vocabport: error: {option} is not read by --method {method}\n")
+
+    def test_every_option_is_covered(self):
+        assert set(_OPTION_VALUES) == set(_FIELD_OF)
+        pairs = sum(len(spec.reads) for spec in METHOD_SPECS.values())
+        assert pairs == 11
 
 
 def test_init_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused imports, no dead private
 or public names, method names, word-boundary markers and the row-block size
-spelled only where they are defined, the initializers' input ids read in
+spelled only where they are defined, one method table in step with
+InitConfig and init's options, the initializers' input ids read in
 one place, line files read through one reader, matrix rows read through
 one gather and mapped pages released in one place, target rows written in
 one place, rows scaled and split for exact cosines in one place, numpy
@@ -12,15 +13,18 @@ name or a marker written out in another module is a second record of it;
 these checks read the modules with `ast` and fail on such leftovers.
 """
 
+import argparse
 import ast
 import importlib
 import itertools
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import vocabport
-from vocabport.initializers import METHODS
+from vocabport import cli
+from vocabport.initializers import METHOD_SPECS, METHODS, InitConfig
 from vocabport.tokenizers import WORD_MARKERS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vocabport"
@@ -245,6 +249,23 @@ def test_method_names_only_in_initializers():
     }
     found = {name: lines for name, lines in found.items() if lines}
     assert not found, f"method names written outside initializers.py: {found}"
+
+
+def test_method_table_matches_init_config_and_cli():
+    # Every InitConfig option is read by some method, the table names no
+    # other field, and every such option of init is in the check that
+    # refuses an option the method does not read (cli._CONFIG_OPTIONS).
+    options = {f.name for f in fields(InitConfig)} - {"method", "seed"}
+    reads = set().union(*(spec.reads for spec in METHOD_SPECS.values()))
+    assert reads == options
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    init_options = {
+        action.dest: action.option_strings[0]
+        for action in subparsers.choices["init"]._actions
+        if action.option_strings and not action.required and action.dest in options
+    }
+    assert init_options == {name: flag for name, (flag, _) in cli._CONFIG_OPTIONS.items()}
 
 
 def test_word_markers_only_in_tokenizers():

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -587,15 +588,15 @@ class TestBlockEngine:
         # Record the weight blocks the rule gives: output rows are float32
         # and would hide a last-bit difference in the weights.
         seen = []
-        rule_kind, rule = initializers._SIMILARITY_METHODS[method]
+        spec = initializers.METHOD_SPECS[method]
 
         def recording_rule(support, queries, cfg):
-            weights, uniform, zero = rule(support, queries, cfg)
+            weights, uniform, zero = spec.weigh(support, queries, cfg)
             seen.append(weights.copy())
             return weights, uniform, zero
 
         monkeypatch.setitem(
-            initializers._SIMILARITY_METHODS, method, (rule_kind, recording_rule)
+            initializers.METHOD_SPECS, method, replace(spec, weigh=recording_rule)
         )
         one, one_report = init_target_bundle(source, target, cfg, aux=aux)
         monkeypatch.setattr(initializers, "_BLOCK_BYTES", 3 * 8 * n_supp)
@@ -740,15 +741,15 @@ class TestReportDiagnostics:
         source, target, overlap, alignment, matrix, n_supp = _block_instance()
         aux = _aux(AUX_MODEL, alignment, matrix, len(target))
         counts = []
-        rule_kind, rule = initializers._SIMILARITY_METHODS["clp-plus"]
+        spec = initializers.METHOD_SPECS["clp-plus"]
 
         def recording_rule(support, queries, cfg):
-            weights, uniform, zero = rule(support, queries, cfg)
+            weights, uniform, zero = spec.weigh(support, queries, cfg)
             counts.extend(np.count_nonzero(weights, axis=1).tolist())
             return weights, uniform, zero
 
         monkeypatch.setitem(
-            initializers._SIMILARITY_METHODS, "clp-plus", (rule_kind, recording_rule)
+            initializers.METHOD_SPECS, "clp-plus", replace(spec, weigh=recording_rule)
         )
         # Blocks of 3 rows: the quantiles do not depend on the block.
         monkeypatch.setattr(initializers, "_BLOCK_BYTES", 3 * 8 * n_supp)

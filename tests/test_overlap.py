@@ -56,6 +56,20 @@ def test_collapsing_targets_warn():
     assert any("both map" in w for w in m.warnings)
 
 
+def test_collisions_give_one_warning_with_five_examples():
+    words = [f"w{i:02d}" for i in range(20)]
+    source = Vocabulary(["▁" + w for w in words])
+    target = Vocabulary(["▁" + w for w in words] + ["Ġ" + w for w in words])
+    m = compute_overlap(source, target, "marker-normalized")
+    assert m.pairs == {t: t % 20 for t in range(40)}
+    assert len(m.warnings) == 1
+    (warning,) = m.warnings
+    assert warning.startswith("20 target tokens ") and warning.endswith("; ...)")
+    assert warning.count("both map") == 5
+    assert "'▁w04' and 'Ġw04' both map to '▁w04'" in warning
+    assert "w05" not in warning
+
+
 def test_unknown_mode_rejected():
     v = Vocabulary(["a"])
     with pytest.raises(ValueError):
