@@ -32,15 +32,11 @@ from .errors import ValidationError, VocabportError
 from .overlap import CANON_MODES, compute_overlap, overlap_stats
 
 
-class _UsageError(ValidationError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad arguments; flag problems are
     # validation errors here, so re-route them to exit code 1.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValidationError(message)
 
 
 # init's InitConfig options by field name: the flag and its argparse
@@ -289,18 +285,18 @@ def _build_spec(kind: str, vocab: str | None, merges: str | None, scores: str | 
     return tokenizers.load_unigram_spec(scores)
 
 
-def _spec_kind(args, kind: str | None, vocab: str, merges: str, scores: str) -> str:
-    """`kind`, or if None the kind the given flags choose, of the spec whose
-    files the flags name. A BPE spec reads `vocab` and `merges`, a Unigram
-    spec `scores`; a flag the kind does not read is an error, not ignored."""
+def _spec_kind(args, vocab: str, merges: str, scores: str) -> str:
+    """The kind of spec the given flags choose: Unigram if `scores` is
+    given, else BPE if `merges` is. A BPE spec reads `vocab` and `merges`, a
+    Unigram spec `scores`; a flag the kind does not read is an error, not
+    ignored."""
     given = {flag for flag in (vocab, merges, scores) if _flag_value(args, flag) is not None}
-    if kind is None:
-        if scores in given:
-            kind = "unigram"
-        elif merges in given:
-            kind = "bpe"
-        else:
-            raise ValidationError(f"{merges} (bpe) or {scores} (unigram) is required")
+    if scores in given:
+        kind = "unigram"
+    elif merges in given:
+        kind = "bpe"
+    else:
+        raise ValidationError(f"{merges} (bpe) or {scores} (unigram) is required")
     reads = (vocab, merges) if kind == "bpe" else (scores,)
     for flag in (vocab, merges, scores):
         if flag in given and flag not in reads:
@@ -315,8 +311,10 @@ def _cmd_tokenize(args) -> int:
         raise ValidationError("exactly one of --text or --file is required")
     if args.spec_kind == "bpe" and not args.merges:
         raise ValidationError("--merges is required for --spec-kind bpe")
+    if args.spec_kind == "unigram" and args.merges is not None:
+        raise ValidationError("--merges is not read by a unigram spec")
+    _check_paths(args, ("--vocab", "--merges", "--file"), ())
     # --vocab names the JSON map of a BPE spec or the TSV of a Unigram one.
-    _spec_kind(args, args.spec_kind, "--vocab", "--merges", "--vocab")
     spec = _build_spec(args.spec_kind, args.vocab, args.merges, args.vocab)
     if args.text is not None:
         text = args.text
@@ -328,8 +326,8 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    source_kind = _spec_kind(args, None, "--source-vocab", "--source-merges", "--source-scores")
-    target_kind = _spec_kind(args, None, "--target-vocab", "--target-merges", "--target-scores")
+    source_kind = _spec_kind(args, "--source-vocab", "--source-merges", "--source-scores")
+    target_kind = _spec_kind(args, "--target-vocab", "--target-merges", "--target-scores")
     _check_paths(
         args,
         ("--source-vocab", "--source-merges", "--source-scores", "--target-vocab",
@@ -342,11 +340,11 @@ def _cmd_analyze(args) -> int:
     target_spec = _build_spec(
         target_kind, args.target_vocab, args.target_merges, args.target_scores
     )
-    corpus = efficiency.load_corpus(args.corpus, args.format)
+    # The samples are counted as they are read; the corpus is never held.
     report = efficiency.analyze_corpus(
         source_spec,
         target_spec,
-        corpus,
+        efficiency._corpus_samples(args.corpus, args.format),
         corpus_id=os.path.basename(args.corpus),
         include_per_sample=args.per_sample,
     )
@@ -374,6 +372,7 @@ def _read_numbers(path: str) -> list[float]:
 
 
 def _cmd_stats(args) -> int:
+    _check_paths(args, ("--x", "--y"), ())
     tau = efficiency.kendall_tau(_read_numbers(args.x), _read_numbers(args.y))
     print(repr(tau))
     return 0

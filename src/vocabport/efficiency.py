@@ -7,12 +7,13 @@ The speedup convention is fixed as
 so positive values mean the target tokenizer needs fewer tokens and a
 negative value is a slowdown.
 
-Counting takes one pass over the corpus: each sample is split into
-pretokens once, and both specs count those same pretokens. A pretoken's
-count is a pure function of the pretoken, so each spec keeps a pretoken ->
-count table and encodes a distinct pretoken once while the table has room.
-The tables are made inside the call and dropped when it returns; each is
-bounded by _TABLE_CHARS and cleared whole when full, which changes no count.
+Counting takes one pass over the corpus, which may be any iterable of
+samples and is not held: each sample is split into pretokens once, and
+both specs count those same pretokens. A pretoken's count is a pure
+function of the pretoken, so each spec keeps a pretoken -> count table and
+encodes a distinct pretoken once while the table has room. The tables are
+made inside the call and dropped when it returns; each is bounded by
+_TABLE_CHARS and cleared whole when full, which changes no count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .embedding_store import _numbered_lines
 from .errors import FormatError, ValidationError
@@ -90,12 +91,26 @@ def _pretoken_counter(spec: TokenizerSpec) -> Callable[[str], int]:
     return count
 
 
-def avg_tokens(spec: TokenizerSpec, corpus: list[CorpusSample]) -> float:
-    """Mean token count per sample; every sample weighs the same."""
-    if not corpus:
+def _sample_counts(specs, corpus: Iterable[CorpusSample]) -> Iterator[tuple]:
+    """(sample, [its token count under each of `specs`]) for each sample of
+    `corpus`, in order. The sample is split once and each spec in turn
+    counts all its pretokens, so a fault under an earlier spec is raised
+    first."""
+    counters = [_pretoken_counter(spec) for spec in specs]
+    for s in corpus:
+        pretokens = split_pretokens(s.text)
+        yield s, [sum(map(count, pretokens)) for count in counters]
+
+
+def avg_tokens(spec: TokenizerSpec, corpus: Iterable[CorpusSample]) -> float:
+    """Mean token count per sample, read in one pass over `corpus`; every
+    sample weighs the same."""
+    n = total = 0
+    for n, (_, (count,)) in enumerate(_sample_counts((spec,), corpus), 1):
+        total += count
+    if not n:
         raise ValidationError("cannot average over an empty corpus")
-    count = _pretoken_counter(spec)
-    return sum(count(pre) for s in corpus for pre in split_pretokens(s.text)) / len(corpus)
+    return total / n
 
 
 def speedup_ratio(avg_source: float, avg_target: float) -> float:
@@ -108,35 +123,28 @@ def speedup_ratio(avg_source: float, avg_target: float) -> float:
 def analyze_corpus(
     source_spec: TokenizerSpec,
     target_spec: TokenizerSpec,
-    corpus: list[CorpusSample],
+    corpus: Iterable[CorpusSample],
     corpus_id: str = "",
     include_per_sample: bool = False,
 ) -> EfficiencyReport:
-    """Count tokens under both tokenizers and fill an EfficiencyReport.
+    """Count tokens under both tokenizers, in one pass over `corpus`, and
+    fill an EfficiencyReport.
 
     Each sample is split once and counted under the source spec, then the
     target spec; so a spec that cannot encode a sample fails at the first
     such sample, the source's fault before the target's within it.
     """
-    if not corpus:
+    n = total_source = total_target = 0
+    per_sample: list[dict] | None = [] if include_per_sample else None
+    for n, (s, (cs, ct)) in enumerate(_sample_counts((source_spec, target_spec), corpus), 1):
+        total_source += cs
+        total_target += ct
+        if per_sample is not None:
+            per_sample.append({"id": s.id, "tokens_source": cs, "tokens_target": ct})
+    if not n:
         raise ValidationError("cannot analyze an empty corpus")
-    count_source = _pretoken_counter(source_spec)
-    count_target = _pretoken_counter(target_spec)
-    source_counts: list[int] = []
-    target_counts: list[int] = []
-    for s in corpus:
-        pretokens = split_pretokens(s.text)
-        source_counts.append(sum(map(count_source, pretokens)))
-        target_counts.append(sum(map(count_target, pretokens)))
-    n = len(corpus)
-    avg_source = sum(source_counts) / n
-    avg_target = sum(target_counts) / n
-    per_sample = None
-    if include_per_sample:
-        per_sample = [
-            {"id": s.id, "tokens_source": cs, "tokens_target": ct}
-            for s, cs, ct in zip(corpus, source_counts, target_counts)
-        ]
+    avg_source = total_source / n
+    avg_target = total_target / n
     return EfficiencyReport(
         corpus_id=corpus_id,
         n_samples=n,
@@ -223,23 +231,26 @@ def kendall_tau(x, y) -> float:
     return (concordant - discordant) / math.sqrt(denom_x * denom_y)
 
 
-def load_corpus(path: str, fmt: str = "txt") -> list[CorpusSample]:
+def load_corpus(path: str, fmt: str) -> list[CorpusSample]:
     """Read a corpus: plain text (one sample per line) or JSON lines with a
     "text" field (and an optional "id")."""
     if fmt not in CORPUS_FORMATS:
         raise ValidationError(f"unknown corpus format {fmt!r}")
-    if fmt == "txt":
-        return [CorpusSample(id=str(n - 1), text=line) for n, line in _numbered_lines(path)]
-    samples: list[CorpusSample] = []
+    return list(_corpus_samples(path, fmt))
+
+
+def _corpus_samples(path: str, fmt: str) -> Iterator[CorpusSample]:
+    """The samples of a corpus file in format `fmt` (one of CORPUS_FORMATS),
+    read a line at a time; a malformed line raises when it is reached."""
     for lineno, line in _numbered_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as e:
-            # ValueError: a JSONDecodeError, or an integer beyond int()'s digit limit.
-            raise FormatError(f"{path}:{lineno}: invalid JSON ({getattr(e, 'msg', e)})") from e
-        if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
-            raise FormatError(f"{path}:{lineno}: expected an object with a string 'text'")
-        samples.append(CorpusSample(id=str(obj.get("id", lineno - 1)), text=obj["text"]))
-    return samples
+        if fmt == "txt":
+            yield CorpusSample(id=str(lineno - 1), text=line)
+        elif line.strip():
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as e:
+                # ValueError: a JSONDecodeError, or an integer beyond int()'s digit limit.
+                raise FormatError(f"{path}:{lineno}: invalid JSON ({getattr(e, 'msg', e)})") from e
+            if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
+                raise FormatError(f"{path}:{lineno}: expected an object with a string 'text'")
+            yield CorpusSample(id=str(obj.get("id", lineno - 1)), text=obj["text"])

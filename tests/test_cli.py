@@ -851,6 +851,47 @@ class TestAnalyzeCommand:
         )
         assert loads == []
 
+    def test_spec_fault_is_reported_before_a_later_bad_line(self, tmp_path, capsys):
+        # The corpus is counted as it is read, so the pass stops at the first
+        # sample the target cannot encode and never reaches the bad line.
+        src_vocab, src_merges = _write_char_bpe(tmp_path, "src")
+        tgt_vocab, tgt_merges = _write_tiny_bpe(tmp_path)
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"text": "abc"}\n{"text": "a~"}\n[]\n')
+        code = run(
+            ["analyze",
+             "--source-vocab", src_vocab, "--source-merges", src_merges,
+             "--target-vocab", tgt_vocab, "--target-merges", tgt_merges,
+             "--corpus", str(corpus), "--format", "jsonl"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "symbol '~' has no id" in err and "c.jsonl:3" not in err
+
+
+@pytest.mark.parametrize("bad", ["missing", "directory"])
+@pytest.mark.parametrize("command,flag", [
+    ("tokenize", "--vocab"), ("tokenize", "--merges"), ("tokenize", "--file"),
+    ("kendall", "--x"), ("kendall", "--y"),
+])
+def test_tokenize_and_kendall_inputs_checked_before_loading(tmp_path, capsys, command, flag,
+                                                            bad):
+    # As init, overlap and analyze do: the path is named, not an errno.
+    vocab, merges = _write_tiny_bpe(tmp_path)
+    numbers = tmp_path / "x.txt"
+    numbers.write_text("1\n2\n")
+    if command == "tokenize":
+        argv = ["tokenize", "--spec-kind", "bpe", "--count-only"]
+        paths = {"--vocab": vocab, "--merges": merges, "--file": str(numbers)}
+    else:
+        argv = ["stats", "kendall"]
+        paths = {"--x": str(numbers), "--y": str(numbers)}
+    paths[flag] = str(tmp_path / "absent") if bad == "missing" else str(tmp_path)
+    for name, path in paths.items():
+        argv += [name, path]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"vocabport: i/o error: input file not found: {paths[flag]}\n"
+
 
 class TestStatsCommand:
     def test_kendall(self, tmp_path, capsys):

@@ -37,7 +37,7 @@ from vocabport.embedding_store import (
 from vocabport.initializers import InitConfig, _element_stats, _TargetRows
 from vocabport.kernels import SupportCosines, mean_std
 from vocabport.overlap import compute_overlap
-from vocabport.tokenizers import load_bpe_spec, load_unigram_spec, split_pretokens
+from vocabport.tokenizers import BYTE_TO_UNICODE, load_bpe_spec, load_unigram_spec, split_pretokens
 
 BLOCK = 64
 ROWS, COLS = 4000, 256  # 4 MB of float32; one float64 block is 128 KB
@@ -278,6 +278,50 @@ def test_corpus_sample_overhead(tmp_path):
     # Beyond its two strings a sample keeps its list reference (8 bytes)
     # and a slotted instance (48); an instance __dict__ would add 40 more.
     assert kept - strings < 64 * n
+
+
+def _analyze_argv(tmp_path):
+    """analyze's flags but --corpus: a byte-level BPE source without merges
+    and a Unigram target of a few characters."""
+    vocab, merges, scores = tmp_path / "v.json", tmp_path / "m.txt", tmp_path / "u.tsv"
+    vocab.write_text(json.dumps({BYTE_TO_UNICODE[b]: b for b in range(256)}), encoding="utf-8")
+    merges.write_text("#version: none\n", encoding="utf-8")
+    scores.write_text("<unk>\t-20\n" + "".join(f"{c}\t-3\n" for c in "\u2581abcdefs"),
+                      encoding="utf-8")
+    return ["analyze", "--source-vocab", str(vocab), "--source-merges", str(merges),
+            "--target-scores", str(scores), "--out", str(tmp_path / "r.json")]
+
+
+def _corpus_line(i):
+    # 10 distinct lines of 36 characters, so the count tables stay small.
+    return f"sample {i % 10} " + "abc defs " * 3
+
+
+def test_analyze_streams_its_corpus(tmp_path):
+    # A held sample costs about 200 bytes here (its text, its id, its slotted
+    # object and a list slot): 6 MB over the 30,000 lines the long corpus
+    # adds. Streamed, the peak does not grow with the lines.
+    argv = _analyze_argv(tmp_path)
+    peaks = {}
+    for n in (2_000, 2_000, 32_000):  # the first run fills the lazy caches
+        corpus = tmp_path / f"c{n}.txt"
+        corpus.write_text("".join(_corpus_line(i) + "\n" for i in range(n)), encoding="utf-8")
+        code, peaks[n] = _traced_peak(cli.run, [*argv, "--corpus", str(corpus)])
+        assert code == 0
+        assert json.loads((tmp_path / "r.json").read_text())["n_samples"] == n
+    assert peaks[32_000] - peaks[2_000] < 4 * (32_000 - 2_000)
+
+
+def test_streamed_jsonl_corpus_fails_at_its_bad_last_line(tmp_path, capsys):
+    n = 2_000
+    corpus = tmp_path / "c.jsonl"
+    lines = [json.dumps({"text": _corpus_line(i)}) for i in range(n - 1)] + ['{"text": 1}']
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.run([*_analyze_argv(tmp_path), "--corpus", str(corpus), "--format", "jsonl"]) == 1
+    assert capsys.readouterr().err == (
+        f"vocabport: error: {corpus}:{n}: expected an object with a string 'text'\n"
+    )
+    assert not (tmp_path / "r.json").exists()
 
 
 # Traced peak over the VEMB inputs (source, and the aux model for clp and

@@ -35,7 +35,7 @@ def test_normalized_prefers_exact_match():
     assert m.pairs == {0: 1}  # the exact string, not the lowest id
 
 
-def test_normalized_ambiguity_uses_lowest_id_and_warns():
+def test_normalized_match_gives_one_candidate_per_target_and_no_warning():
     source = Vocabulary(["▁the", "Ġthe"])
     target = Vocabulary(["the2"])  # no match at all
     m = compute_overlap(source, target, "marker-normalized")
