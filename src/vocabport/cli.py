@@ -178,11 +178,15 @@ def _flag_value(args, flag: str):
 def _check_paths(args, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> None:
     # Validate every path flag before any work starts, so a bad output
     # location cannot leave partial results behind and no output can
-    # overwrite an input or another output.
+    # overwrite an input or another output. An empty value is a path too:
+    # an empty input is not found, and an empty output is refused by name.
     def given(flags):
         values = [(flag, _flag_value(args, flag)) for flag in flags]
-        return [(flag, path) for flag, path in values if path]
+        return [(flag, path) for flag, path in values if path is not None]
 
+    for flag, path in given(outputs):
+        if not path:
+            raise ValidationError(f"{flag} is an empty path")
     for _, path in given(inputs):
         if not os.path.isfile(path):
             raise FileNotFoundError(f"input file not found: {path}")
@@ -225,9 +229,9 @@ def _cmd_init(args) -> int:
     for flag in (f for flags, _ in aux_inputs.values() for f in flags if f not in aux_flags):
         if _flag_value(args, flag) is not None:
             raise ValidationError(f"{flag} is not read by --method {cfg.method}")
-    if args.source_out_emb and not args.out_out_emb:
+    if args.source_out_emb is not None and args.out_out_emb is None:
         raise ValidationError("--out-out-emb is required when --source-out-emb is given")
-    if args.out_out_emb and not args.source_out_emb:
+    if args.out_out_emb is not None and args.source_out_emb is None:
         raise ValidationError("--out-out-emb given but the source model is tied")
     _check_paths(
         args,
@@ -238,7 +242,7 @@ def _cmd_init(args) -> int:
     source = ModelBundle(
         vocab=_load_any_vocab(args.source_vocab),
         input_emb=load_matrix(args.source_emb),
-        output_emb=load_matrix(args.source_out_emb) if args.source_out_emb else None,
+        output_emb=load_matrix(args.source_out_emb) if args.source_out_emb is not None else None,
     )
     # Checked again inside init_target_bundle; this copy fails before the
     # target vocabulary and the aux files load.
@@ -252,7 +256,7 @@ def _cmd_init(args) -> int:
     outputs = [(args.out_emb, partial(save_matrix, bundle.input_emb))]
     if bundle.output_emb is not None:
         outputs.append((args.out_out_emb, partial(save_matrix, bundle.output_emb)))
-    if args.report:
+    if args.report is not None:
         outputs.append((args.report, partial(_write_json, report.to_dict())))
     _write_all(outputs)
     if args.verbose:
@@ -309,7 +313,7 @@ def _spec_kind(args, vocab: str, merges: str, scores: str) -> str:
 def _cmd_tokenize(args) -> int:
     if (args.text is None) == (args.file is None):
         raise ValidationError("exactly one of --text or --file is required")
-    if args.spec_kind == "bpe" and not args.merges:
+    if args.spec_kind == "bpe" and args.merges is None:
         raise ValidationError("--merges is required for --spec-kind bpe")
     if args.spec_kind == "unigram" and args.merges is not None:
         raise ValidationError("--merges is not read by a unigram spec")

@@ -521,18 +521,21 @@ def init_heuristics(
 
     Groups with fewer than `cfg.min_group_size` source members, and tokens
     classified Unknown, fall back to whole-matrix statistics (counted as
-    random-fallback). Group statistics are computed only for the groups
-    that sample rows, all before the first row is drawn; Unknown groups
-    and groups too small to sample never get any.
+    random-fallback). The new tokens are classified first; of the source
+    vocabulary, only the tokens that can join one of their groups other
+    than Unknown are classified (see `group_members`). Group statistics are
+    computed only for the groups that sample rows, all before the first row
+    is drawn; Unknown groups and groups too small to sample never get any.
     """
     rows = _TargetRows("heuristics", source, target_vocab, cfg, overlap)
     report = rows.report
+    free = rows.free.tolist()
+    groups = [classify_token(target_vocab.tokens[t]) for t in free]
     # Both source matrices share the vocabulary, so it is classified once.
-    members = group_members(source.vocab)
+    members = group_members(source.vocab, {g for g in groups if g.script != "Unknown"})
     fallback: list[int] = []
     by_group: dict[ScriptGroup, list[int]] = {}
-    for t in rows.free.tolist():
-        group = classify_token(target_vocab.tokens[t])
+    for t, group in zip(free, groups):
         if group.script == "Unknown" or len(members.get(group, ())) < cfg.min_group_size:
             fallback.append(t)
         else:

@@ -9,7 +9,9 @@ punctuation, undecodable byte-fallback strings) classify as Unknown.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from .embedding_store import EmbeddingMatrix, Vocabulary
 from .errors import ValidationError
 from .kernels import mean_std
-from .tokenizers import BYTE_ALPHABET, split_marker, unmap_bytes
+from .tokenizers import BYTE_ALPHABET, BYTE_TO_UNICODE, split_marker, unmap_bytes
 
 WORD_INITIAL = "word-initial"
 WORD_INTERNAL = "word-internal"
@@ -60,6 +62,10 @@ _RANGES: list[tuple[int, int, str]] = [
     (0x2A700, 0x2B73F, "Han"),
 ]
 _RANGE_STARTS = [lo for lo, _, _ in _RANGES]
+_SCRIPTS = [*dict.fromkeys(label for _, _, label in _RANGES), "Unknown"]
+# One letter per script, the vote's ballot in _majority_script.
+_CODES = {script: chr(ord("a") + k) for k, script in enumerate(_SCRIPTS)}
+_SCRIPT_OF_CODE = {code: script for script, code in _CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,14 @@ class ScriptGroup:
 
     def label(self) -> str:
         return f"{self.script}/{self.position}"
+
+
+# The groups classify_token returns, one object each.
+_GROUPS = {
+    (script, position): ScriptGroup(script, position)
+    for script in _SCRIPTS
+    for position in (WORD_INITIAL, WORD_INTERNAL)
+}
 
 
 @dataclass
@@ -90,21 +104,37 @@ def _script_of(codepoint: int) -> str:
     return "Unknown"
 
 
+class _ScriptCodes(dict):
+    """Code point -> the code of its script in _CODES, for str.translate.
+
+    A letter (isalpha) gets its _RANGES script's code, or Unknown's outside
+    them; any other character maps to "" and so drops out of the vote.
+    Entries are cached below 0x10000 only, like tokenizers._CharClasses.
+    """
+
+    def __missing__(self, cp: int) -> str:
+        code = _CODES[_script_of(cp)] if chr(cp).isalpha() else ""
+        if cp < 0x10000:
+            self[cp] = code
+        return code
+
+
+_SCRIPT_CODES = _ScriptCodes()
+
+
 def _majority_script(text: str) -> str:
     """The script most letters of `text` belong to; Unknown if it has no
     letters or two scripts share the top count."""
-    scripts = [_script_of(ord(c)) for c in text if c.isalpha()]
-    if not scripts:
+    codes = text.translate(_SCRIPT_CODES)
+    if not codes:
         return "Unknown"
-    first = scripts[0]
-    if scripts.count(first) == len(scripts):
-        return first
-    votes: dict[str, int] = {}
-    for script in scripts:
-        votes[script] = votes.get(script, 0) + 1
+    first = codes[0]
+    if codes.count(first) == len(codes):
+        return _SCRIPT_OF_CODE[first]
+    votes = {code: codes.count(code) for code in set(codes)}
     top = max(votes.values())
-    winners = [script for script, count in votes.items() if count == top]
-    return winners[0] if len(winners) == 1 else "Unknown"
+    winners = [code for code, count in votes.items() if count == top]
+    return _SCRIPT_OF_CODE[winners[0]] if len(winners) == 1 else "Unknown"
 
 
 def classify_token(token: str) -> ScriptGroup:
@@ -121,15 +151,57 @@ def classify_token(token: str) -> ScriptGroup:
         try:
             token = unmap_bytes(token)
         except UnicodeDecodeError:
-            return ScriptGroup("Unknown", position)
-    return ScriptGroup(_majority_script(token), position)
+            return _GROUPS["Unknown", position]
+    return _GROUPS[_majority_script(token), position]
 
 
-def group_members(vocab: Vocabulary) -> dict[ScriptGroup, np.ndarray]:
-    """The token ids of each group, ascending; groups in order of first member."""
+def _letter_class(scripts: set[str]) -> re.Pattern:
+    """One character class that every token whose majority script is in
+    `scripts` matches after its marker.
+
+    Such a token holds a letter of one of the scripts: read as it is, the
+    letter lies in a range of that script; decoded from byte-alphabet
+    symbols, the symbol of the letter's UTF-8 lead byte is in the token.
+    The class holds each range of the scripts and the symbols of every
+    byte from the lead byte of its first character to that of its last; a
+    lead byte never falls as the code point grows, so these cover them all.
+    """
+    parts = []
+    for lo, hi, script in _RANGES:
+        if script in scripts:
+            parts.append(f"{re.escape(chr(lo))}-{re.escape(chr(hi))}")
+            leads = range(chr(lo).encode()[0], chr(hi).encode()[0] + 1)
+            parts.extend(re.escape(BYTE_TO_UNICODE[b]) for b in leads)
+    return re.compile(f"[{''.join(parts)}]")
+
+
+def group_members(
+    vocab: Vocabulary, groups: Iterable[ScriptGroup] | None = None
+) -> dict[ScriptGroup, np.ndarray]:
+    """The token ids of each group, ascending; groups in order of first member.
+
+    Given `groups`, only those groups are kept, and when none of them is
+    Unknown only the tokens that can join one are classified: those whose
+    text after the marker matches `_letter_class` of the groups' scripts.
+    The class may let through a token of another group, never drop a
+    member, so the result is the whole vocabulary's restricted to `groups`.
+    """
+    candidates = enumerate(vocab.tokens)
+    if groups is not None:
+        groups = set(groups)
+        scripts = {group.script for group in groups}
+        if not scripts:
+            return {}
+        if "Unknown" not in scripts:
+            letters = _letter_class(scripts).search
+            candidates = (
+                (tid, token) for tid, token in candidates if letters(split_marker(token)[1])
+            )
     members: dict[ScriptGroup, list[int]] = {}
-    for tid, token in enumerate(vocab.tokens):
-        members.setdefault(classify_token(token), []).append(tid)
+    for tid, token in candidates:
+        group = classify_token(token)
+        if groups is None or group in groups:
+            members.setdefault(group, []).append(tid)
     return {group: np.array(ids, dtype=np.int64) for group, ids in members.items()}
 
 

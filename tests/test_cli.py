@@ -893,6 +893,75 @@ def test_tokenize_and_kendall_inputs_checked_before_loading(tmp_path, capsys, co
     assert capsys.readouterr().err == f"vocabport: i/o error: input file not found: {paths[flag]}\n"
 
 
+def _path_flag_argvs(tmp_path):
+    """Argvs that succeed and, between them, give every path flag of every
+    command a value."""
+    inst = build_instance(tmp_path, n_source=10, n_target=8, n_overlap=4, dim=4)
+    vocab, merges = _write_char_bpe(tmp_path)
+    scores = tmp_path / "u.tsv"
+    scores.write_text("a\t-1.0\nb\t-1.0\n<unk>\t-9.0\n")
+    text = tmp_path / "t.txt"
+    text.write_text("ab\n")
+    numbers = tmp_path / "n.txt"
+    numbers.write_text("1\n2\n3\n")
+    out = str(tmp_path / "out.json")
+    init = ["init", "--source-vocab", inst.source_files["vocab"],
+            "--source-emb", inst.source_files["emb"],
+            "--source-out-emb", inst.source_files["out_emb"],
+            "--target-vocab", inst.target_vocab_file, "--seed", "1",
+            "--out-emb", str(tmp_path / "o.vemb"), "--out-out-emb", str(tmp_path / "oo.vemb"),
+            "--report", out]
+    return [
+        [*init, "--method", "heuristics"],
+        [*init, "--method", "clp", "--aux-vocab", inst.aux_model_files[0],
+         "--aux-emb", inst.aux_model_files[1]],
+        [*init, "--method", "focus", "--word-vecs", inst.word_vec_file],
+        ["overlap", "--source-vocab", inst.source_files["vocab"],
+         "--target-vocab", inst.target_vocab_file, "--out", out],
+        ["tokenize", "--spec-kind", "bpe", "--vocab", vocab, "--merges", merges,
+         "--file", str(text), "--count-only"],
+        ["analyze", "--source-vocab", vocab, "--source-merges", merges,
+         "--target-scores", str(scores), "--corpus", str(text), "--out", out],
+        ["analyze", "--source-scores", str(scores), "--target-vocab", vocab,
+         "--target-merges", merges, "--corpus", str(text), "--out", out],
+        ["stats", "kendall", "--x", str(numbers), "--y", str(numbers)],
+    ]
+
+
+_OUTPUT_FLAGS = ("--out-emb", "--out-out-emb", "--report", "--out")
+
+
+@pytest.mark.parametrize("command,flag", [
+    *(("init", flag) for flag in ("--source-vocab", "--source-emb", "--source-out-emb",
+                                  "--target-vocab", "--aux-vocab", "--aux-emb", "--word-vecs",
+                                  "--out-emb", "--out-out-emb", "--report")),
+    ("overlap", "--source-vocab"), ("overlap", "--target-vocab"), ("overlap", "--out"),
+    ("tokenize", "--vocab"), ("tokenize", "--merges"), ("tokenize", "--file"),
+    *(("analyze", flag) for flag in ("--source-vocab", "--source-merges", "--source-scores",
+                                     "--target-vocab", "--target-merges", "--target-scores",
+                                     "--corpus", "--out")),
+    ("stats", "--x"), ("stats", "--y"),
+])
+def test_an_empty_path_is_refused(tmp_path, capsys, command, flag):
+    # An empty input is not found (exit 2); an empty output is refused by
+    # name (exit 1). Either way the run writes nothing.
+    argv = next(a for a in _path_flag_argvs(tmp_path) if a[0] == command and flag in a)
+    assert run(argv) == 0
+    for path in tmp_path.iterdir():
+        if path.name in ("o.vemb", "oo.vemb", "out.json"):
+            path.unlink()
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    argv[argv.index(flag) + 1] = ""
+    if flag in _OUTPUT_FLAGS:
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"vocabport: error: {flag} is an empty path\n"
+    else:
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "vocabport: i/o error: input file not found: \n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 class TestStatsCommand:
     def test_kendall(self, tmp_path, capsys):
         x = tmp_path / "x.txt"
