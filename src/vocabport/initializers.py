@@ -15,9 +15,13 @@ Untied source models get their output matrix built with the same per-token
 weights and decisions as the input matrix; recomputing similarities in
 output space would double the cost and let the two matrices drift apart.
 
-Determinism contract: every token draws from its own RNG stream derived
-from (seed, target id), so a row's value depends only on the inputs, the
-seed and its target id, never on the order rows are filled in. A sampled
+Determinism contract: every token draws from its own RNG stream,
+numpy's `default_rng(SeedSequence([seed, t]))` for target id t, so a row's
+value depends only on the inputs, the seed and its target id, never on the
+order rows are filled in. The streams are seeded one draw block at a time:
+`_stream_states` runs numpy's SeedSequence hash in uint32 arithmetic over
+the block's ids at once, and `_token_rng` hands each token's state to
+PCG64, so every stream keeps SeedSequence's bits. A sampled
 row is float32(mean + std * z), two float64 roundings, the same bits as
 numpy's `normal(mean, std)`: z is one `standard_normal` call per token,
 as wide as all target matrices together (the input matrix's columns come
@@ -44,6 +48,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,7 +98,7 @@ class InitConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        # int() in _token_rng would truncate a float, parse a str, take a bool.
+        # int() in _stream_states would truncate a float, parse a str, take a bool.
         seed_is_int = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
         if not (seed_is_int and 0 <= self.seed < 2**64):
             raise ValidationError("seed must be an unsigned 64-bit integer")
@@ -175,17 +180,78 @@ def _nearest_rank_quantiles(counts: list[int]) -> dict[str, int]:
     }
 
 
-def _token_rng(seed: int, target_id: int) -> np.random.Generator:
-    # Hash-derived per-token stream: sampling is independent of the order
-    # rows are filled in.
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(target_id)]))
+def _seed_hash(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One step of numpy's SeedSequence hash on a uint32 array, with the
+    hash constant `const`: (the hashed words, the next constant)."""
+    words = words ^ np.uint32(const)
+    const = const * mult & 0xFFFFFFFF
+    words *= np.uint32(const)
+    words ^= words >> 16
+    return words, const
+
+
+def _stream_states(seed: int, ids) -> np.ndarray:
+    """The PCG64 seed words of each token's stream, shape (len(ids), 4):
+    row i is `SeedSequence([seed, ids[i]]).generate_state(4, np.uint64)`,
+    computed for all ids at once by numpy's algorithm in uint32 arithmetic.
+
+    The entropy of [seed, t] is the 32-bit words of seed, then those of t,
+    low word first; 0 takes one zero word. A seed below 2**64 and an id
+    below 2**63 take at most four words, numpy's pool size, so no word is
+    mixed in after the pool is filled. SeedSequence pads a short entropy
+    with zero words, and an id below 2**32 has a zero high word, so every
+    id takes two words here.
+    """
+    seed = int(seed)
+    ids = np.asarray(ids, dtype=np.uint64)
+    seed_words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
+    pool = np.zeros((4, len(ids)), dtype=np.uint32)
+    pool[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = ids & 0xFFFFFFFF
+    pool[len(seed_words) + 1] = ids >> 32
+    # mix_entropy: hash each word, then mix every word into every other.
+    # The constants are numpy's INIT_A, MULT_A, MIX_MULT_L and MIX_MULT_R,
+    # then INIT_B and MULT_B.
+    const = 0x43B0D7E5
+    for i in range(4):
+        pool[i], const = _seed_hash(pool[i], const, 0x931E8875)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, const = _seed_hash(pool[src], const, 0x931E8875)
+                mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashed
+                pool[dst] = mixed ^ (mixed >> 16)
+    # generate_state(4, np.uint64): eight uint32 words cycled from the pool,
+    # read in little-endian pairs.
+    const = 0x8B51F9DD
+    state = np.empty((len(ids), 8), dtype="<u4")
+    for i in range(8):
+        state[:, i], const = _seed_hash(pool[i % 4], const, 0x58F38DED)
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+class _StreamSeed(np.random.bit_generator.ISeedSequence):
+    """One token's SeedSequence, its state precomputed by _stream_states;
+    PCG64 reads it by generate_state(4, np.uint64)."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype):
+        return self.state
+
+
+def _token_rng(state: np.ndarray) -> np.random.Generator:
+    """The generator of a token's stream from its row of _stream_states:
+    the stream of `default_rng(SeedSequence([seed, t]))`."""
+    return np.random.Generator(np.random.PCG64(_StreamSeed(state)))
 
 
 def _element_stats(m: EmbeddingMatrix) -> tuple[float, float]:
     """Float64 (mean, std) over every element, summed in kernels.mean_std's
     fixed order of row blocks; no temporary exceeds one block."""
-    if m.data.size == 0:
-        raise ValidationError("source matrix has no elements to estimate statistics from")
     mean, std = mean_std(m.data)
     return float(mean), float(std)
 
@@ -237,8 +303,8 @@ class _TargetRows:
     in the map's order. `sources` holds the source input matrix and, for
     untied models, the output matrix; `outs` holds one target matrix for
     each, written only by `put`, and `stats` the element (mean, std) of
-    each source matrix. Every per-token decision is applied to all matrices
-    alike.
+    each source matrix, taken on the first `sample_random` with a row.
+    Every per-token decision is applied to all matrices alike.
     """
 
     def __init__(
@@ -287,7 +353,8 @@ class _TargetRows:
         self.target_vocab = target_vocab
         self.seed = cfg.seed
         self.sources = [m for m in (source.input_emb, source.output_emb) if m is not None]
-        self.stats = [_element_stats(m) for m in self.sources]
+        if any(m.data.size == 0 for m in self.sources):
+            raise ValidationError("source matrix has no elements to estimate statistics from")
         self.outs = [np.empty((n, m.cols), dtype=np.float32) for m in self.sources]
         self.report = InitReport(method=method, copied=len(t_ids), warnings=list(overlap.warnings))
         # Copied in source order, one block of source rows at a time (more
@@ -324,15 +391,22 @@ class _TargetRows:
         for start in range(0, len(ids), block_rows):
             block = ids[start : start + block_rows]
             draws = z[: len(block)]
-            for row, t in zip(draws, block):
-                _token_rng(self.seed, t).standard_normal(out=row)
+            for row, state in zip(draws, _stream_states(self.seed, block)):
+                _token_rng(state).standard_normal(out=row)
             draws *= std
             draws += mean
             self.put(block, np.split(draws, np.cumsum(widths[:-1]), axis=1))
 
+    @cached_property
+    def stats(self) -> list[tuple[float, float]]:
+        """The element (mean, std) of each source matrix, taken on first
+        read, so a run that samples no row from them never reads them."""
+        return [_element_stats(m) for m in self.sources]
+
     def sample_random(self, ids: np.ndarray | list[int]) -> None:
         """Fill rows `ids` from the whole-matrix element statistics."""
-        self.sample(ids, self.stats)
+        if len(ids):
+            self.sample(ids, self.stats)
         self.report.random_fallback += len(ids)
 
     def result(self) -> tuple[ModelBundle, InitReport]:

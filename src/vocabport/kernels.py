@@ -187,8 +187,13 @@ def _sparsemax_threshold(v: np.ndarray) -> np.ndarray:
 def _scale_rows(rows: np.ndarray) -> np.ndarray:
     """Float64 rows `rows`, scaled in place, each by the power of two that
     brings its largest magnitude into [1/2, 1); an all-zero row stays 0."""
-    peak = np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
-    return np.ldexp(rows, -np.frexp(peak)[1][:, None], out=rows)
+    return np.ldexp(rows, -np.frexp(_peaks(rows))[1][:, None], out=rows)
+
+
+def _peaks(rows: np.ndarray) -> np.ndarray:
+    """The largest magnitude of each row: 0 for an all-zero row, nan or inf
+    for a row holding one."""
+    return np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
 
 
 def _split(
@@ -267,12 +272,14 @@ class SupportCosines:
 
     The support is the rows of `data`, or the rows `ids` in that order. The
     constructor reads it once, one row block at a time through
-    _float64_blocks, for each row's float64 norm after _scale_rows: the
-    screen's norms, which also mark the all-zero rows (`zero_rows`) and
-    reject a non-finite row. A call splits the whole support on first use
-    and keeps its slices as int32, 8 bytes per support element: |hi| <=
-    2**bits <= 2**26 for every dim, so int32 holds them exactly (float32
-    would need bits capped at 24, which changes cosines at dims below 9).
+    _float64_blocks, for each row's largest magnitude, which marks the
+    all-zero rows (`zero_rows`) and rejects a non-finite row. The first
+    screen takes the rows' norms from the scaled blocks it builds, so a
+    caller that never screens (clp) never computes them. A call splits
+    the whole support on first use and keeps its slices as int32, 8 bytes
+    per support element: |hi| <= 2**bits <= 2**26 for every dim, so int32
+    holds them exactly (float32 would need bits capped at 24, which changes
+    cosines at dims below 9).
     Each call upcasts them for the GEMMs one row block at a time, so no
     temporary spans the whole support. `sparsemax` splits only each query
     row's candidates, and the whole support only for a row without its
@@ -287,14 +294,14 @@ class SupportCosines:
         self.ids = np.arange(data.shape[0]) if ids is None else np.asarray(ids, dtype=np.int64)
         # |hi| <= 2**bits, |lo| <= 2**(bits-1) and dim * 2**(2*bits) <= 2**53.
         self.bits = (53 - (data.shape[1] - 1).bit_length()) // 2
-        norms = np.empty(len(self.ids))
+        peaks = np.empty(len(self.ids))
         for part, block in _float64_blocks(data, self.ids):
-            norms[part] = _row_norms(_scale_rows(block))
-        if not np.isfinite(norms).all():
+            peaks[part] = _peaks(block)
+        if not np.isfinite(peaks).all():
             # int32 slices hold no inf or nan; such a row's cosines would be garbage.
             raise ValueError("support rows must be finite")
-        self.zero_rows = norms == 0.0
-        self._norms = np.where(self.zero_rows, 1.0, norms)
+        self.zero_rows = peaks == 0.0
+        self._norms = None  # the screen's, taken by the first _screen
         self._eps = _screen_error(data.shape[1])
         self._top = 1
         self.hi = self.lo = self._split_norms = None  # the whole support's, once split
@@ -401,8 +408,14 @@ class SupportCosines:
     def _screen(self, q32: np.ndarray, q_norms: np.ndarray) -> np.ndarray:
         """Screened cosines of scaled float32 query rows with norms `q_norms`."""
         cos = np.empty((len(q32), len(self.ids)))
+        norms = np.empty(len(self.ids)) if self._norms is None else None
         for part, block in _float64_blocks(self.data, self.ids):
-            cos[:, part] = q32 @ _scale_rows(block).astype(np.float32).T
+            scaled = _scale_rows(block)
+            if norms is not None:
+                norms[part] = _row_norms(scaled)
+            cos[:, part] = q32 @ scaled.astype(np.float32).T
+        if norms is not None:
+            self._norms = np.where(self.zero_rows, 1.0, norms)
         cos /= q_norms[:, None]
         cos /= self._norms
         return np.clip(cos, -1.0, 1.0, out=cos)

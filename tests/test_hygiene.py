@@ -373,6 +373,23 @@ def test_rows_scaled_in_one_place():
     assert holders("rint") == {"kernels._split"}
 
 
+def test_streams_seeded_in_one_place():
+    # Every sampled row draws from numpy's SeedSequence([seed, t]) stream,
+    # whose seed words _stream_states hashes for a block of tokens; a
+    # generator made anywhere else could be seeded another way and change
+    # the sampled rows.
+    def holders(wanted):
+        return {f"{path.stem}.{h}" for path in MODULES for h in _holders(_tree(path), wanted)}
+
+    names = ("SeedSequence", "ISeedSequence", "default_rng", "PCG64", "Generator")
+    assert holders(
+        lambda node: _reads_attr(node, *names) or isinstance(node, ast.Name) and node.id in names
+    ) == {"initializers._StreamSeed", "initializers._token_rng"}
+    assert holders(lambda node: _calls(node, "_token_rng") or _calls(node, "_stream_states")) == {
+        "initializers._TargetRows.sample"
+    }
+
+
 def test_numpy_imported_only_by_matrix_modules():
     # analyze, tokenize, overlap and stats start without numpy: every
     # other module imports it inside

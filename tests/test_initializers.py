@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import build_instance, sparsemax_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vocabport import embedding_store, initializers, kernels, script_groups
 from vocabport.aux_vectors import AUX_MODEL, WORD_VECTORS, AuxEmbeddings, load_aux_model
@@ -48,6 +50,23 @@ _ZERO_QUANTILES = {"min": 0, "p50": 0, "p90": 0, "max": 0}
 def _cfg(method, **kw):
     kw.setdefault("seed", 42)
     return InitConfig(method=method, **kw)
+
+
+@pytest.fixture
+def stats_calls(monkeypatch):
+    """The (data, ids) of every kernels.mean_std call the initializers and
+    group statistics make, in call order; ids is None for the statistics
+    of a whole matrix."""
+    calls = []
+    real_stats = kernels.mean_std
+
+    def recording_stats(data, ids=None, axis=None):
+        calls.append((data, ids))
+        return real_stats(data, ids, axis)
+
+    monkeypatch.setattr(initializers, "mean_std", recording_stats)
+    monkeypatch.setattr(script_groups, "mean_std", recording_stats)
+    return calls
 
 
 class TestRandom:
@@ -268,31 +287,25 @@ class TestHeuristics:
         assert report.group_sampled_by_group == {"Latin/word-initial": 1}
         assert (report.group_sampled, report.random_fallback) == (1, 1)
 
-    def test_statistics_only_for_sampled_groups(self, monkeypatch):
+    def test_statistics_only_for_sampled_groups(self, monkeypatch, stats_calls):
         # Group statistics are taken per source matrix for the groups that
         # sample rows only: not for the Unknown digit and punctuation groups
         # of the source, whose rows nothing reads. All of them come before
         # the first row is drawn, so no group's float64 temporaries stack
         # on the draw buffer.
-        calls = []
-        real_stats, real_rng = kernels.mean_std, initializers._token_rng
+        real_rng = initializers._token_rng
 
-        def recording_stats(data, ids=None, axis=None):
-            if ids is not None:
-                calls.append((data, ids))
-            return real_stats(data, ids, axis)
+        def recording_rng(state):
+            stats_calls.append("draw")
+            return real_rng(state)
 
-        def recording_rng(seed, target_id):
-            calls.append("draw")
-            return real_rng(seed, target_id)
-
-        monkeypatch.setattr(initializers, "mean_std", recording_stats)
-        monkeypatch.setattr(script_groups, "mean_std", recording_stats)
         monkeypatch.setattr(initializers, "_token_rng", recording_rng)
         source, target, overlap = _sampling_instance(3, untied=True)
         _, report = init_heuristics(
             source, target, overlap, _cfg("heuristics", min_group_size=2)
         )
+        # Group statistics and draws; whole-matrix statistics are another test's.
+        calls = [c for c in stats_calls if c == "draw" or c[1] is not None]
         sampled = {"Latin/word-initial", "Latin/word-internal", "Cyrillic/word-initial",
                    "Cyrillic/word-internal", "Arabic/word-initial", "Arabic/word-internal",
                    "Han/word-initial"}
@@ -364,6 +377,29 @@ class TestFocus:
 
 
 class TestClpPlus:
+    def test_full_aux_coverage_reads_no_element_statistics(self, stats_calls):
+        source, target, overlap = _sampling_instance(3, untied=True)
+        alignment = {t: t for t in range(len(target))}
+        aux_rows = np.random.default_rng(5).normal(size=(len(target), 4))
+        aux = _aux(AUX_MODEL, alignment, aux_rows, len(target))
+        _, report = init_clp_plus(source, target, overlap, aux, _cfg("clp-plus"))
+        assert report.random_fallback == 0 and report.similarity_initialized > 0
+        assert [ids for _, ids in stats_calls if ids is None] == []
+
+    def test_fallback_reads_each_matrix_once(self, stats_calls):
+        # Two tokens without an auxiliary vector are sampled from the
+        # element statistics, taken once per source matrix for both.
+        source, target, overlap = _sampling_instance(3, untied=True)
+        missing = overlap.non_overlap[:2]
+        alignment = {t: t for t in range(len(target)) if t not in missing}
+        aux_rows = np.random.default_rng(5).normal(size=(len(target), 4))
+        aux = _aux(AUX_MODEL, alignment, aux_rows, len(target))
+        _, report = init_clp_plus(source, target, overlap, aux, _cfg("clp-plus"))
+        assert report.random_fallback == 2
+        whole = [data for data, ids in stats_calls if ids is None]
+        assert len(whole) == 2
+        assert whole[0] is source.input_emb.data and whole[1] is source.output_emb.data
+
     def test_matches_focus_given_identical_similarity_inputs(self):
         source = _bundle(["o1", "o2"], [[4.0, 0.0], [0.0, 4.0]])
         target = Vocabulary(["o1", "o2", "q"])
@@ -842,6 +878,43 @@ def _sampling_instance(dim, untied):
 def _block_budget(monkeypatch, block_rows, width):
     if block_rows is not None:
         monkeypatch.setattr(initializers, "_DRAW_BYTES", block_rows * 8 * width)
+
+
+# One- and two-word seeds and ids, each side of every word boundary.
+_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, np.uint64(2**63 + 5)]
+_STREAM_IDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+class TestStreamSeeds:
+    """Block-seeded streams are numpy's SeedSequence([seed, t]) streams, so
+    a change to numpy's seeding fails here before it changes an output."""
+
+    @pytest.mark.parametrize("seed", _STREAM_SEEDS, ids=repr)
+    def test_states_equal_seed_sequence(self, seed):
+        got = initializers._stream_states(seed, np.array(_STREAM_IDS, dtype=np.int64))
+        assert got.dtype == np.uint64 and got.shape == (len(_STREAM_IDS), 4)
+        for t, row in zip(_STREAM_IDS, got):
+            want = np.random.SeedSequence([seed, t]).generate_state(4, np.uint64)
+            assert row.tolist() == want.tolist(), t
+
+    @pytest.mark.parametrize("seed", _STREAM_SEEDS, ids=repr)
+    def test_draws_equal_default_rng(self, seed):
+        width = 11
+        for t, state in zip(_STREAM_IDS, initializers._stream_states(seed, _STREAM_IDS)):
+            row = np.empty(width)
+            initializers._token_rng(state).standard_normal(out=row)
+            want = np.random.default_rng(np.random.SeedSequence([seed, t])).standard_normal(width)
+            assert row.tobytes() == want.tobytes(), t
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        ids=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8),
+    )
+    def test_any_seed_and_ids(self, seed, ids):
+        got = initializers._stream_states(seed, ids)
+        want = [np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in ids]
+        assert got.tolist() == np.array(want).tolist()
 
 
 class TestSamplerOracle:

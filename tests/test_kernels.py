@@ -271,6 +271,22 @@ class TestSupportCosines:
         np.testing.assert_array_equal(cos[0], 0.0)
         np.testing.assert_allclose(cos[1], [1.0, 0.0, -np.sqrt(0.5)], atol=1e-15)
 
+    def test_screen_norms_taken_on_first_screen(self, monkeypatch):
+        # clp only calls the kernel and never needs the screen's norms; the
+        # first sparsemax takes them from the scaled rows it screens, over
+        # more than one row block.
+        monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(23)
+        support = rng.normal(size=(10, 6)).astype(np.float32)
+        support[3] = 0.0
+        cosines = SupportCosines(support)
+        cosines(support[:2])
+        assert cosines._norms is None
+        cosines.sparsemax(support[:2], 1.0)
+        scaled = kernels._scale_rows(support.astype(np.float64))
+        want = np.where(cosines.zero_rows, 1.0, kernels._row_norms(scaled))
+        assert cosines._norms.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("dim", [1, 3, 8, 9, 12, 300, 768])
     @pytest.mark.parametrize("build_rows,call_rows", [(1, 7), (7, 1), (None, None)])
     def test_bitwise_equal_to_whole_float64_oracle(

@@ -121,7 +121,8 @@ def test_sampling_holds_one_draw_block(monkeypatch, matrix, block_rows):
                        InitConfig(method="random", seed=1))
     ids = list(range(ROWS))[::-1]
     params = [(np.full(COLS, 0.1), np.full(COLS, 2.0)), (0.3, 0.5)]
-    initializers._token_rng(0, 0).standard_normal()  # numpy's one-time RNG set-up
+    state = initializers._stream_states(0, [0])[0]
+    initializers._token_rng(state).standard_normal()  # numpy's one-time RNG set-up
     _, peak = _traced_peak(rows.sample, ids, params)
     # The draw block, one ufunc buffer (np.getbufsize() float64 values) and
     # small per-call objects; nothing that grows with the number of rows.
