@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -369,9 +370,12 @@ def _read_numbers(path: str) -> list[float]:
         if not line:
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: {line!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"{path}:{lineno}: {line!r} is not a finite number")
+        values.append(value)
     return values
 
 

@@ -34,13 +34,13 @@ rounding. clp takes one cosine product per block against the whole
 support and applies its clamp rule row-wise. focus and clp-plus take
 their weights from its `sparsemax`: a float32 screen of the block against
 the support picks each row's candidates, only those are rescored exactly,
-and a certificate proves that no other entry can get a nonzero weight; a
-row without one is weighted from the whole-support product. Every weight
-keeps the bits of sparsemax over the whole-support exact cosines. The
-method picks the path. The block size comes from a fixed byte budget,
-`_BLOCK_BYTES`, and no step mixes rows, so output bytes do not depend on
-the block size, on `--threads` or on the number of BLAS threads, though
-the screen's candidates may.
+and a certificate proves that no other entry can get a nonzero weight;
+the rows of a block without one share one whole-support product, exact
+whichever rows share it. Every weight keeps the bits of sparsemax over
+the whole-support exact cosines. The method picks the path. The block
+size comes from a fixed byte budget, `_BLOCK_BYTES`, and no step mixes
+rows, so output bytes do not depend on the block size, on `--threads` or
+on the number of BLAS threads, though the screen's candidates may.
 """
 
 from __future__ import annotations
@@ -202,6 +202,8 @@ def _stream_states(seed: int, ids) -> np.ndarray:
     with zero words, and an id below 2**32 has a zero high word, so every
     id takes two words here.
     """
+    # PCG64 takes _token_rng's _StreamSeed once it is a registered seed sequence.
+    np.random.bit_generator.ISeedSequence.register(_StreamSeed)
     seed = int(seed)
     ids = np.asarray(ids, dtype=np.uint64)
     seed_words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
@@ -230,9 +232,11 @@ def _stream_states(seed: int, ids) -> np.ndarray:
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
-class _StreamSeed(np.random.bit_generator.ISeedSequence):
+class _StreamSeed:
     """One token's SeedSequence, its state precomputed by _stream_states;
-    PCG64 reads it by generate_state(4, np.uint64)."""
+    PCG64 reads it by generate_state(4, np.uint64). _stream_states
+    registers it as numpy's ISeedSequence, which PCG64 requires: numpy.random
+    (about 6 MiB) then loads on the first draw, not with this module."""
 
     __slots__ = ("state",)
 

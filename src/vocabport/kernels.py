@@ -275,15 +275,12 @@ class SupportCosines:
     _float64_blocks, for each row's largest magnitude, which marks the
     all-zero rows (`zero_rows`) and rejects a non-finite row. The first
     screen takes the rows' norms from the scaled blocks it builds, so a
-    caller that never screens (clp) never computes them. A call splits
-    the whole support on first use and keeps its slices as int32, 8 bytes
-    per support element: |hi| <= 2**bits <= 2**26 for every dim, so int32
-    holds them exactly (float32 would need bits capped at 24, which changes
-    cosines at dims below 9).
-    Each call upcasts them for the GEMMs one row block at a time, so no
-    temporary spans the whole support. `sparsemax` splits only each query
-    row's candidates, and the whole support only for a row without its
-    certificate.
+    caller that never screens (clp) never computes them. Those are all it
+    keeps, one value a support row: every product gathers and splits its
+    support rows again, one row block at a time (`_support_blocks`). A
+    call takes one product of its query block against the whole support.
+    `sparsemax` splits only each query row's candidates; the rows of a
+    block without their certificate share one whole-support product.
     """
 
     def __init__(self, data, ids=None):
@@ -298,13 +295,12 @@ class SupportCosines:
         for part, block in _float64_blocks(data, self.ids):
             peaks[part] = _peaks(block)
         if not np.isfinite(peaks).all():
-            # int32 slices hold no inf or nan; such a row's cosines would be garbage.
+            # _split of such a row gives nan slices, and its cosines would be garbage.
             raise ValueError("support rows must be finite")
         self.zero_rows = peaks == 0.0
         self._norms = None  # the screen's, taken by the first _screen
         self._eps = _screen_error(data.shape[1])
         self._top = 1
-        self.hi = self.lo = self._split_norms = None  # the whole support's, once split
 
     def __call__(self, queries) -> tuple[np.ndarray, np.ndarray]:
         """(cosines, all-zero query mask) for a 2-D block of query rows.
@@ -313,7 +309,7 @@ class SupportCosines:
         are 0.
         """
         q = _split(_finite(queries), self.bits)
-        return self._product(q, self._whole_blocks(), len(self.ids)), q[2] == 0.0
+        return self._product(q, self.ids), q[2] == 0.0
 
     def _support_blocks(self, ids: np.ndarray) -> Iterator[tuple]:
         """(part, hi, lo, norms) for each row block of the support rows
@@ -323,25 +319,13 @@ class SupportCosines:
         for part, block in _float64_blocks(self.data, ids):
             yield part, *_split(block, self.bits, hi[: len(block)])
 
-    def _whole_blocks(self) -> Iterator[tuple]:
-        """_support_blocks of the whole support, from its int32 slices:
-        built on first use and kept, then upcast one row block at a time."""
-        if self.hi is None:
-            n, dim = len(self.ids), self.data.shape[1]
-            self.hi, self.lo = np.empty((2, n, dim), dtype=np.int32)
-            self._split_norms = np.empty(n)
-            for part, hi, lo, norms in self._support_blocks(self.ids):
-                self.hi[part], self.lo[part], self._split_norms[part] = hi, lo, norms
-        blocks = zip(_float64_blocks(self.hi), _float64_blocks(self.lo))
-        return ((part, hi, lo, self._split_norms[part]) for (part, hi), (_, lo) in blocks)
-
-    def _product(self, q: tuple, blocks: Iterator[tuple], n: int) -> np.ndarray:
-        """Cosines of split query rows q = (hi, lo, norms) against the `n`
-        support rows whose split row blocks `blocks` yields."""
+    def _product(self, q: tuple, ids: np.ndarray) -> np.ndarray:
+        """Cosines of split query rows q = (hi, lo, norms) against the
+        support rows `ids`, split one row block at a time."""
         q_hi, q_lo, q_norms = q
-        cos = np.empty((len(q_hi), n))
-        s_norms = np.empty(n)
-        for part, hi, lo, norms in blocks:
+        cos = np.empty((len(q_hi), len(ids)))
+        s_norms = np.empty(len(ids))
+        for part, hi, lo, norms in self._support_blocks(ids):
             s_norms[part] = norms
             cross = q_hi @ lo.T
             cross += q_lo @ hi.T
@@ -370,9 +354,9 @@ class SupportCosines:
           to float64, multiplied with the row's slices, and sparsemax runs
           over the exact cosines, with threshold tau.
         - keeps those weights if every other entry has z~ + err < tau
-          (`_certified`), which proves they are the whole row's. A row without
-          that certificate, or whose candidates are the whole support, is
-          weighted from the whole-support product.
+          (`_certified`), which proves they are the whole row's. The rows
+          without that certificate, or whose candidates are the whole
+          support, share one whole-support product and one batch sparsemax.
 
         An all-zero query's cosines are all 0, so its weights are 1/n.
         """
@@ -392,17 +376,21 @@ class SupportCosines:
         err = self._eps / temperature + (n + 2) ** 2 * 2.0**-52 * (1.0 + 1.0 / temperature)
         candidates = z >= (self._thresholds(z) - 2 * err)[:, None]
         q_split = _split(q, self.bits)
+        whole = []  # the rows weighted from the whole-support product
         for scores, chosen, row in zip(z, candidates, live):
             ids = np.flatnonzero(chosen)
-            query = tuple(part[row : row + 1] for part in q_split)
             if len(ids) < n:
-                v = self._product(query, self._support_blocks(self.ids[ids]), len(ids))[0]
+                query = tuple(part[row : row + 1] for part in q_split)
+                v = self._product(query, self.ids[ids])[0]
                 v /= temperature
                 tau = _sparsemax_threshold(v)[0]
                 if _certified(np.max(scores, where=~chosen, initial=-np.inf), err, tau):
                     weights[row, ids] = np.maximum(v - tau, 0.0)
                     continue
-            weights[row] = sparsemax(self._product(query, self._whole_blocks(), n)[0] / temperature)
+            whole.append(row)
+        if whole:
+            v = self._product(tuple(part[whole] for part in q_split), self.ids)
+            weights[whole] = sparsemax(v / temperature)
         return weights, zero
 
     def _screen(self, q32: np.ndarray, q_norms: np.ndarray) -> np.ndarray:

@@ -58,7 +58,7 @@ def sparsemax_oracle(z):
 def recorded_supports(monkeypatch):
     """The number of rows each support-side split passes through
     kernels._split, in order: one query row's candidates, or the whole
-    support when its slices are built."""
+    support for a clp call or a block's rows without their certificate."""
     sizes = []
     support_blocks = kernels.SupportCosines._support_blocks
 

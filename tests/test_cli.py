@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import G, build_instance
 
-from vocabport import cli
+from vocabport import cli, embedding_store
 from vocabport.aux_vectors import AUX_MODEL, WORD_VECTORS, load_aux_model, load_word_vectors
 from vocabport.cli import emit_report, run
 from vocabport.efficiency import EfficiencyReport
@@ -704,6 +704,50 @@ def test_commands_without_numpy_match_a_normal_run(tmp_path):
     assert b'"overlap_count": 2' in out["normal"]
 
 
+# Runs init with argv[3:] after cutting the VEMB at argv[1] to argv[2]
+# bytes, once the run has loaded it and starts to fill the target rows.
+_TRUNCATING_CHILD = """
+import resource, sys
+from vocabport import cli, initializers
+resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
+path, size = sys.argv[1], int(sys.argv[2])
+fill = initializers._TargetRows.__init__
+
+def truncated_then_fill(self, *args, **kwargs):
+    with open(path, "r+b") as f:
+        f.truncate(size)
+    fill(self, *args, **kwargs)
+
+initializers._TargetRows.__init__ = truncated_then_fill
+sys.exit(cli.run(sys.argv[3:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="SIGBUS on a cut mapping")
+@pytest.mark.xfail(strict=True, reason="a mapped input cut during a run raises SIGBUS until "
+                   "VEMB rows are read by positioned reads, not through a mapping")
+def test_source_truncated_during_init_is_a_located_error(tmp_path):
+    # Another process cuts the source to its header and one row after load.
+    # The run should fail as any bad input does: exit 1, the path named,
+    # no output left.
+    inst = build_instance(tmp_path, n_source=400, n_target=300, n_overlap=200, dim=64)
+    files = inst.source_files
+    outs = [tmp_path / "out_in.vemb", tmp_path / "out_out.vemb"]
+    argv = ["init", "--method", "heuristics", "--source-vocab", files["vocab"],
+            "--source-emb", files["emb"], "--source-out-emb", files["out_emb"],
+            "--target-vocab", inst.target_vocab_file, "--seed", "1",
+            "--out-emb", str(outs[0]), "--out-out-emb", str(outs[1])]
+    size = embedding_store._VEMB_HEADER.size + 64 * 4
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _TRUNCATING_CHILD, files["emb"], str(size), *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.returncode
+    assert files["emb"] in done.stderr
+    assert not any(p.exists() for p in outs)
+
+
 class TestOverlapCommand:
     def test_report_fields(self, tmp_path, capsys):
         src = tmp_path / "s.txt"
@@ -986,6 +1030,18 @@ class TestStatsCommand:
         y.write_text("1\n2\n3\n")
         assert run(["stats", "kendall", "--x", str(x), "--y", str(y)]) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf", "1e999"])
+    def test_non_finite_value_names_its_file_and_line(self, tmp_path, capsys, bad):
+        # The blank line 2 is skipped, so the value is y[1] but on line 3.
+        x = tmp_path / "x.txt"
+        x.write_text("1\n2\n3\n")
+        y = tmp_path / "y.txt"
+        y.write_text(f"1\n\n{bad}\n4\n")
+        assert run(["stats", "kendall", "--x", str(x), "--y", str(y)]) == 1
+        assert capsys.readouterr().err == (
+            f"vocabport: error: {y}:3: {bad!r} is not a finite number\n"
+        )
 
     def test_invalid_utf8_names_the_file(self, tmp_path, capsys):
         x = tmp_path / "bad.txt"

@@ -384,7 +384,7 @@ def test_streams_seeded_in_one_place():
     names = ("SeedSequence", "ISeedSequence", "default_rng", "PCG64", "Generator")
     assert holders(
         lambda node: _reads_attr(node, *names) or isinstance(node, ast.Name) and node.id in names
-    ) == {"initializers._StreamSeed", "initializers._token_rng"}
+    ) == {"initializers._stream_states", "initializers._token_rng"}
     assert holders(lambda node: _calls(node, "_token_rng") or _calls(node, "_stream_states")) == {
         "initializers._TargetRows.sample"
     }

@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -915,6 +919,23 @@ class TestStreamSeeds:
         got = initializers._stream_states(seed, ids)
         want = [np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in ids]
         assert got.tolist() == np.array(want).tolist()
+
+    def test_numpy_random_loads_on_the_first_draw(self):
+        # numpy.random adds about 6 MiB to a process; importing the modules
+        # init runs leaves it unloaded, and the first token generator loads it.
+        child = (
+            "import sys\n"
+            "from vocabport import cli, initializers\n"
+            "print('numpy.random' in sys.modules)\n"
+            "initializers._token_rng(initializers._stream_states(0, [0])[0])\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout.split() == ["False", "True"]
 
 
 class TestSamplerOracle:

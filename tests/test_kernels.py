@@ -304,8 +304,8 @@ class TestSupportCosines:
             monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", build_rows)
         built = (SupportCosines(data, ids), SupportCosines(data[ids]))
         for cosines in built:
-            cosines(queries[:1])  # the first call splits the support
-            assert cosines.hi.dtype == cosines.lo.dtype == np.int32
+            cos, _ = cosines(queries[:1])  # split at the build block size
+            np.testing.assert_array_equal(cos, expected[:1])
         if call_rows is not None:
             monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", call_rows)
         for cosines in built:
@@ -323,7 +323,7 @@ class TestSupportCosines:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_support_rejected(self, bad):
-        # int32 slices cannot hold a non-finite value; casting would make
+        # _split of a non-finite row gives nan slices, which would make
         # garbage cosines instead of an error.
         data = np.ones((5, 4))
         data[3, 1] = bad
@@ -343,8 +343,8 @@ class TestSupportCosines:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 9, 768])
     @pytest.mark.parametrize("block_rows", [1, 7, None])
     def test_gathered_subsets_equal_whole_support_columns(self, monkeypatch, dim, block_rows):
-        # The rescoring path: support rows gathered by ids and split straight
-        # to float64, against the same columns of the int32-slice product.
+        # The rescoring path: support rows gathered by ids and split, against
+        # the same columns of the whole-support product at the default block.
         rng = np.random.default_rng(dim + 50)
         data = _extreme_rows(rng, 40, dim)
         queries = _extreme_rows(rng, 9, dim)
@@ -354,11 +354,11 @@ class TestSupportCosines:
             monkeypatch.setattr(embedding_store, "_BLOCK_ROWS", block_rows)
         split = kernels._split(queries.astype(np.float64), cosines.bits)
         for ids in (rng.permutation(40)[:17], np.arange(40)[::-1].copy(), rng.integers(0, 40, 60)):
-            gathered = cosines._product(split, cosines._support_blocks(ids), len(ids))
+            gathered = cosines._product(split, ids)
             np.testing.assert_array_equal(gathered, whole[:, ids])
             for row in range(len(queries)):
                 query = tuple(part[row : row + 1] for part in split)
-                one = cosines._product(query, cosines._support_blocks(ids), len(ids))
+                one = cosines._product(query, ids)
                 np.testing.assert_array_equal(one[0], whole[row, ids])
             np.testing.assert_array_equal(SupportCosines(data, ids)(queries)[0], whole[:, ids])
 
@@ -448,13 +448,13 @@ class TestSparsemaxWeights:
         weigh = SupportCosines(data).sparsemax
         weights, _ = weigh(queries, 0.2)
         np.testing.assert_array_equal(weights, expected)
-        # Every nonzero query is rescored, refused, then weighted from the
-        # whole support, which is split once and kept.
+        # Every nonzero query is rescored, refused, then weighted from one
+        # whole-support product that the call's refused rows share.
         assert recorded_supports.count(300) == 1
         assert len(recorded_supports) == 1 + 8
         weights, _ = weigh(queries, 0.2)
         np.testing.assert_array_equal(weights, expected)
-        assert recorded_supports.count(300) == 1
+        assert recorded_supports.count(300) == 2
 
     @pytest.mark.parametrize("temperature", [1.0, 0.2])
     def test_screen_errors_up_to_eps_keep_the_bits(self, monkeypatch, recorded_supports,

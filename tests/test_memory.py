@@ -84,18 +84,29 @@ def test_finiteness_scan_holds_one_block(small_blocks, matrix):
     assert peak < 4 * BLOCK * COLS
 
 
-def test_support_slices_take_8_bytes_per_element(small_blocks, matrix):
-    # The slices are built on the first call and kept.
+def test_support_is_split_by_blocks_and_not_kept(small_blocks, monkeypatch, matrix):
+    # A clp call and a sparsemax call whose rows all lose their certificate,
+    # so both take a whole-support product. Each gathers and splits the
+    # support one row block at a time and keeps none of it: beyond the
+    # caller's matrix, the kernel holds at most one value a support row.
+    monkeypatch.setattr(kernels, "_certified", lambda rest, err, tau: False)
     ids = np.arange(ROWS)[::-1].copy()
+    queries = matrix.data[:2]
 
     def build_and_call(data, ids):
         cosines = SupportCosines(data, ids)
-        cosines(data[:1])
+        cosines(queries)
+        cosines.sparsemax(queries, 1.0)
         return cosines
 
     cosines, peak = _traced_peak(build_and_call, matrix.data, ids)
-    assert cosines.hi.shape == (ROWS, COLS)
-    assert peak < 8 * ROWS * COLS + 4 * BLOCK * COLS * 8
+    assert cosines.data is matrix.data
+    kept = [v for v in vars(cosines).values() if isinstance(v, np.ndarray) and v is not cosines.data]
+    assert len(kept) == 3 and all(v.size <= ROWS for v in kept)
+    # A few float64 row blocks (the gather, the slices, the screen's block)
+    # and a few float64 arrays of one value per (query, support row) pair:
+    # 1 MB, where the support's two slices kept as int32 would take 8 MB.
+    assert peak < 4 * BLOCK * COLS * 8 + 8 * len(queries) * ROWS * 8
 
 
 def test_overlap_rows_are_copied_by_blocks(small_blocks, matrix):
@@ -328,11 +339,11 @@ def test_streamed_jsonl_corpus_fails_at_its_bad_last_line(tmp_path, capsys):
 # Traced peak over the VEMB inputs (source, and the aux model for clp and
 # clp-plus) plus outputs. The inputs are mapped, which tracemalloc does not
 # see, so the peak is the outputs (0.44 of the sum for heuristics and random,
-# 0.36 with the aux model) plus blocks. clp also holds the support's int32
-# slices, 8 bytes per support element: 1,200 rows x 512 here. clp-plus keeps
-# one float64 norm per support row and splits only each query's candidates.
-# Measured: 0.646, 0.643, 0.740 and 0.488.
-_INIT_PEAK_BOUNDS = {"heuristics": 0.67, "random": 0.67, "clp": 0.77, "clp-plus": 0.51}
+# 0.36 with the aux model) plus blocks. clp and clp-plus keep at most one
+# float64 value per support row; clp splits the support one row block at a
+# time for each query block, clp-plus only each query's candidates.
+# Measured: 0.646, 0.643, 0.471 and 0.475.
+_INIT_PEAK_BOUNDS = {"heuristics": 0.67, "random": 0.67, "clp": 0.51, "clp-plus": 0.51}
 
 
 @pytest.mark.parametrize("method", list(_INIT_PEAK_BOUNDS))
@@ -487,14 +498,16 @@ def test_sparsemax_methods_split_no_whole_support(small_blocks, monkeypatch, rec
     support = report.support_size * aux.matrix.cols
     assert report.support_size > 1000 and report.similarity_initialized > 300
     outputs = bundle.input_emb.data.nbytes + bundle.output_emb.data.nbytes
+    # One float64 norm a support row, blocks of a few rows and each query's
+    # candidates, or one whole-support product per query block: no copy of
+    # the whole support.
     if certified:
-        # One float64 norm a support row, blocks of a few rows and each
-        # query's candidates: no int32 slices of the whole support.
         assert max(recorded_supports) < report.support_size // 4
-        assert peak - outputs < 4 * support
     else:
-        assert recorded_supports.count(report.support_size) == 1
-        assert peak - outputs > 8 * support
+        block_rows = max(1, initializers._BLOCK_BYTES // (8 * report.support_size))
+        blocks = -(-report.similarity_initialized // block_rows)
+        assert recorded_supports.count(report.support_size) == blocks
+    assert peak - outputs < 4 * support
 
 
 def _letters(i, width):
