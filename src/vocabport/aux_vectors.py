@@ -3,7 +3,10 @@
 Two sources: the embedding matrix of an auxiliary target-language model
 that shares the target tokenizer, or static word vectors in the usual
 text format (header "count dim", then "token v1 ... v_dim" per line),
-read in 64 KiB blocks of whole lines and never held whole.
+read in 64 KiB blocks of whole lines and never held whole. Every line is
+checked. When the target uses fewer than half a block's lines and their
+values are all plain decimals, which cannot fail to convert, only the
+lines the target keeps are converted.
 A target token with no auxiliary vector is not an error here; the
 initializer decides the fallback.
 """
@@ -122,6 +125,49 @@ def _plain_numeric(values: list[str]) -> bool:
     )
 
 
+# Byte classes for _plain_decimals: a digit 2, " " 5, "-" 11, "." 7, any
+# other byte 16. The low two bits are a byte's part as the left one of two
+# neighbours, the next two its part as the right one, so a pair is refused
+# when (4 * left) & right is not 0: bit 1 marks " ", "-" and "." on the
+# left and meets bit 4, " " and "." on the right (a separator, sign or
+# point is never followed by a separator or a point); bit 2 marks digits,
+# "-" and "." on the left and meets bit 8, "-" on the right (a sign only
+# follows a separator).
+_DECIMAL_CLASSES = bytes(
+    {ord(" "): 5, ord("-"): 11, ord("."): 7}.get(b, 2 if b in b"0123456789" else 16)
+    for b in range(256)
+)
+
+
+def _plain_decimals(values: list[str]) -> bool:
+    """Whether every field of the block's value strings is `-?D+(.D+)?`
+    (D an ASCII digit) with no run of 39 or more digits.
+
+    float() accepts every such field, and its value is below 1e38, so it
+    is finite as float32: a block that passes has no value fault. The
+    check reads the whole block at once, as one string of byte classes
+    with a separator at each end: each pair of neighbours, the longest run
+    of digits, and the points of each field. Its arrays hold a byte per
+    character; the int64 positions of the non-digits would take several
+    times the block's text.
+    """
+    try:
+        classes = " ".join(["", *values, ""]).encode("ascii").translate(_DECIMAL_CLASSES)
+    except UnicodeEncodeError:
+        return False
+    if b"\x10" in classes or b"\x02" * 39 in classes:
+        return False
+    c = np.frombuffer(classes, dtype=np.uint8)
+    pairs = c[:-1] * 4
+    pairs &= c[1:]
+    if pairs.any():
+        return False
+    # A field's points have only digits between them, so two points in one
+    # field are two points next to each other once the digits are gone.
+    point = np.frombuffer(classes.translate(None, b"\x02"), dtype=np.uint8) == 7
+    return not (point[:-1] & point[1:]).any()
+
+
 def _convert_block(
     block: list[tuple[int, str, str]], dim: int, path: str
 ) -> tuple[np.ndarray, str | None]:
@@ -176,10 +222,15 @@ def load_word_vectors(path: str, target: Vocabulary) -> AuxEmbeddings:
     warning). Only the vectors of tokens the target can use are kept, so
     `matrix` has one row per such token, not one per line.
 
-    A block's values are converted at once: by numpy's C reader when they
-    are plain ASCII numeric text, by Python's float() otherwise. Both give
-    the same float32 values, and the errors, their order and the warnings
-    are those of converting one line at a time.
+    When the target uses fewer than half a block's lines, the block's values
+    are checked at once before any is converted. If every field is a plain
+    decimal, `-?D+(.D+)?` with no run of 39 digits, none can fail (see
+    _plain_decimals), so only the lines kept are converted; any other block
+    is converted whole to find its first faulty value. Conversion is by
+    numpy's C reader when the text is plain ASCII numeric, by Python's
+    float() otherwise. Both give the same float32 values, and the errors,
+    their order and the warnings are those of converting every line one at
+    a time.
     """
     usable = target.index
     with open(path, "rb") as f, np.errstate(over="ignore"):
@@ -227,11 +278,17 @@ def load_word_vectors(path: str, target: Vocabulary) -> AuxEmbeddings:
                     break
                 token, _, values = line.partition(" ")
                 block.append((lineno, token, values[:-1] if trailing else values))
-            vecs, bad_value = _convert_block(block, dim, path)
+            # A block of plain decimals has no value fault, so only the lines
+            # kept are converted, once the bookkeeping has picked them. The
+            # check costs about a quarter of converting the whole block, so
+            # it is made only when the target uses fewer than half its lines.
+            few_kept = 2 * sum(token in usable for _, token, _ in block) < len(block)
+            plain = few_kept and _plain_decimals([v for _, _, v in block])
+            vecs, bad_value = (None, None) if plain else _convert_block(block, dim, path)
             # The block's lines up to its first faulty line are recorded in
             # line order, then that fault is raised.
             keep = []
-            for i, (at, token, _) in enumerate(block[: len(vecs)]):
+            for i, (at, token, _) in enumerate(block if plain else block[: len(vecs)]):
                 if token in lookup:
                     warnings.warn(
                         f"{path}:{at}: duplicate token {token!r}; keeping the first",
@@ -244,10 +301,14 @@ def load_word_vectors(path: str, target: Vocabulary) -> AuxEmbeddings:
                 else:
                     lookup[token] = None
             if keep:
+                if plain:
+                    vecs, _ = _convert_block([block[i] for i in keep], dim, path)
+                else:
+                    vecs = vecs[keep]
                 if n_kept > len(kept):
                     rows = min(max(n_kept, 2 * len(kept)), len(usable))
                     kept.resize((rows, dim), refcheck=False)
-                kept[n_kept - len(keep) : n_kept] = vecs[keep]
+                kept[n_kept - len(keep) : n_kept] = vecs
             if bad_value or fault:
                 raise FormatError(bad_value or fault)
     if declared_count != len(lookup):

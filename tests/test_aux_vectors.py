@@ -12,9 +12,9 @@ from conftest import load_word_vectors_oracle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vocabport import embedding_store
+from vocabport import aux_vectors, embedding_store
 from vocabport.aux_vectors import (
-    AUX_MODEL, AuxEmbeddings, aux_row, load_aux_model, load_word_vectors,
+    AUX_MODEL, AuxEmbeddings, _plain_decimals, aux_row, load_aux_model, load_word_vectors,
 )
 from vocabport.embedding_store import EmbeddingMatrix, Vocabulary, save_matrix
 from vocabport.errors import FormatError, ValidationError, VocabportError
@@ -150,13 +150,29 @@ class TestWordVectors:
         for tid in range(len(target)):
             np.testing.assert_array_equal(one.row(tid), two.row(tid))
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "1e39"])
-    @pytest.mark.parametrize("target", [["a", "b"], ["a", "c"]], ids=["aligned", "unaligned"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e39", "4" + "0" * 38])
+    @pytest.mark.parametrize(
+        "target", [["a", "b"], ["a", "c"], ["c"]], ids=["aligned", "unaligned", "sparse"]
+    )
     def test_non_finite_value_is_located(self, tmp_path, value, target):
-        # 1e39 is finite as a float64 but overflows float32.
+        # 1e39 is finite as a float64 but overflows float32, and so does
+        # 4e38 written as plain decimal digits. A sparse target uses too few
+        # lines to have the block converted whole without a check.
         p = tmp_path / "w.vec"
         p.write_text(f"3 2\na 1 2\nb 0 {value}\nc 3 4\n")
         with pytest.raises(FormatError, match=r"^.*w\.vec:3: non-finite vector value$"):
+            load_word_vectors(str(p), Vocabulary(target))
+
+    @pytest.mark.parametrize("value", ["1.2.3", "1..5", "-", "1-2", "--1", "1.-2"])
+    @pytest.mark.parametrize(
+        "target", [["a", "b"], ["a", "c"], ["c"]], ids=["aligned", "unaligned", "sparse"]
+    )
+    def test_malformed_value_is_located(self, tmp_path, value, target):
+        # Text a step from a plain decimal, which float() refuses, fails on
+        # its line whether or not the target keeps that line.
+        p = tmp_path / "w.vec"
+        p.write_text(f"3 2\na 1 2\nb 0 {value}\nc 3 4\n")
+        with pytest.raises(FormatError, match=r"^.*w\.vec:3: non-numeric vector value$"):
             load_word_vectors(str(p), Vocabulary(target))
 
     def test_first_fault_in_file_order_wins(self, tmp_path):
@@ -207,6 +223,40 @@ class TestWordVectors:
         assert piped.vocab_alignment == whole.vocab_alignment
         np.testing.assert_array_equal(piped.matrix.data, whole.matrix.data)
         assert piped.matrix.data.tolist() == [[0, 0], [3, -3], [5, -5]]
+
+    @pytest.mark.parametrize("read_bytes", [200, embedding_store._READ_BYTES])
+    @pytest.mark.parametrize("step", [10, 1])
+    def test_converts_only_the_lines_the_target_keeps(
+        self, tmp_path, monkeypatch, read_bytes, step
+    ):
+        # Plain decimals cannot fail to convert, so of a file where 1 line
+        # in 10 aligns only the aligned lines' values reach the converter.
+        # When every line aligns, each block goes to it whole, unchecked.
+        monkeypatch.setattr(embedding_store, "_READ_BYTES", read_bytes)
+        rows = np.random.default_rng(3).standard_normal((300, 4))
+        values = [" ".join(f"{v:.4f}" for v in row) for row in rows]
+        p = tmp_path / "w.vec"
+        p.write_text("300 4\n" + "".join(f"w{i} {v}\n" for i, v in enumerate(values)))
+        target = Vocabulary(["absent"] + [f"w{i}" for i in range(0, 300, step)])
+        checked, converted = [], []
+        check, convert = aux_vectors._plain_decimals, aux_vectors._convert_block
+
+        def record_check(values):
+            checked.extend(values)
+            return check(values)
+
+        def record(block, dim, path):
+            converted.extend(v for _, _, v in block)
+            return convert(block, dim, path)
+
+        monkeypatch.setattr(aux_vectors, "_plain_decimals", record_check)
+        monkeypatch.setattr(aux_vectors, "_convert_block", record)
+        vecs = load_word_vectors(str(p), target)
+        assert checked == (values if step == 10 else [])
+        assert converted == values[::step]
+        assert vecs.missing == {0}
+        want = [[float(v) for v in line.split(" ")] for line in values[::step]]
+        np.testing.assert_array_equal(vecs.matrix.data, np.float32(want))
 
 
 # Word-vector files: mostly well-formed lines, whose tokens hold the
@@ -354,6 +404,7 @@ _FORMATS = [
     lambda x: str(Decimal(x)),  # the exact binary value in decimal
 ]
 _NON_FINITE = ["inf", "-Infinity", "NaN", "1e39"]
+_MALFORMED = ["1..5", "1.2.3", "-", "1-2", "--1", "1.-2", ".", "x"]
 
 
 @st.composite
@@ -365,10 +416,14 @@ def _value_text(draw):
 
 
 def _bits_or_error(load, path, target):
+    """Each target id's row as float32 bits (None if it has none), or the
+    error text."""
     try:
-        return load(path, target).matrix.data.view(np.uint32).tolist()
+        aux = load(path, target)
     except FormatError as e:
         return str(e)
+    rows = (aux.row(t) for t in range(len(target)))
+    return [None if r is None else r.view(np.uint32).tolist() for r in rows]
 
 
 class TestExactness:
@@ -381,9 +436,13 @@ class TestExactness:
     def test_rows_bit_equal_to_float_parsing(self, tmp_path, dim, data, block_chars):
         n = data.draw(st.integers(1, 12))
         rows = [[data.draw(_value_text()) for _ in range(dim)] for _ in range(n)]
-        # Now and then a value that is not finite as float32.
+        # Now and then a value that is not finite as float32, or not a number.
         injected = data.draw(st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, dim - 1), st.sampled_from(_NON_FINITE)),
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, dim - 1),
+                st.sampled_from(_NON_FINITE + _MALFORMED),
+            ),
             max_size=2,
         ))
         for line, col, value in injected:
@@ -393,13 +452,57 @@ class TestExactness:
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"{n} {dim}\n")
             f.writelines(f"t{i} " + " ".join(row) + tail + "\n" for i, row in enumerate(rows))
-        target = Vocabulary([f"t{i}" for i in range(n)])
+        # The target may leave lines out; a fault on such a line is still found.
+        used = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        target = Vocabulary([f"t{i}" for i in range(n) if used[i]])
         with mock.patch.object(embedding_store, "_READ_BYTES", block_chars):
             got = _bits_or_error(load_word_vectors, path, target)
         assert got == _bits_or_error(load_word_vectors_oracle, path, target)
         if injected:
             first = min(line for line, _, _ in injected)
-            assert got == f"{path}:{first + 2}: non-finite vector value"
+            fault = "non-numeric" if set(rows[first]) & set(_MALFORMED) else "non-finite"
+            assert got == f"{path}:{first + 2}: {fault} vector value"
+
+
+# Text near the plain-decimal grammar: its characters, the signs, exponents,
+# underscores and line breaks float() or the reader also meets, non-ASCII
+# digits float() accepts (and a superscript it does not), and digit runs
+# either side of the 39-digit limit.
+_NEAR_DECIMAL = st.lists(
+    st.sampled_from(list("0123456789-.+eE_ \n") + ["١", "５", "²", "9" * 38]),
+    max_size=24,
+).map("".join)
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+
+
+class TestPlainDecimals:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_NEAR_DECIMAL, min_size=1, max_size=4))
+    def test_accepts_exactly_the_grammar_and_each_field_converts(self, values):
+        fields = " ".join(values).split(" ")
+        grammar = all(_DECIMAL.fullmatch(f) and not re.search("[0-9]{39}", f) for f in fields)
+        accepted = _plain_decimals(values)
+        assert accepted == grammar
+        if accepted:
+            for f in fields:
+                assert np.isfinite(np.float32(float(f)))
+
+    @pytest.mark.parametrize("text", ["1.5 -2.25", "-0.0", "1" * 38, "9" * 38 + ".5 0"])
+    def test_accepts(self, text):
+        assert _plain_decimals([text])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1..5", "1.2.3", "-", "1-2", ".5", "5.", "1  2", "1e5", "+1", "1_0", "1" * 39,
+         "", " 1", "1 ", "--1", "-.5", "1\r", "١"],
+    )
+    def test_rejects(self, text):
+        assert not _plain_decimals([text])
+
+    def test_a_block_passes_only_whole(self):
+        assert _plain_decimals(["1 2", "-3.5 4"])
+        assert not _plain_decimals(["1 2", "3 nan"])
+        assert not _plain_decimals(["1 2", ""])
 
 
 class TestAuxRow:

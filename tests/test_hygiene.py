@@ -2,11 +2,12 @@
 or public names, method names, word-boundary markers and the row-block size
 spelled only where they are defined, one method table in step with
 InitConfig and init's options, the initializers' input ids read in
-one place, line files read through one reader, matrix rows read through
-one gather and mapped pages released in one place, target rows written in
-one place, rows scaled and split for exact cosines in one place, numpy
-imported at module level only by the matrix modules, and no defaulted
-parameter that only tests pass.
+one place, line files read through one reader, word-vector values
+converted in one place, matrix rows read through one gather and mapped
+pages released in one place, target rows written in one place, rows
+scaled and split for exact cosines in one place, numpy imported at module
+level only by the matrix modules, and no defaulted parameter that only
+tests pass.
 
 Deleting code tends to leave an import or a `_helper` behind, and a method
 name or a marker written out in another module is a second record of it;
@@ -306,6 +307,27 @@ def test_one_line_reader():
         for holder in _holders(_tree(path), lambda node: _calls(node, "_line_blocks"))
     }
     assert callers == {"embedding_store._numbered_lines", "aux_vectors.load_word_vectors"}
+
+
+def test_value_text_converted_in_one_place():
+    # Word-vector value text becomes numbers only in
+    # aux_vectors._convert_block, and only load_word_vectors calls it, on the
+    # lines it keeps once a block's values are proven plain decimals or on a
+    # whole block otherwise; a second conversion could parse a value another
+    # way, or convert one no check has passed.
+    def holders(wanted):
+        return {f"{path.stem}.{h}" for path in MODULES for h in _holders(_tree(path), wanted)}
+
+    readers = ("loadtxt", "genfromtxt", "fromstring")
+    assert holders(lambda node: _reads_attr(node, *readers)) == {"aux_vectors._convert_block"}
+    floats = _holders(
+        _tree(PACKAGE / "aux_vectors.py"),
+        lambda node: isinstance(node, ast.Name) and node.id == "float",
+    )
+    assert floats == {"_convert_block"}
+    assert holders(lambda node: _calls(node, "_convert_block")) == {
+        "aux_vectors.load_word_vectors"
+    }
 
 
 def test_pages_released_in_one_place():

@@ -453,10 +453,11 @@ def test_mapped_clp_plus_inputs_stay_out_of_peak_rss(tmp_path):
     # the target tokens over its whole span, every 12th row. The peak above
     # the interpreter's is the outputs, a few row blocks, the engine's
     # cosine and weight blocks of at most _BLOCK_BYTES each and, until
-    # scattered gathers stop mapping the span between their rows (the kernel
-    # maps up to 16 cached pages around each fault), the span one gather of
-    # a block of rows 16 apart covers: the 1,024-row support norm pass alone
-    # raised the peak by 56 MB. Inputs are never held whole.
+    # scattered gathers stop mapping the span between their rows, the span
+    # one gather of a block of rows 16 apart covers. A fault maps far more
+    # than 16-page fault-around: of a 250 MiB VEMB, one gather of 100 random
+    # rows mapped 150 MiB (ROADMAP item 3). The 1,024-row support norm pass
+    # alone raised the peak by 56 MB. Inputs are never held whole.
     ins, target, argv = _mapped_source(tmp_path, 1280)
     aux = [f"\u2581x{i:05d}" for i in range(_MAPPED_SOURCE)]
     aux[::12] = target + aux[12 * len(target) :: 12]
