@@ -4,9 +4,9 @@ Two sources: the embedding matrix of an auxiliary target-language model
 that shares the target tokenizer, or static word vectors in the usual
 text format (header "count dim", then "token v1 ... v_dim" per line),
 read in 64 KiB blocks of whole lines and never held whole. Every line is
-checked. When the target uses fewer than half a block's lines and their
-values are all plain decimals, which cannot fail to convert, only the
-lines the target keeps are converted.
+checked: the lines the target keeps are converted, and the others are
+proven plain decimals, which cannot fail to convert, or else converted
+too.
 A target token with no auxiliary vector is not an error here; the
 initializer decides the fallback.
 """
@@ -168,19 +168,19 @@ def _plain_decimals(values: list[str]) -> bool:
     return not (point[:-1] & point[1:]).any()
 
 
-def _convert_block(
-    block: list[tuple[int, str, str]], dim: int, path: str
+def _convert_lines(
+    lines: list[tuple[int, str, str]], dim: int, path: str
 ) -> tuple[np.ndarray, str | None]:
-    """Float32 rows for the block's (lineno, token, values) lines up to its
-    first faulty line, and that line's error text (None if it has none).
+    """Float32 rows for the (lineno, token, values) lines up to the first
+    faulty one, and that line's error text (None if none is faulty).
 
     Plain numeric text goes through np.loadtxt as float64, then the same
-    double -> float32 cast np.fromiter makes; anything else, or a block
+    double -> float32 cast np.fromiter makes; anything else, or lines
     loadtxt rejects, goes line by line through float(), which alone names
     a value error. Values beyond float32 range become inf (the caller turns
     overflow warnings off) and fail the finiteness check.
     """
-    values = [v for _, _, v in block]
+    values = [v for _, _, v in lines]
     if values and _plain_numeric(values):  # loadtxt warns on no lines
         try:
             parsed = np.loadtxt(
@@ -188,15 +188,15 @@ def _convert_block(
             )
         except ValueError:
             parsed = None
-        if parsed is not None and parsed.shape == (len(block), dim):
+        if parsed is not None and parsed.shape == (len(lines), dim):
             vecs = parsed.astype(np.float32)
             finite = np.isfinite(vecs).all(axis=1)
             if finite.all():
                 return vecs, None
             bad = int(np.argmin(finite))
-            return vecs[:bad], f"{path}:{block[bad][0]}: non-finite vector value"
-    vecs = np.empty((len(block), dim), dtype=np.float32)
-    for i, (lineno, _, text) in enumerate(block):
+            return vecs[:bad], f"{path}:{lines[bad][0]}: non-finite vector value"
+    vecs = np.empty((len(lines), dim), dtype=np.float32)
+    for i, (lineno, _, text) in enumerate(lines):
         try:
             vecs[i] = np.fromiter(map(float, text.split(" ")), dtype=np.float32, count=dim)
         except ValueError:
@@ -204,6 +204,28 @@ def _convert_block(
         if not np.isfinite(vecs[i]).all():
             return vecs[:i], f"{path}:{lineno}: non-finite vector value"
     return vecs, None
+
+
+def _convert_block(
+    block: list[tuple[int, str, str]], keep: list[int], dim: int, path: str
+) -> tuple[np.ndarray, int, str | None]:
+    """Float32 rows for the block's lines at `keep` (ascending indices),
+    the index of the block's first faulty line (len(block) if none is) and
+    that line's error text (None if none is).
+
+    Only the kept lines are converted. The others are proven plain
+    decimals, which cannot fail (see _plain_decimals); only if that proof
+    fails are they converted as well, to find their first faulty value.
+    The rows are complete only when no line is faulty.
+    """
+    vecs, error = _convert_lines([block[i] for i in keep], dim, path)
+    bad = keep[len(vecs)] if error else len(block)
+    rest = sorted(set(range(len(block))).difference(keep))
+    if rest and not _plain_decimals([block[i][2] for i in rest]):
+        rest_vecs, rest_error = _convert_lines([block[i] for i in rest], dim, path)
+        if rest_error and rest[len(rest_vecs)] < bad:
+            bad, error = rest[len(rest_vecs)], rest_error
+    return vecs, bad, error
 
 
 def load_word_vectors(path: str, target: Vocabulary) -> AuxEmbeddings:
@@ -222,15 +244,14 @@ def load_word_vectors(path: str, target: Vocabulary) -> AuxEmbeddings:
     warning). Only the vectors of tokens the target can use are kept, so
     `matrix` has one row per such token, not one per line.
 
-    When the target uses fewer than half a block's lines, the block's values
-    are checked at once before any is converted. If every field is a plain
-    decimal, `-?D+(.D+)?` with no run of 39 digits, none can fail (see
-    _plain_decimals), so only the lines kept are converted; any other block
-    is converted whole to find its first faulty value. Conversion is by
-    numpy's C reader when the text is plain ASCII numeric, by Python's
-    float() otherwise. Both give the same float32 values, and the errors,
-    their order and the warnings are those of converting every line one at
-    a time.
+    Of each block, the lines the target keeps are converted. The values of
+    the other lines are checked at once: if every field is a plain decimal,
+    `-?D+(.D+)?` with no run of 39 digits, none can fail (see
+    _plain_decimals); otherwise those lines are converted too, to find
+    their first faulty value. Conversion is by numpy's C reader when the
+    text is plain ASCII numeric, by Python's float() otherwise. Both give
+    the same float32 values, and the errors, their order and the warnings
+    are those of converting every line one at a time.
     """
     usable = target.index
     with open(path, "rb") as f, np.errstate(over="ignore"):
@@ -278,39 +299,35 @@ def load_word_vectors(path: str, target: Vocabulary) -> AuxEmbeddings:
                     break
                 token, _, values = line.partition(" ")
                 block.append((lineno, token, values[:-1] if trailing else values))
-            # A block of plain decimals has no value fault, so only the lines
-            # kept are converted, once the bookkeeping has picked them. The
-            # check costs about a quarter of converting the whole block, so
-            # it is made only when the target uses fewer than half its lines.
-            few_kept = 2 * sum(token in usable for _, token, _ in block) < len(block)
-            plain = few_kept and _plain_decimals([v for _, _, v in block])
-            vecs, bad_value = (None, None) if plain else _convert_block(block, dim, path)
-            # The block's lines up to its first faulty line are recorded in
-            # line order, then that fault is raised.
-            keep = []
-            for i, (at, token, _) in enumerate(block if plain else block[: len(vecs)]):
+            # The bookkeeping comes first, so that only the kept lines are
+            # converted. A repeated token warns only if it comes before the
+            # block's first faulty line, as when lines are converted one at
+            # a time.
+            keep, repeats = [], []
+            for i, (_, token, _) in enumerate(block):
                 if token in lookup:
+                    repeats.append(i)
+                elif token in usable:
+                    lookup[token] = n_kept + len(keep)
+                    keep.append(i)
+                else:
+                    lookup[token] = None
+            vecs, bad, bad_value = _convert_block(block, keep, dim, path)
+            for i in repeats:
+                if i < bad:
+                    at, token, _ = block[i]
                     warnings.warn(
                         f"{path}:{at}: duplicate token {token!r}; keeping the first",
                         RuntimeWarning,
                     )
-                elif token in usable:
-                    lookup[token] = n_kept
-                    n_kept += 1
-                    keep.append(i)
-                else:
-                    lookup[token] = None
+            if bad_value or fault:
+                raise FormatError(bad_value or fault)
             if keep:
-                if plain:
-                    vecs, _ = _convert_block([block[i] for i in keep], dim, path)
-                else:
-                    vecs = vecs[keep]
+                n_kept += len(keep)
                 if n_kept > len(kept):
                     rows = min(max(n_kept, 2 * len(kept)), len(usable))
                     kept.resize((rows, dim), refcheck=False)
                 kept[n_kept - len(keep) : n_kept] = vecs
-            if bad_value or fault:
-                raise FormatError(bad_value or fault)
     if declared_count != len(lookup):
         warnings.warn(
             f"{path}: header declares {declared_count} vectors, file has {len(lookup)}",

@@ -156,8 +156,9 @@ class TestWordVectors:
     )
     def test_non_finite_value_is_located(self, tmp_path, value, target):
         # 1e39 is finite as a float64 but overflows float32, and so does
-        # 4e38 written as plain decimal digits. A sparse target uses too few
-        # lines to have the block converted whole without a check.
+        # 4e38 written as plain decimal digits. Only the aligned target keeps
+        # line 3, whose values are then converted; for the others it fails
+        # the check of the lines not kept, which are then converted too.
         p = tmp_path / "w.vec"
         p.write_text(f"3 2\na 1 2\nb 0 {value}\nc 3 4\n")
         with pytest.raises(FormatError, match=r"^.*w\.vec:3: non-finite vector value$"):
@@ -169,7 +170,8 @@ class TestWordVectors:
     )
     def test_malformed_value_is_located(self, tmp_path, value, target):
         # Text a step from a plain decimal, which float() refuses, fails on
-        # its line whether or not the target keeps that line.
+        # its line whether the target keeps that line, which is converted,
+        # or not, when it fails the check of the lines not kept.
         p = tmp_path / "w.vec"
         p.write_text(f"3 2\na 1 2\nb 0 {value}\nc 3 4\n")
         with pytest.raises(FormatError, match=r"^.*w\.vec:3: non-numeric vector value$"):
@@ -224,39 +226,80 @@ class TestWordVectors:
         np.testing.assert_array_equal(piped.matrix.data, whole.matrix.data)
         assert piped.matrix.data.tolist() == [[0, 0], [3, -3], [5, -5]]
 
+    @staticmethod
+    def _record(monkeypatch):
+        """The calls the loader makes to _plain_decimals, as ("check",
+        values, result), and to _convert_lines, as ("convert", values)."""
+        calls = []
+        check, convert = aux_vectors._plain_decimals, aux_vectors._convert_lines
+
+        def record_check(values):
+            ok = check(values)
+            calls.append(("check", list(values), ok))
+            return ok
+
+        def record_convert(lines, dim, path):
+            calls.append(("convert", [v for _, _, v in lines]))
+            return convert(lines, dim, path)
+
+        monkeypatch.setattr(aux_vectors, "_plain_decimals", record_check)
+        monkeypatch.setattr(aux_vectors, "_convert_lines", record_convert)
+        return calls
+
+    @staticmethod
+    def _values_file(tmp_path, rows, formats=None):
+        formats = formats or {}
+        values = [
+            " ".join(format(v, formats.get(i, ".4f")) for v in row) for i, row in enumerate(rows)
+        ]
+        p = tmp_path / "w.vec"
+        p.write_text(f"{len(rows)} {rows.shape[1]}\n" + "".join(f"w{i} {v}\n" for i, v in enumerate(values)))
+        return str(p), values
+
     @pytest.mark.parametrize("read_bytes", [200, embedding_store._READ_BYTES])
-    @pytest.mark.parametrize("step", [10, 1])
+    @pytest.mark.parametrize("step", [10, 2, 1])
     def test_converts_only_the_lines_the_target_keeps(
         self, tmp_path, monkeypatch, read_bytes, step
     ):
-        # Plain decimals cannot fail to convert, so of a file where 1 line
-        # in 10 aligns only the aligned lines' values reach the converter.
-        # When every line aligns, each block goes to it whole, unchecked.
+        # Only the kept lines' values reach the converter; the others' are
+        # checked as plain decimals, which cannot fail to convert. When every
+        # line is kept, nothing is checked.
         monkeypatch.setattr(embedding_store, "_READ_BYTES", read_bytes)
         rows = np.random.default_rng(3).standard_normal((300, 4))
-        values = [" ".join(f"{v:.4f}" for v in row) for row in rows]
-        p = tmp_path / "w.vec"
-        p.write_text("300 4\n" + "".join(f"w{i} {v}\n" for i, v in enumerate(values)))
+        path, values = self._values_file(tmp_path, rows)
         target = Vocabulary(["absent"] + [f"w{i}" for i in range(0, 300, step)])
-        checked, converted = [], []
-        check, convert = aux_vectors._plain_decimals, aux_vectors._convert_block
-
-        def record_check(values):
-            checked.extend(values)
-            return check(values)
-
-        def record(block, dim, path):
-            converted.extend(v for _, _, v in block)
-            return convert(block, dim, path)
-
-        monkeypatch.setattr(aux_vectors, "_plain_decimals", record_check)
-        monkeypatch.setattr(aux_vectors, "_convert_block", record)
-        vecs = load_word_vectors(str(p), target)
-        assert checked == (values if step == 10 else [])
+        calls = self._record(monkeypatch)
+        vecs = load_word_vectors(path, target)
+        checked = [v for kind, vs, *ok in calls if kind == "check" for v in vs]
+        converted = [v for kind, vs, *_ in calls if kind == "convert" for v in vs]
+        assert all(ok == [True] for kind, _, *ok in calls if kind == "check")
+        assert checked == [v for i, v in enumerate(values) if i % step]
         assert converted == values[::step]
         assert vecs.missing == {0}
         want = [[float(v) for v in line.split(" ")] for line in values[::step]]
         np.testing.assert_array_equal(vecs.matrix.data, np.float32(want))
+
+    @pytest.mark.parametrize("read_bytes", [200, embedding_store._READ_BYTES])
+    def test_lines_not_kept_are_converted_when_the_check_fails(
+        self, tmp_path, monkeypatch, read_bytes
+    ):
+        # Exponent text on a line the target does not keep fails the check
+        # of its block's lines not kept, which are then converted as well;
+        # the kept rows are those of converting their lines alone.
+        monkeypatch.setattr(embedding_store, "_READ_BYTES", read_bytes)
+        rows = np.random.default_rng(5).standard_normal((300, 4))
+        path, values = self._values_file(tmp_path, rows, {15: "e"})
+        target = Vocabulary([f"w{i}" for i in range(0, 300, 10)])
+        calls = self._record(monkeypatch)
+        vecs = load_word_vectors(path, target)
+        failed = [i for i, call in enumerate(calls) if call[0] == "check" and not call[2]]
+        assert len(failed) == 1 and values[15] in calls[failed[0]][1]
+        assert calls[failed[0] + 1] == ("convert", calls[failed[0]][1])
+        del calls[failed[0] + 1]
+        converted = [v for kind, vs, *_ in calls if kind == "convert" for v in vs]
+        assert converted == values[::10]
+        want = np.float32([[float(v) for v in line.split(" ")] for line in values[::10]])
+        np.testing.assert_array_equal(vecs.matrix.data.view(np.uint32), want.view(np.uint32))
 
 
 # Word-vector files: mostly well-formed lines, whose tokens hold the
@@ -368,6 +411,42 @@ class TestMatchesWholeFileLoader:
             else:
                 want = (want[0], [w for w in before[1] if "duplicate" in w])
         assert got == want
+
+
+class TestFaultOrderInOneBlock:
+    # Forty lines in one default-size block, of which the target keeps every
+    # fourth: the kept lines are converted and the others checked apart, yet
+    # the first faulty line in file order is the one raised, after the
+    # duplicate warnings of the lines before it and of no later line.
+    TARGET = Vocabulary([f"w{i}" for i in range(0, 40, 4)])
+
+    def _load(self, tmp_path, changed):
+        lines = [f"w{i} {i}.5 -{i}" for i in range(40)]
+        for i, line in changed.items():
+            lines[i] = line
+        path = str(tmp_path / "w.vec")
+        with open(path, "w") as f:
+            f.write("40 2\n" + "".join(line + "\n" for line in lines))
+        got = _outcome(load_word_vectors, path, self.TARGET)
+        assert got == _outcome(load_word_vectors_oracle, path, self.TARGET)
+        return got
+
+    def test_fault_on_a_line_not_kept_before_one_on_a_kept_line(self, tmp_path):
+        (error, message), _ = self._load(tmp_path, {10: "w10 1..5 0", 20: "w20 0 nan"})
+        assert error is FormatError and message.endswith("w.vec:12: non-numeric vector value")
+
+    def test_fault_on_a_kept_line_before_one_on_a_line_not_kept(self, tmp_path):
+        (error, message), _ = self._load(tmp_path, {8: "w8 0 nan", 21: "w21 1..5 0"})
+        assert error is FormatError and message.endswith("w.vec:10: non-finite vector value")
+
+    def test_only_repeats_before_the_fault_warn(self, tmp_path):
+        changed = {6: "w4 1 2", 7: "w3 1 2", 20: "w20 0 inf", 25: "w0 1 2", 26: "w1 1 2"}
+        (_, message), warned = self._load(tmp_path, changed)
+        assert message.endswith("w.vec:22: non-finite vector value")
+        assert [re.sub(r"^.*w\.vec:", "", w) for w in warned] == [
+            "8: duplicate token 'w4'; keeping the first",
+            "9: duplicate token 'w3'; keeping the first",
+        ]
 
 
 _F32 = np.finfo(np.float32)

@@ -310,24 +310,28 @@ def test_one_line_reader():
 
 
 def test_value_text_converted_in_one_place():
-    # Word-vector value text becomes numbers only in
-    # aux_vectors._convert_block, and only load_word_vectors calls it, on the
-    # lines it keeps once a block's values are proven plain decimals or on a
-    # whole block otherwise; a second conversion could parse a value another
-    # way, or convert one no check has passed.
+    # Word-vector value text becomes numbers only in aux_vectors._convert_lines.
+    # load_word_vectors hands each block to _convert_block, which alone calls
+    # it, on the lines the target keeps, and alone calls _plain_decimals, on
+    # the others. A second conversion could parse a value another way, or
+    # convert one no check has passed; a second caller of the proof could
+    # let through a line that no conversion checks.
     def holders(wanted):
         return {f"{path.stem}.{h}" for path in MODULES for h in _holders(_tree(path), wanted)}
 
     readers = ("loadtxt", "genfromtxt", "fromstring")
-    assert holders(lambda node: _reads_attr(node, *readers)) == {"aux_vectors._convert_block"}
+    assert holders(lambda node: _reads_attr(node, *readers)) == {"aux_vectors._convert_lines"}
     floats = _holders(
         _tree(PACKAGE / "aux_vectors.py"),
         lambda node: isinstance(node, ast.Name) and node.id == "float",
     )
-    assert floats == {"_convert_block"}
-    assert holders(lambda node: _calls(node, "_convert_block")) == {
-        "aux_vectors.load_word_vectors"
-    }
+    assert floats == {"_convert_lines"}
+    for callee, caller in [
+        ("_convert_lines", "_convert_block"),
+        ("_plain_decimals", "_convert_block"),
+        ("_convert_block", "load_word_vectors"),
+    ]:
+        assert holders(lambda node: _calls(node, callee)) == {f"aux_vectors.{caller}"}
 
 
 def test_pages_released_in_one_place():
